@@ -126,9 +126,7 @@ def _cmd_mirror_map(args) -> int:
     geometric = picard_fuchs.companion_vhs(op, args.order)
     canon = vshs.to_canonical_connection(geometric)
     q_canon = vshs.canonical_coordinate(canon.a_series, canon.levels2)
-    if q_frob != q_canon:
-        raise picard_fuchs.MirrorMapMismatch(
-            "canonical coordinate and Frobenius mirror map disagree")
+    picard_fuchs.check_mirror_maps(q_canon, q_frob)
     series = q_frob * Scalar(args.sign)
     if args.format == "json":
         sys.stdout.write(jsonio.dumps(

@@ -188,10 +188,20 @@ def load_text(text: str):
     or the expression language) is handed to its own parser."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        data = json.loads(stripped)
+        try:
+            data = json.loads(stripped)
+        except RecursionError:
+            raise picard_fuchs.ParseError("JSON nested too deeply") from None
         kind = data.get("kind")
         if kind in _LOADERS:
-            return _LOADERS[kind](data)
+            try:
+                return _LOADERS[kind](data)
+            except KeyError as exc:
+                raise picard_fuchs.ParseError(
+                    f"{kind} is missing the field {exc}") from exc
+            except (TypeError, AttributeError, IndexError) as exc:
+                raise picard_fuchs.ParseError(
+                    f"malformed {kind}: {exc}") from exc
         if kind == "pf_operator" or "coeffs" in data:
             return picard_fuchs.parse_pf(stripped)
         raise ValueError(f"unknown object kind {kind!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import amodel, vshs
-from .scalars import ONE, ZERO, Scalar, parse_scalar
+from .scalars import ONE, ZERO, Scalar, format_scalar, parse_scalar
 from .series import Series, SeriesMatrix
 
 
@@ -71,10 +71,6 @@ def _poly_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
     return _poly_trim(out)
-
-
-def _op_zero() -> _OpPoly:
-    return {}
 
 
 def _op_clean(a: _OpPoly) -> _OpPoly:
@@ -131,6 +127,10 @@ def _op_pow(a: _OpPoly, k: int) -> _OpPoly:
 # the expression language
 # ---------------------------------------------------------------------------
 
+# parentheses and unary minus nest the recursive descent; deeper input is
+# refused before it can exhaust the interpreter's stack
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, object]]:
     tokens: list[tuple[str, object]] = []
@@ -169,6 +169,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, object]]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         if self.pos < len(self.tokens):
@@ -218,6 +219,15 @@ class _Parser:
         nxt = self.peek()
         if nxt is None:
             raise ParseError("unexpected end of input")
+        if nxt in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"expression nested more than "
+                                 f"{MAX_NESTING} levels deep")
+            try:
+                return self.nested()
+            finally:
+                self.depth -= 1
         if nxt == "int":
             _, v = self.take()
             return {0: [Scalar(int(v))]}
@@ -227,17 +237,18 @@ class _Parser:
         if nxt == "q":
             self.take()
             return {0: [ZERO, ONE]}
-        if nxt == "(":
-            self.take()
-            inner = self.expr()
-            if self.peek() != ")":
-                raise ParseError("unbalanced parenthesis")
-            self.take()
-            return inner
-        if nxt == "-":
-            self.take()
-            return _op_neg(self.factor())
         raise ParseError(f"unexpected token {nxt!r}")
+
+    def nested(self) -> _OpPoly:
+        """A parenthesized expression or a negated factor."""
+        kind, _ = self.take()
+        if kind == "-":
+            return _op_neg(self.factor())
+        inner = self.expr()
+        if self.peek() != ")":
+            raise ParseError("unbalanced parenthesis")
+        self.take()
+        return inner
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +356,8 @@ def parse_pf(text: str) -> PFOperator:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise ParseError("JSON nested too deeply") from None
         if not isinstance(data, dict) or "coeffs" not in data:
             raise ParseError("operator JSON needs a 'coeffs' field")
         try:
@@ -561,6 +574,23 @@ def companion_vhs(op: PFOperator, order: int = 16) -> vshs.GeometricVHS:
                              parity=(r - 1) % 2)
 
 
+def check_mirror_maps(canonical: Series, frobenius: Series) -> None:
+    """Raise MirrorMapMismatch naming the first q-order at which the two
+    mirror-map routes disagree."""
+    if canonical == frobenius:
+        return
+    for k in range(min(canonical.order, frobenius.order)):
+        a, b = canonical.coeffs[k], frobenius.coeffs[k]
+        if a != b:
+            raise MirrorMapMismatch(
+                f"canonical coordinate and Frobenius mirror map disagree "
+                f"at q^{k}: {format_scalar(a)} (canonical) vs "
+                f"{format_scalar(b)} (Frobenius)")
+    raise MirrorMapMismatch(
+        f"canonical coordinate and Frobenius mirror map are known to "
+        f"different orders: {canonical.order} vs {frobenius.order}")
+
+
 def bmodel_pipeline(op: PFOperator, volume: Scalar,
                     order: int = 16) -> tuple[vshs.NormalFormReport,
                                               "amodel.InstantonTable"]:
@@ -574,10 +604,7 @@ def bmodel_pipeline(op: PFOperator, volume: Scalar,
     report = vshs.to_normal_form(geometric, normalization=volume,
                                  volume_basis=True)
     basis = frobenius_solve(op, depth=2, order=order)
-    q_frob = mirror_map_frobenius(basis)
-    if q_frob != report.mirror_coordinate:
-        raise MirrorMapMismatch(
-            "canonical coordinate and Frobenius mirror map disagree")
+    check_mirror_maps(report.mirror_coordinate, mirror_map_frobenius(basis))
     dn = report.dn
     if dn.n == 3:
         mid_rows = [i for i, k in enumerate(dn.degrees) if k == 1]

@@ -199,16 +199,19 @@ def parse_scalar(text: str) -> Scalar:
     parts.append(t[start:])
     re = Fraction(0)
     im = Fraction(0)
-    for p in parts:
-        if p.endswith("*i") or p == "i" or p == "-i" or p == "+i":
-            if p in ("i", "+i"):
-                im += 1
-            elif p == "-i":
-                im -= 1
+    try:
+        for p in parts:
+            if p.endswith("*i") or p == "i" or p == "-i" or p == "+i":
+                if p in ("i", "+i"):
+                    im += 1
+                elif p == "-i":
+                    im -= 1
+                else:
+                    im += Fraction(p[:-2])
             else:
-                im += Fraction(p[:-2])
-        else:
-            re += Fraction(p)
+                re += Fraction(p)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
     return Scalar(re, im)
 
 

@@ -146,10 +146,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def times_q(self) -> "Series":
-        """Multiply by the coordinate q, keeping the truncation order."""
-        return Series((ZERO,) + self.coeffs[: self.order - 1], self.order)
-
     def inverse(self) -> "Series":
         """Multiplicative inverse by the usual order-by-order recurrence."""
         a0 = self.at0()
@@ -174,18 +170,17 @@ class Series:
     # -- composition -----------------------------------------------------
 
     def compose(self, inner: "Series") -> "Series":
-        """f(g) for g(0) = 0, Horner-evaluated in the truncated ring."""
-        n = min(self.order, inner.order)
-        g = inner.truncate(n)
-        if n > 0 and not g.coeffs[0].is_zero():
-            raise NonzeroInnerConstant("inner series must vanish at q = 0")
-        acc = Series.zero(n)
-        for k in range(n - 1, -1, -1):
-            acc = acc * g + Series.constant(self.coeffs[k], n)
-        return acc
+        """f(g) for g(0) = 0, summed over the powers of g."""
+        return PowerTable(inner.truncate(min(self.order, inner.order)))\
+            .compose(self)
 
     def reverse(self) -> "Series":
-        """Compositional inverse g with f(g) = q modulo q^order."""
+        """Compositional inverse g with f(g) = q modulo q^order.
+
+        Lagrange inversion: [q^m] g = (1/m) [q^(m-1)] (q/f)^m.  One
+        series inverse of f/q and n - 2 products of it, O(n^3) scalar
+        operations in all.
+        """
         n = self.order
         if n >= 1 and not self.coeffs[0].is_zero():
             raise NotReversible("reversion requires f(0) = 0")
@@ -193,12 +188,12 @@ class Series:
             raise NotReversible("reversion requires f'(0) != 0")
         if n <= 1:
             return Series.zero(n)
-        c1_inv = self.coeffs[1].inverse()
-        g = [ZERO] * n
-        g[1] = c1_inv
+        q_over_f = Series(self.coeffs[1:], n - 1).inverse()
+        g = [ZERO, q_over_f.coeffs[0]]
+        power = q_over_f
         for m in range(2, n):
-            residual = self.compose(Series(g, n))
-            g[m] = -c1_inv * residual.coeffs[m]
+            power = power * q_over_f
+            g.append(power.coeffs[m - 1] / Scalar(m))
         return Series(g, n)
 
     # -- exp / log / theta -----------------------------------------------
@@ -290,6 +285,45 @@ class Series:
 SeriesLike = Union[Series, Scalar, int]
 
 
+class PowerTable:
+    """The powers 1, g, ..., g^(n-1) of an inner series g with g(0) = 0.
+
+    Built once, it composes any number of outer series with g: f(g) is
+    the sum of f_k g^k, one scalar multiply-add per coefficient pair,
+    where a Horner pass would take n series products per outer series.
+    """
+
+    __slots__ = ("powers", "order")
+
+    def __init__(self, inner: Series):
+        n = inner.order
+        if n > 0 and not inner.coeffs[0].is_zero():
+            raise NonzeroInnerConstant("inner series must vanish at q = 0")
+        powers = [Series.one(n)]
+        for _ in range(1, n):
+            powers.append(powers[-1] * inner)
+        object.__setattr__(self, "powers", tuple(powers))
+        object.__setattr__(self, "order", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PowerTable is immutable")
+
+    def compose(self, outer: Series) -> Series:
+        """outer(g) modulo q^min(outer.order, g.order)."""
+        n = min(outer.order, self.order)
+        out = [ZERO] * n
+        for k in range(n):
+            c = outer.coeffs[k]
+            if c.is_zero():
+                continue
+            pk = self.powers[k].coeffs
+            for j in range(k, n):  # g^k vanishes below q^k
+                x = pk[j]
+                if not x.is_zero():
+                    out[j] = out[j] + c * x
+        return Series(out, n)
+
+
 class SeriesMatrix:
     """Rectangular matrix of Series with one shared truncation order."""
 
@@ -340,10 +374,6 @@ class SeriesMatrix:
 
     def entry(self, i: int, j: int) -> Series:
         return self.entries[i * self.cols + j]
-
-    def row_list(self) -> list[list[Series]]:
-        return [[self.entry(i, j) for j in range(self.cols)]
-                for i in range(self.rows)]
 
     def coefficient_matrix(self, k: int) -> ScalarMatrix:
         return [[self.entry(i, j).coefficient(k) for j in range(self.cols)]
@@ -457,8 +487,15 @@ class SeriesMatrix:
     def theta_entries(self) -> "SeriesMatrix":
         return self.map_entries(lambda e: e.theta())
 
-    def compose_entries(self, inner: Series) -> "SeriesMatrix":
-        return self.map_entries(lambda e: e.compose(inner))
+    def compose_entries(self, inner: "Series | PowerTable") -> "SeriesMatrix":
+        """Every entry composed with one inner series.
+
+        The powers of the inner series are built once (or passed in, to
+        share them between several compositions) and each entry is then
+        a sum of scaled powers.
+        """
+        table = inner if isinstance(inner, PowerTable) else PowerTable(inner)
+        return self.map_entries(table.compose)
 
     def dilate(self, c: ScalarLike) -> "SeriesMatrix":
         return self.map_entries(lambda e: e.dilate(c))

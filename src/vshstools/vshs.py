@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from . import linalg, nilpotent
 from .linalg import Matrix, Vector
 from .scalars import ONE, ZERO, Scalar, sqrt_exact
-from .series import Series, SeriesMatrix
+from .series import PowerTable, Series, SeriesMatrix
 
 
 class NotFree(ValueError):
@@ -82,10 +82,6 @@ def _prefactor(n: int) -> Scalar:
     """(-1)^(n(n+1)/2) * i^n, the volume normalization unit."""
     sign = -1 if (n * (n + 1) // 2) % 2 else 1
     return Scalar(sign) * Scalar.i_power(n)
-
-
-def _scalar_mat_eq(a: Matrix, b: Matrix) -> bool:
-    return linalg.mat_eq(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +206,6 @@ class GeometricVHS:
     @property
     def order(self) -> int:
         return self.conn.order
-
-    @property
-    def parity_split(self) -> tuple[int, int]:
-        even = sum(1 for l in self.levels2 if l % 2 == 0)
-        return even, self.rank - even
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GeometricVHS):
@@ -439,9 +430,17 @@ def hodge_tate_split(g: GeometricVHS) -> tuple[SeriesMatrix,
     the j-th entry of levels2 (weakly decreasing).  The gauge of the
     constant residue by P is the canonical connection.
     """
+    p, levels, _ = _split_in_flat_gauge(g, formal_flat_gauge(g.conn))
+    return p, levels
+
+
+def _split_in_flat_gauge(g: GeometricVHS, u: SeriesMatrix
+                         ) -> tuple[SeriesMatrix, tuple[int, ...],
+                                    SeriesMatrix]:
+    """hodge_tate_split given the flat gauge U of g.conn; also returns
+    the frame U P, which the residual check computes anyway."""
     dim = g.rank
     order = g.order
-    u = formal_flat_gauge(g.conn)
     n_mat = g.conn.at0()
 
     flag: dict[int, list[Vector]] = {}
@@ -518,14 +517,14 @@ def hodge_tate_split(g: GeometricVHS) -> tuple[SeriesMatrix,
           for j in range(dim)] for i in range(dim)])
 
     # paranoia: each column must actually lie in its flag step
-    check = u * p_series
+    frame = u * p_series
     for j in range(dim):
         for i in range(dim):
             if g.levels2[i] < col_levels[j] and \
-                    not check.entry(i, j).is_zero():
+                    not frame.entry(i, j).is_zero():
                 raise NotHodgeTate(
                     "splitting residual is nonzero; flag does not extend")
-    return p_series, tuple(col_levels)
+    return p_series, tuple(col_levels), frame
 
 
 def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
@@ -535,8 +534,7 @@ def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
     the connection matrix in it, guaranteed to have entries only on
     blocks dropping the doubled level by exactly 2.
     """
-    p, levels = hodge_tate_split(g)
-    u = formal_flat_gauge(g.conn)
+    p, levels, frame = _split_in_flat_gauge(g, formal_flat_gauge(g.conn))
     order = g.order
     n_const = SeriesMatrix.from_scalar_matrix(g.conn.at0(), order)
     a = gauge_transform(n_const, p)
@@ -546,7 +544,7 @@ def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
                 raise DegreeViolation(
                     f"canonical connection entry ({i},{j}) relates levels "
                     f"{levels[j]} -> {levels[i]}")
-    return CanonicalConnection(frame=u * p, a_series=a, levels2=levels)
+    return CanonicalConnection(frame=frame, a_series=a, levels2=levels)
 
 
 def _ks_component(a: SeriesMatrix,
@@ -585,8 +583,14 @@ def canonical_coordinate(a: SeriesMatrix,
     freedom and lives in rescale_coordinate.
     """
     h, _, _ = _ks_component(a, levels2)
-    one = Series.one(a.order)
-    return Series.coordinate(a.order) * (h - one).theta_inverse().exp()
+    return _coordinate_of_ks(h)
+
+
+def _coordinate_of_ks(h: Series) -> Series:
+    """q exp(theta^-1 (h - 1)), for the normalized Kodaira-Spencer
+    component h; its theta-log-derivative is h."""
+    one = Series.one(h.order)
+    return Series.coordinate(h.order) * (h - one).theta_inverse().exp()
 
 
 def extend_pairing(a: SeriesMatrix, m0: Matrix, mode: str = "flat",
@@ -602,8 +606,8 @@ def extend_pairing(a: SeriesMatrix, m0: Matrix, mode: str = "flat",
         if degrees is None:
             raise ValueError("mode 'dn' needs the degree list")
         a0 = a.at0()
-        if not _scalar_mat_eq(linalg.mat_mul(linalg.transpose(a0), m0),
-                              linalg.mat_mul(m0, a0)):
+        if not linalg.mat_eq(linalg.mat_mul(linalg.transpose(a0), m0),
+                             linalg.mat_mul(m0, a0)):
             raise ResidueNotCompatible(
                 "residue is not self-adjoint for the seed pairing")
         twist = [Scalar.i_power(k) for k in degrees]
@@ -756,12 +760,10 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
     volume.
     """
     canon = to_canonical_connection(g)
-    order = g.order
     h, _, _ = _ks_component(canon.a_series, canon.levels2)
-    one = Series.one(order)
-    mirror = Series.coordinate(order) * (h - one).theta_inverse().exp()
-    q_of = mirror.reverse()
-    j_factor = h.compose(q_of).inverse()
+    mirror = _coordinate_of_ks(h)
+    q_of = PowerTable(mirror.reverse())
+    j_factor = q_of.compose(h).inverse()
     a_new = canon.a_series.compose_entries(q_of).map_entries(
         lambda e: e * j_factor)
     frame = canon.frame

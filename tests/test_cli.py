@@ -221,3 +221,43 @@ def test_order_too_small_rejected(capsys):
                                 "--order", "1"])
     assert code == 1
     assert "--order" in err
+
+
+def test_deep_nesting_exit_two(tmp_path, capsys):
+    path = tmp_path / "deep.pf.txt"
+    path.write_text("(" * 400 + "theta" + ")" * 400)
+    code, out, err = run(capsys, ["pipeline", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "nested" in err
+    assert err.count("\n") == 1
+
+
+def test_dn_object_missing_fields_exit_two(tmp_path, capsys):
+    path = tmp_path / "partial.dn.json"
+    path.write_text('{"kind":"dn_object","n":3}')
+    code, _, err = run(capsys, ["check", "--input", str(path)])
+    assert code == 2
+    assert err.startswith("error:") and "graded_dims" in err
+    assert err.count("\n") == 1
+
+
+def test_zero_denominator_coefficient_exit_two(tmp_path, capsys):
+    path = tmp_path / "div.pf.json"
+    path.write_text('{"order": 1, "coeffs": ["1/0", "1"]}')
+    code, _, err = run(capsys, ["pipeline", "--input", str(path)])
+    assert code == 2
+    assert err.startswith("error:") and "1/0" in err
+    assert err.count("\n") == 1
+
+
+def test_deep_json_exit_two(tmp_path, capsys):
+    deep = "[" * 100000 + "]" * 100000
+    for name, text in (("deep.dn.json", '{"kind":"dn_object","n":' + deep
+                        + "}"),
+                       ("deep.pf.json", '{"coeffs":' + deep + "}")):
+        path = tmp_path / name
+        path.write_text(text)
+        for command in ("check", "pipeline"):
+            code, _, err = run(capsys, [command, "--input", str(path)])
+            assert code == 2
+            assert err.startswith("error:") and "nested" in err

@@ -15,8 +15,9 @@ import pytest
 from vshstools.picard_fuchs import (FrobeniusBasis, LogSeries,
                                     MirrorMapMismatch, NotMaximallyUnipotent,
                                     ParseError, PFOperator, bmodel_pipeline,
-                                    companion_vhs, frobenius_solve,
-                                    mirror_map_frobenius, parse_pf)
+                                    check_mirror_maps, companion_vhs,
+                                    frobenius_solve, mirror_map_frobenius,
+                                    parse_pf)
 from vshstools.scalars import ONE, ZERO, Scalar
 from vshstools.series import Series
 
@@ -171,3 +172,21 @@ def test_trivial_operators_have_no_instantons():
         report, table = bmodel_pipeline(op, Scalar(5), order=6)
         assert table.entries == {}
         assert report.mirror_coordinate == Series.coordinate(6)
+
+
+def test_mirror_map_mismatch_names_the_order():
+    canonical = Series([0, 1, 770, 1014275], 4)
+    check_mirror_maps(canonical, canonical)
+    other = Series([0, 1, 770, 1014276], 4)
+    with pytest.raises(MirrorMapMismatch,
+                       match=r"q\^3: 1014275 \(canonical\) vs 1014276"):
+        check_mirror_maps(canonical, other)
+
+
+def test_nesting_limit():
+    nested = "(" * 100 + "theta" + ")" * 100
+    assert parse_pf(nested + "^4 - q").order_theta == 4
+    with pytest.raises(ParseError, match="nested"):
+        parse_pf("(" + nested + ")")
+    with pytest.raises(ParseError, match="nested"):
+        parse_pf("- " * 150 + "theta")
