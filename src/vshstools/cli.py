@@ -18,6 +18,9 @@ from .amodel import InstantonTable, instantons_from_g
 from .scalars import Scalar, format_scalar, parse_scalar
 from .series import Series
 
+# the largest --order any command accepts; the benchmark runs order 32
+MAX_ORDER = 256
+
 
 def _read_input(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -68,7 +71,10 @@ def _print_table(table: InstantonTable, decimal: int | None) -> None:
 
 
 def _parse_volume(text: str) -> Scalar:
-    vol = parse_scalar(text)
+    try:
+        vol = parse_scalar(text)
+    except ValueError as exc:
+        raise picard_fuchs.ParseError(f"--volume: {exc}") from None
     if vol.is_zero():
         raise vshs.ZeroScalar("volume must be nonzero")
     return vol
@@ -299,9 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "order", 16) < 2:
+    order = getattr(args, "order", 16)
+    if order < 2:
         print("error: --order must be at least 2", file=sys.stderr)
         return 1
+    if order > MAX_ORDER:
+        print(f"error: --order exceeds the limit MAX_ORDER = {MAX_ORDER}",
+              file=sys.stderr)
+        return 2
+    decimal = getattr(args, "decimal", None)
+    if decimal is not None and decimal < 0:
+        print("error: --decimal must be nonnegative", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (picard_fuchs.ParseError, OSError,

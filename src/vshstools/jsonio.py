@@ -22,7 +22,11 @@ def scalar_to_str(x: Scalar) -> str:
 
 
 def scalar_from_str(s: str) -> Scalar:
-    return parse_scalar(s)
+    """parse_scalar for stored input: a malformed string is a ParseError."""
+    try:
+        return parse_scalar(s)
+    except ValueError as exc:
+        raise picard_fuchs.ParseError(str(exc)) from None
 
 
 def series_to_obj(s: Series) -> dict[str, Any]:
@@ -34,7 +38,7 @@ def series_to_obj(s: Series) -> dict[str, Any]:
 
 def series_from_obj(obj: dict[str, Any]) -> Series:
     order = int(obj["order"])
-    return Series([parse_scalar(c) for c in obj["coeffs"]], order)
+    return Series([scalar_from_str(c) for c in obj["coeffs"]], order)
 
 
 def matrix_to_obj(m: SeriesMatrix) -> dict[str, Any]:
@@ -53,7 +57,7 @@ def matrix_to_obj(m: SeriesMatrix) -> dict[str, Any]:
 
 def matrix_from_obj(obj: dict[str, Any]) -> SeriesMatrix:
     order = int(obj["order"])
-    entries = [[Series([parse_scalar(c) for c in cell], order)
+    entries = [[Series([scalar_from_str(c) for c in cell], order)
                 for cell in row] for row in obj["entries"]]
     return SeriesMatrix(entries)
 
@@ -63,7 +67,7 @@ def scalar_matrix_to_obj(m: Matrix) -> list[list[str]]:
 
 
 def scalar_matrix_from_obj(obj: list[list[str]]) -> Matrix:
-    return [[parse_scalar(x) for x in row] for row in obj]
+    return [[scalar_from_str(x) for x in row] for row in obj]
 
 
 def dn_to_obj(d: vshs.DnObject) -> dict[str, Any]:
@@ -148,7 +152,7 @@ def table_to_obj(t: InstantonTable) -> dict[str, Any]:
 def table_from_obj(obj: dict[str, Any]) -> InstantonTable:
     return InstantonTable(
         max_degree=int(obj["max_degree"]),
-        entries={int(d): parse_scalar(v)
+        entries={int(d): scalar_from_str(v)
                  for d, v in obj["entries"].items()})
 
 

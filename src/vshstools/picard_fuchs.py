@@ -131,6 +131,28 @@ def _op_pow(a: _OpPoly, k: int) -> _OpPoly:
 # refused before it can exhaust the interpreter's stack
 MAX_NESTING = 100
 
+# the largest exponent after ^, and the largest theta- or q-degree of an
+# operator or any part of one (the shipped operators have degrees 4 and
+# 1); a larger power such as theta^N or q^N is refused before it is
+# multiplied out
+MAX_EXPONENT = 64
+MAX_DEGREE = 64
+
+
+def _op_degrees(a: _OpPoly) -> tuple[int, int]:
+    """(theta-degree, q-degree) of an operator polynomial."""
+    return (max(a, default=0),
+            max((len(p) - 1 for p in a.values()), default=0))
+
+
+def _check_degree(theta_deg: int, q_deg: int) -> None:
+    if theta_deg > MAX_DEGREE:
+        raise ParseError(f"theta-degree {theta_deg} exceeds the limit "
+                         f"MAX_DEGREE = {MAX_DEGREE}")
+    if q_deg > MAX_DEGREE:
+        raise ParseError(f"q-degree {q_deg} exceeds the limit "
+                         f"MAX_DEGREE = {MAX_DEGREE}")
+
 
 def _tokenize(text: str) -> list[tuple[str, object]]:
     tokens: list[tuple[str, object]] = []
@@ -199,11 +221,10 @@ class _Parser:
             nxt = self.peek()
             if nxt == "*":
                 self.take()
-                acc = _op_mul(acc, self.factor())
-            elif nxt in ("theta", "q", "int", "("):
-                acc = _op_mul(acc, self.factor())
-            else:
+            elif nxt not in ("theta", "q", "int", "("):
                 return acc
+            acc = _op_mul(acc, self.factor())
+            _check_degree(*_op_degrees(acc))
 
     def factor(self) -> _OpPoly:
         base = self.atom()
@@ -212,7 +233,12 @@ class _Parser:
             if self.peek() != "int":
                 raise ParseError("exponent must be a nonnegative integer")
             _, k = self.take()
-            return _op_pow(base, int(k))
+            if k > MAX_EXPONENT:
+                raise ParseError(f"exponent {k} exceeds the limit "
+                                 f"MAX_EXPONENT = {MAX_EXPONENT}")
+            theta_deg, q_deg = _op_degrees(base)
+            _check_degree(theta_deg * k, q_deg * k)
+            return _op_pow(base, k)
         return base
 
     def atom(self) -> _OpPoly:
@@ -380,6 +406,7 @@ def parse_pf(text: str) -> PFOperator:
         top = max(poly)
         coeffs = [list(poly.get(j, [])) for j in range(top + 1)]
         op = PFOperator(coeffs)
+    _check_degree(op.order_theta, op.max_q_degree)
     op.assert_maximally_unipotent()
     return op
 

@@ -1,7 +1,9 @@
-"""Exact scalars: Gaussian rationals a + b*i with Fraction components.
+"""Exact scalars: Gaussian rationals (a + b*i)/d over the integers.
 
 Every computation in this package runs over this field.  No floating point
 is used anywhere, so results are bit-identical across runs and platforms.
+A scalar is one normalized integer triple, so each sum, product or inverse
+is a few integer operations and one gcd (Knuth, TAOCP Vol. 2, 4.5.1).
 """
 from __future__ import annotations
 
@@ -12,23 +14,42 @@ from typing import Union
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["Scalar", int, Fraction]
 
+_gcd = math.gcd
+
 
 class Scalar:
-    """A Gaussian rational, stored as two Fractions (real and imaginary part).
+    """A Gaussian rational (a + b*i)/d, stored as the int triple (a, b, d).
 
-    Fraction keeps numerators and denominators in lowest terms with a
-    positive denominator, which is exactly the normal form we need.
-    Instances are immutable.
+    The triple is in normal form: d > 0 and gcd(a, b, d) = 1, so equal
+    values have equal triples (zero is (0, 0, 1)).  `re` and `im` are
+    read-only Fraction views.  Instances are immutable.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_abd",)
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            _set_abd(self, (re, im, 1))
+            return
+        re = Fraction(re)
+        im = Fraction(im)
+        p, q = re.denominator, im.denominator
+        # d = lcm(p, q) leaves gcd(a, b, d) = 1 with no further reduction
+        d = p * q // _gcd(p, q)
+        _set_abd(self, (re.numerator * (d // p), im.numerator * (d // q), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
 
     # -- constructors ---------------------------------------------------
 
@@ -61,21 +82,38 @@ class Scalar:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar._maybe(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.re + o.re, self.im + o.im)
+        if other.__class__ is not Scalar:
+            other = Scalar._maybe(other)
+            if other is None:
+                return NotImplemented
+        c, f, e = other._abd
+        if not c and not f:
+            return self
+        a, b, d = self._abd
+        if d == e:
+            if d == 1:
+                return _make(a + c, b + f, 1)
+            return _norm(a + c, b + f, d)
+        return _norm(a * e + c * d, b * e + f * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        a, b, d = self._abd
+        return _make(-a, -b, d)
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar._maybe(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.re - o.re, self.im - o.im)
+        if other.__class__ is not Scalar:
+            other = Scalar._maybe(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._abd
+        c, f, e = other._abd
+        if d == e:
+            if d == 1:
+                return _make(a - c, b - f, 1)
+            return _norm(a - c, b - f, d)
+        return _norm(a * e - c * d, b * e - f * d, d * e)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
         o = Scalar._maybe(other)
@@ -84,19 +122,30 @@ class Scalar:
         return o - self
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar._maybe(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        if other.__class__ is not Scalar:
+            other = Scalar._maybe(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._abd
+        c, f, e = other._abd
+        if not b and not f:
+            if not a or not c:
+                return ZERO
+            if d == 1 and e == 1:
+                return _make(a * c, 0, 1)
+            return _norm(a * c, 0, d * e)
+        return _norm(a * c - b * f, a * f + b * c, d * e)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero Scalar")
-        return Scalar(self.re / n, -self.im / n)
+        a, b, d = self._abd
+        if not b:
+            if not a:
+                raise ZeroDivisionError("inverse of zero Scalar")
+            return _norm(d, 0, a)
+        # 1 / ((a + b i)/d) = d (a - b i) / (a^2 + b^2)
+        return _norm(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
         o = Scalar._maybe(other)
@@ -123,18 +172,21 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        a, b, d = self._abd
+        return _make(a, -b, d)
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        a, b, _ = self._abd
+        return not a and not b
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._abd[1]
 
     def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
+        _, b, d = self._abd
+        return not b and d == 1
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -144,10 +196,10 @@ class Scalar:
             other = Scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._abd == other._abd
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self._abd)
 
     # -- text form -------------------------------------------------------
 
@@ -158,26 +210,57 @@ class Scalar:
         return f"Scalar({self.re!r}, {self.im!r})"
 
 
+_set_abd = Scalar._abd.__set__
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> Scalar:
+    """Wrap a triple that is already in normal form."""
+    s = _new(Scalar)
+    _set_abd(s, (a, b, d))
+    return s
+
+
+def _norm(a: int, b: int, d: int) -> Scalar:
+    """Scalar (a + b*i)/d for any d != 0, brought to normal form."""
+    g = _gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    s = _new(Scalar)  # _make, inlined on the hottest path
+    _set_abd(s, (a, b, d))
+    return s
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
 
 
-def _format_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def _format_rational(n: int, d: int) -> str:
+    """n/d in lowest terms, for d > 0."""
+    g = _gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    if d == 1:
+        return str(n)
+    return f"{n}/{d}"
 
 
 def format_scalar(s: Scalar) -> str:
     """Canonical string form: "a/b", "c/d*i" or "a/b+c/d*i" in lowest terms."""
-    if s.im == 0:
-        return _format_rational(s.re)
-    im_part = f"{_format_rational(abs(s.im))}*i"
-    if s.re == 0:
-        return im_part if s.im > 0 else "-" + im_part
-    sign = "+" if s.im > 0 else "-"
-    return f"{_format_rational(s.re)}{sign}{im_part}"
+    a, b, d = s._abd
+    if not b:
+        return _format_rational(a, d)
+    im_part = f"{_format_rational(abs(b), d)}*i"
+    if not a:
+        return im_part if b > 0 else "-" + im_part
+    sign = "+" if b > 0 else "-"
+    return f"{_format_rational(a, d)}{sign}{im_part}"
 
 
 def parse_scalar(text: str) -> Scalar:

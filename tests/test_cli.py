@@ -1,7 +1,10 @@
 """End-to-end tests of the command line, run in process."""
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from vshstools import cli, jsonio, vshs
 from vshstools.amodel import instantons_from_g
@@ -261,3 +264,94 @@ def test_deep_json_exit_two(tmp_path, capsys):
             code, _, err = run(capsys, [command, "--input", str(path)])
             assert code == 2
             assert err.startswith("error:") and "nested" in err
+
+
+def _spoil_first_scalar(obj):
+    """Replace the first scalar string found in obj by "abc"."""
+    keys = sorted(k for k in obj if k != "kind") \
+        if isinstance(obj, dict) else range(len(obj))
+    for key in keys:
+        if isinstance(obj[key], str):
+            obj[key] = "abc"
+            return True
+        if isinstance(obj[key], (dict, list)) and \
+                _spoil_first_scalar(obj[key]):
+            return True
+    return False
+
+
+def _stored_objects():
+    dn = jsonio.load_text((DATA / "d3-a.dn.json").read_text())
+    rees = vshs.from_normal_form(dn)
+    table = instantons_from_g(Series([Scalar(5), Scalar(2875)], 4),
+                              Scalar(5))
+    return {"dn_object": jsonio.dn_to_obj(dn),
+            "rees_module": jsonio.rees_to_obj(rees),
+            "geometric_vhs": jsonio.geometric_to_obj(
+                vshs.rees_to_geometric(rees)),
+            "instanton_table": jsonio.table_to_obj(table)}
+
+
+@pytest.mark.parametrize("volume", ["abc", "1/0"])
+def test_malformed_volume_exit_two(volume, capsys):
+    code, out, err = run(capsys, ["pipeline", "--input", QUINTIC,
+                                  "--order", "4", "--volume", volume])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --volume") and volume in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["dn_object", "rees_module",
+                                  "geometric_vhs", "instanton_table"])
+def test_malformed_stored_scalar_exit_two(kind, tmp_path, capsys):
+    obj = _stored_objects()[kind]
+    assert _spoil_first_scalar(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(jsonio.dumps(obj))
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'abc'" in err
+    assert err.count("\n") == 1
+
+
+def test_negative_decimal_rejected_before_output(capsys):
+    code, out, err = run(capsys, ["yukawa", "--input",
+                                  str(DATA / "synthetic-a.pf.txt"),
+                                  "--order", "4", "--decimal", "-2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--decimal" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, limit", [
+    ("theta^100000000 - 5*q*(5*theta+1)", "MAX_EXPONENT"),
+    ("theta^4 - 5*q^100000000*(5*theta+1)", "MAX_EXPONENT"),
+    ("(theta^64)^64 - q", "MAX_DEGREE"),
+    ("theta^4 - 5*q^40*q^40", "MAX_DEGREE"),
+])
+def test_operator_size_limits_exit_two(text, limit, tmp_path, capsys):
+    path = tmp_path / "big.pf.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and limit in err
+    assert err.count("\n") == 1
+
+
+def test_order_limit_exit_two(capsys):
+    code, out, err = run(capsys, ["pipeline", "--input", QUINTIC,
+                                  "--order", str(cli.MAX_ORDER + 1)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "MAX_ORDER" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("order, digest", [
+    (16, "7d604c497e25f1287e3d5228dbfd54834ca8f4fef1d1af5cd0e14d66971e3f4e"),
+    (24, "44b0220257f64eae0921ab8c00978899366ebee8cee25d53cdc224d76080a1fe"),
+])
+def test_pipeline_json_bytes_pinned(order, digest, capsys):
+    code, out, _ = run(capsys, ["pipeline", "--input", QUINTIC,
+                                "--order", str(order), "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

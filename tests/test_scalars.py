@@ -1,7 +1,10 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vshstools.scalars import (I, ONE, ZERO, Scalar, format_scalar,
                                parse_scalar, sqrt_exact)
@@ -82,3 +85,132 @@ def test_sqrt_exact():
 def test_foreign_operand_rejected():
     with pytest.raises(TypeError):
         ONE + "x"
+
+
+# -- the integer-triple kernel against a two-Fraction reference ---------
+
+class Ref:
+    """Minimal Gaussian rational on two Fractions, the reference model."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return Ref(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return Ref(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return Ref(self.re * o.re - self.im * o.im,
+                   self.re * o.im + self.im * o.re)
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        return Ref(self.re / n, -self.im / n)
+
+    def conjugate(self):
+        return Ref(self.re, -self.im)
+
+    def format(self):
+        def rat(x):
+            return str(x.numerator) if x.denominator == 1 else \
+                f"{x.numerator}/{x.denominator}"
+        if self.im == 0:
+            return rat(self.re)
+        im_part = f"{rat(abs(self.im))}*i"
+        if self.re == 0:
+            return im_part if self.im > 0 else "-" + im_part
+        return f"{rat(self.re)}{'+' if self.im > 0 else '-'}{im_part}"
+
+
+big_rationals = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                          st.integers(1, 10 ** 4))
+parts = st.one_of(st.just(Fraction(0)), st.integers(-9, 9).map(Fraction),
+                  big_rationals)
+pairs = st.tuples(parts, parts)
+PROPS = settings(max_examples=60, deadline=None)
+
+
+def agrees(s, ref):
+    """s has the reference's value and its triple is in normal form."""
+    a, b, d = s._abd
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (s.re, s.im) == (ref.re, ref.im)
+    assert isinstance(s.re, Fraction) and isinstance(s.im, Fraction)
+    assert s.is_zero() == (ref.re == 0 and ref.im == 0)
+    assert s.is_real() == (ref.im == 0)
+    assert s.is_integer() == (ref.im == 0 and ref.re.denominator == 1)
+    assert format_scalar(s) == ref.format()
+    assert s == Scalar(ref.re, ref.im)
+    assert hash(s) == hash(Scalar(ref.re, ref.im))
+    if ref.im == 0:
+        assert s == ref.re
+        if ref.re.denominator == 1:
+            assert s == int(ref.re)
+    return True
+
+
+@PROPS
+@given(pairs, pairs)
+def test_kernel_matches_reference(x, y):
+    s, t = Scalar(*x), Scalar(*y)
+    r, u = Ref(*x), Ref(*y)
+    assert agrees(s, r)
+    assert agrees(s + t, r + u)
+    assert agrees(s - t, r - u)
+    assert agrees(s * t, r * u)
+    assert agrees(-s, Ref(0) - r)
+    assert agrees(s.conjugate(), r.conjugate())
+    if not t.is_zero():
+        assert agrees(t.inverse(), u.inverse())
+        assert agrees(s / t, r * u.inverse())
+    assert (s == t) == ((r.re, r.im) == (u.re, u.im))
+
+
+@PROPS
+@given(pairs, st.one_of(st.integers(-50, 50), big_rationals))
+def test_mixed_operands_match_reference(x, c):
+    s, r, rc = Scalar(*x), Ref(*x), Ref(c)
+    assert agrees(s + c, r + rc) and agrees(c + s, r + rc)
+    assert agrees(s - c, r - rc) and agrees(c - s, rc - r)
+    assert agrees(s * c, r * rc) and agrees(c * s, r * rc)
+    if c != 0:
+        assert agrees(s / c, r * rc.inverse())
+    if not s.is_zero():
+        assert agrees(c / s, rc * r.inverse())
+
+
+@PROPS
+@given(pairs, st.integers(-4, 6))
+def test_powers_match_reference(x, k):
+    s, r = Scalar(*x), Ref(*x)
+    if k < 0 and s.is_zero():
+        return
+    expected = Ref(1)
+    for _ in range(abs(k)):
+        expected = expected * r
+    if k < 0:
+        expected = expected.inverse()
+    assert agrees(s ** k, expected)
+
+
+@PROPS
+@given(pairs, pairs)
+def test_equal_values_have_equal_triples_and_hashes(x, y):
+    s, t = Scalar(*x), Scalar(*y)
+    for same in ((s + t) - t, (s - t) + t, s.conjugate().conjugate()):
+        assert same == s and same._abd == s._abd
+        assert hash(same) == hash(s)
+    if not t.is_zero():
+        assert (s * t) / t == s and hash((s * t) / t) == hash(s)
+        assert t.inverse().inverse()._abd == t._abd
+
+
+def test_immutable():
+    z = Scalar(1, 2)
+    with pytest.raises(AttributeError):
+        z.re = Fraction(3)
+    with pytest.raises(AttributeError):
+        z._abd = (3, 0, 1)
+    assert z == Scalar(1, 2)

@@ -1,13 +1,13 @@
 """Property tests for the series kernels that the normal-form route leans
-on: reversion, composition through a shared power table, exp/log, and
-the single flat-gauge computation per normal form."""
+on: reversion, composition through a shared power table, exp/log,
+inverses, and the single flat-gauge computation per normal form."""
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vshstools import picard_fuchs, vshs
+from vshstools import linalg, picard_fuchs, vshs
 from vshstools.scalars import ZERO, Scalar
 from vshstools.series import Series, SeriesMatrix
 
@@ -75,6 +75,27 @@ def test_compose_entries_matches_entrywise_compose(data):
 @given(series(vanishing=True))
 def test_log_exp_roundtrip(a):
     assert a.exp().log() == a
+
+
+@PROPS
+@given(series(), nonzero_scalars)
+def test_series_inverse_times_self_is_one(a, a0):
+    s = Series((a0,) + a.coeffs[1:], a.order)
+    assert s.inverse() * s == Series.one(s.order)
+    assert s * s.inverse() == Series.one(s.order)
+
+
+@PROPS
+@given(st.data())
+def test_series_matrix_inverse_times_self_is_one(data):
+    n = data.draw(st.integers(2, 3))
+    order = data.draw(st.integers(1, 6))
+    m = SeriesMatrix([[data.draw(series(order=order)) for _ in range(n)]
+                      for _ in range(n)])
+    assume(linalg.try_inverse(m.at0()) is not None)
+    one = SeriesMatrix.identity(n, order)
+    assert m.inverse() * m == one
+    assert m * m.inverse() == one
 
 
 def test_normal_form_computes_one_flat_gauge(monkeypatch):
