@@ -90,16 +90,8 @@ def _signed_results(op: picard_fuchs.PFOperator, volume: Scalar,
     report = vshs.NormalFormReport(
         mirror_coordinate=report.mirror_coordinate * Scalar(sign),
         gauge=report.gauge, dn=dn, volume_index=report.volume_index)
-    table = instantons_from_g(_g_series(dn, volume), volume)
+    table = instantons_from_g(picard_fuchs.g_series(dn, volume), volume)
     return report, table
-
-
-def _g_series(dn: vshs.DnObject, volume: Scalar) -> Series:
-    if dn.n == 3:
-        i = dn.degrees.index(1)
-        j = dn.degrees.index(-1)
-        return dn.a_series.entry(i, j)
-    return vshs.yukawa(dn) * volume.inverse()
 
 
 def _cmd_pipeline(args) -> int:
@@ -184,7 +176,7 @@ def _cmd_normal_form(args) -> int:
     for row in dn.pairing0:
         print("  " + "  ".join(format_scalar(x) for x in row))
     print()
-    _print_series(_g_series(dn, volume), "Q",
+    _print_series(picard_fuchs.g_series(dn, volume), "Q",
                   "middle connection entry g(Q)", args.decimal)
     return 0
 

@@ -8,6 +8,7 @@ Every *_to_obj / *_from_obj pair round-trips exactly.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from . import picard_fuchs, vshs
@@ -29,6 +30,24 @@ def scalar_from_str(s: str) -> Scalar:
         raise picard_fuchs.ParseError(str(exc)) from None
 
 
+def _int(value: Any, field: str) -> int:
+    """A stored integer field.  Only a JSON integer is one: int() would
+    truncate 3.5 and accept true or "7"."""
+    if type(value) is not int:
+        raise picard_fuchs.ParseError(
+            f"field {field!r} must be an integer, not "
+            f"{type(value).__name__}")
+    return value
+
+
+def _int_key(key: str, field: str) -> int:
+    """An integer stored as a JSON object key, such as "-1"."""
+    if not re.fullmatch(r"-?[0-9]{1,18}", key):
+        raise picard_fuchs.ParseError(
+            f"the keys of {field!r} must be integers")
+    return int(key)
+
+
 def series_to_obj(s: Series) -> dict[str, Any]:
     coeffs = [format_scalar(c) for c in s.coeffs]
     while coeffs and coeffs[-1] == "0":
@@ -37,7 +56,7 @@ def series_to_obj(s: Series) -> dict[str, Any]:
 
 
 def series_from_obj(obj: dict[str, Any]) -> Series:
-    order = int(obj["order"])
+    order = _int(obj["order"], "order")
     return Series([scalar_from_str(c) for c in obj["coeffs"]], order)
 
 
@@ -56,7 +75,7 @@ def matrix_to_obj(m: SeriesMatrix) -> dict[str, Any]:
 
 
 def matrix_from_obj(obj: dict[str, Any]) -> SeriesMatrix:
-    order = int(obj["order"])
+    order = _int(obj["order"], "order")
     entries = [[Series([scalar_from_str(c) for c in cell], order)
                 for cell in row] for row in obj["entries"]]
     return SeriesMatrix(entries)
@@ -81,9 +100,10 @@ def dn_to_obj(d: vshs.DnObject) -> dict[str, Any]:
 
 
 def dn_from_obj(obj: dict[str, Any]) -> vshs.DnObject:
-    dims = {int(k): int(v) for k, v in obj["graded_dims"].items()}
+    dims = {_int_key(k, "graded_dims"): _int(v, "graded_dims")
+            for k, v in obj["graded_dims"].items()}
     return vshs.DnObject(
-        n=int(obj["n"]), graded_dims=dims,
+        n=_int(obj["n"], "n"), graded_dims=dims,
         pairing0=scalar_matrix_from_obj(obj["pairing0"]),
         a_series=matrix_from_obj(obj["a_series"]))
 
@@ -103,13 +123,13 @@ def rees_to_obj(r: vshs.ReesModule) -> dict[str, Any]:
 
 def rees_from_obj(obj: dict[str, Any]) -> vshs.ReesModule:
     return vshs.ReesModule(
-        degrees=[int(k) for k in obj["degrees"]],
-        conn_u={int(p): matrix_from_obj(m)
+        degrees=[_int(k, "degrees") for k in obj["degrees"]],
+        conn_u={_int_key(p, "conn_u"): matrix_from_obj(m)
                 for p, m in obj["conn_u"].items()},
-        pairing_u={int(p): matrix_from_obj(m)
+        pairing_u={_int_key(p, "pairing_u"): matrix_from_obj(m)
                    for p, m in obj["pairing_u"].items()},
-        parity=int(obj["parity"]),
-        order=int(obj["order"]))
+        parity=_int(obj["parity"], "parity"),
+        order=_int(obj["order"], "order"))
 
 
 def geometric_to_obj(g: vshs.GeometricVHS) -> dict[str, Any]:
@@ -126,9 +146,9 @@ def geometric_from_obj(obj: dict[str, Any]) -> vshs.GeometricVHS:
     pairing = obj.get("pairing")
     return vshs.GeometricVHS(
         conn=matrix_from_obj(obj["conn"]),
-        levels2=[int(l) for l in obj["levels2"]],
+        levels2=[_int(l, "levels2") for l in obj["levels2"]],
         pairing=None if pairing is None else matrix_from_obj(pairing),
-        parity=int(obj["parity"]))
+        parity=_int(obj["parity"], "parity"))
 
 
 def pf_to_obj(op: picard_fuchs.PFOperator) -> dict[str, Any]:
@@ -151,8 +171,8 @@ def table_to_obj(t: InstantonTable) -> dict[str, Any]:
 
 def table_from_obj(obj: dict[str, Any]) -> InstantonTable:
     return InstantonTable(
-        max_degree=int(obj["max_degree"]),
-        entries={int(d): scalar_from_str(v)
+        max_degree=_int(obj["max_degree"], "max_degree"),
+        entries={_int_key(d, "entries"): scalar_from_str(v)
                  for d, v in obj["entries"].items()})
 
 
@@ -171,7 +191,7 @@ def report_from_obj(obj: dict[str, Any]) -> vshs.NormalFormReport:
         mirror_coordinate=series_from_obj(obj["mirror_coordinate"]),
         gauge=matrix_from_obj(obj["gauge"]),
         dn=dn_from_obj(obj["dn"]),
-        volume_index=int(obj["volume_index"]))
+        volume_index=_int(obj["volume_index"], "volume_index"))
 
 
 def dumps(obj: dict[str, Any]) -> str:
@@ -196,6 +216,10 @@ def load_text(text: str):
             data = json.loads(stripped)
         except RecursionError:
             raise picard_fuchs.ParseError("JSON nested too deeply") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # an integer over the digit limit
+            raise picard_fuchs.ParseError(f"invalid JSON: {exc}") from None
         kind = data.get("kind")
         if kind in _LOADERS:
             try:

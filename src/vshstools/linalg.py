@@ -13,6 +13,7 @@ from .scalars import ONE, ZERO, Scalar
 
 Vector = list[Scalar]
 Matrix = list[list[Scalar]]
+SparseRows = list[list[tuple[int, Scalar]]]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -21,6 +22,12 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def diagonal(values: Vector) -> Matrix:
+    n = len(values)
+    return [[values[i] if i == j else ZERO for j in range(n)]
+            for i in range(n)]
 
 
 def copy_matrix(m: Matrix) -> Matrix:
@@ -50,18 +57,24 @@ def mat_scale(a: Matrix, c: Scalar) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            c = ai[k]
-            if c.is_zero():
-                continue
-            bk = b[k]
-            for j in range(cols):
-                oi[j] = oi[j] + c * bk[j]
+    return sparse_mul_add(zeros(len(a), len(b[0]) if b else 0),
+                          nonzero_rows(a), nonzero_rows(b))
+
+
+def nonzero_rows(m: Matrix) -> SparseRows:
+    """Each row of m as the list of its (column, entry) pairs with a
+    nonzero entry: built once, it serves every product m takes part in."""
+    return [[(j, x) for j, x in enumerate(row) if not x.is_zero()]
+            for row in m]
+
+
+def sparse_mul_add(out: Matrix, a: SparseRows, b: SparseRows) -> Matrix:
+    """out += a b in place, for a and b given as nonzero_rows; only
+    nonzero entries are ever multiplied.  Returns out."""
+    for ai, oi in zip(a, out):
+        for k, c in ai:
+            for j, x in b[k]:
+                oi[j] = c * x + oi[j]
     return out
 
 

@@ -166,7 +166,11 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j])))
+            try:
+                tokens.append(("int", int(text[i:j])))
+            except ValueError:  # over the integer-string digit limit
+                raise ParseError(f"integer literal of {j - i} digits is "
+                                 "too long") from None
             i = j
             continue
         if ch.isalpha():
@@ -380,7 +384,7 @@ def parse_pf(text: str) -> PFOperator:
     if stripped.startswith("{"):
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer over the digit limit
             raise ParseError(f"invalid JSON: {exc}") from exc
         except RecursionError:
             raise ParseError("JSON nested too deeply") from None
@@ -388,7 +392,9 @@ def parse_pf(text: str) -> PFOperator:
             raise ParseError("operator JSON needs a 'coeffs' field")
         try:
             coeffs = [_coeff_list_from_json(c) for c in data["coeffs"]]
-        except ValueError as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
+            # a malformed string, a null or list where a number belongs,
+            # or an infinite float
             raise ParseError(str(exc)) from exc
         if "order" in data and data["order"] != len(coeffs) - 1:
             raise ParseError("stated order disagrees with coefficients")
@@ -632,12 +638,15 @@ def bmodel_pipeline(op: PFOperator, volume: Scalar,
                                  volume_basis=True)
     basis = frobenius_solve(op, depth=2, order=order)
     check_mirror_maps(report.mirror_coordinate, mirror_map_frobenius(basis))
-    dn = report.dn
-    if dn.n == 3:
-        mid_rows = [i for i, k in enumerate(dn.degrees) if k == 1]
-        mid_cols = [j for j, k in enumerate(dn.degrees) if k == -1]
-        g_series = dn.a_series.entry(mid_rows[0], mid_cols[0])
-    else:
-        g_series = vshs.yukawa(dn) * Scalar.of(volume).inverse()
-    table = amodel.instantons_from_g(g_series, Scalar.of(volume))
+    table = amodel.instantons_from_g(g_series(report.dn, volume),
+                                     Scalar.of(volume))
     return report, table
+
+
+def g_series(dn: vshs.DnObject, volume: Scalar) -> Series:
+    """The series the instanton numbers are read from: the middle entry
+    of A (degree -1 to 1) for a threefold, the Yukawa series over the
+    volume otherwise."""
+    if dn.n == 3:
+        return dn.a_series.entry(dn.degrees.index(1), dn.degrees.index(-1))
+    return vshs.yukawa(dn) * Scalar.of(volume).inverse()

@@ -6,8 +6,10 @@ never silently inflates.  Everything is exact; there is no floating
 point anywhere and results are bit-identical across runs.
 
 SeriesMatrix is a dense rectangular matrix of Series sharing one
-truncation order, with the order-by-order inverse needed for gauge
-transformations.
+truncation order, stored coefficient-major as one scalar matrix per
+q-order: products are convolutions of those matrices, and the
+order-by-order inverse needed for gauge transformations works on them
+directly.
 """
 from __future__ import annotations
 
@@ -324,29 +326,49 @@ class PowerTable:
         return Series(out, n)
 
 
-class SeriesMatrix:
-    """Rectangular matrix of Series with one shared truncation order."""
+def _add_scaled(acc: ScalarMatrix, c: Scalar, m: ScalarMatrix) -> None:
+    """acc += c m in place, skipping the zero entries of m."""
+    for ai, mi in zip(acc, m):
+        for j, x in enumerate(mi):
+            if not x.is_zero():
+                ai[j] = c * x + ai[j]
 
-    __slots__ = ("rows", "cols", "entries", "order")
+
+def _shape(entries: Sequence[Sequence]) -> tuple[int, int]:
+    rows = len(entries)
+    if rows == 0 or len(entries[0]) == 0:
+        raise ValueError("matrix must have positive dimensions")
+    cols = len(entries[0])
+    if any(len(row) != cols for row in entries):
+        raise ValueError("ragged matrix")
+    return rows, cols
+
+
+class SeriesMatrix:
+    """Rectangular matrix of Series with one shared truncation order.
+
+    Stored coefficient-major: coeffs is a tuple holding, for k < order,
+    the scalar matrix of q^k as a list of rows of Scalar.  Those lists
+    are never mutated once a matrix holds them: every operation builds
+    new ones, and the accessors that hand a matrix out return copies.
+    """
+
+    __slots__ = ("rows", "cols", "order", "coeffs")
 
     def __init__(self, entries: Sequence[Sequence[Series]]):
-        rows = len(entries)
-        if rows == 0 or len(entries[0]) == 0:
-            raise ValueError("matrix must have positive dimensions")
-        cols = len(entries[0])
-        flat: list[Series] = []
+        rows, cols = _shape(entries)
         order = entries[0][0].order
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged matrix")
-            for e in row:
-                if e.order != order:
-                    raise ValueError("entries must share one truncation order")
-                flat.append(e)
+        if any(e.order != order for row in entries for e in row):
+            raise ValueError("entries must share one truncation order")
+        self._set([[[e.coeffs[k] for e in row] for row in entries]
+                   for k in range(order)], rows, cols)
+
+    def _set(self, mats: Sequence[ScalarMatrix], rows: int,
+             cols: int) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(flat))
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", len(mats))
+        object.__setattr__(self, "coeffs", tuple(mats))
 
     def __setattr__(self, name, value):
         raise AttributeError("SeriesMatrix is immutable")
@@ -354,182 +376,228 @@ class SeriesMatrix:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
+    def from_coefficients(mats: Sequence[ScalarMatrix], rows: int,
+                          cols: int) -> "SeriesMatrix":
+        """The matrix whose q^k coefficient is mats[k].
+
+        Takes the lists over without copying: the caller must not
+        mutate them afterwards.
+        """
+        m = object.__new__(SeriesMatrix)
+        m._set(mats, rows, cols)
+        return m
+
+    @staticmethod
     def zeros(rows: int, cols: int, order: int) -> "SeriesMatrix":
-        z = Series.zero(order)
-        return SeriesMatrix([[z] * cols for _ in range(rows)])
+        return SeriesMatrix.from_scalar_matrix(linalg.zeros(rows, cols),
+                                               order)
 
     @staticmethod
     def identity(n: int, order: int) -> "SeriesMatrix":
-        z = Series.zero(order)
-        one = Series.one(order)
-        return SeriesMatrix(
-            [[one if i == j else z for j in range(n)] for i in range(n)])
+        return SeriesMatrix.from_scalar_matrix(linalg.identity(n), order)
 
     @staticmethod
     def from_scalar_matrix(m: ScalarMatrix, order: int) -> "SeriesMatrix":
-        return SeriesMatrix(
-            [[Series.constant(x, order) for x in row] for row in m])
+        rows, cols = _shape(m)
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        mats = [[[_coerce(x) for x in row] for row in m]]
+        mats.extend(linalg.zeros(rows, cols) for _ in range(1, order))
+        return SeriesMatrix.from_coefficients(mats[:order], rows, cols)
 
     # -- inspection ------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Series:
-        return self.entries[i * self.cols + j]
+        return Series([m[i][j] for m in self.coeffs], self.order)
 
     def coefficient_matrix(self, k: int) -> ScalarMatrix:
-        return [[self.entry(i, j).coefficient(k) for j in range(self.cols)]
-                for i in range(self.rows)]
+        if k < 0 or k >= self.order:
+            raise IndexError(f"coefficient {k} not known at order "
+                             f"{self.order}")
+        return linalg.copy_matrix(self.coeffs[k])
 
     def at0(self) -> ScalarMatrix:
         return self.coefficient_matrix(0)
 
+    def first_nonzero(self, where: Callable[[int, int], bool] | None = None
+                      ) -> tuple[int, int, int] | None:
+        """(k, i, j) of the first nonzero coefficient, by q-order and then
+        row by row, among the entries (i, j) that `where` accepts (all by
+        default); None if there is none modulo q^order."""
+        for k, m in enumerate(self.coeffs):
+            for i, row in enumerate(m):
+                for j, x in enumerate(row):
+                    if not x.is_zero() and (where is None or where(i, j)):
+                        return k, i, j
+        return None
+
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return self.first_nonzero() is None
 
     def truncate(self, order: int) -> "SeriesMatrix":
-        return self.map_entries(lambda e: e.truncate(order))
+        if order > self.order:
+            raise ValueError("cannot extend a truncated series")
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        return self._like(self.coeffs[:order])
+
+    def _like(self, mats: Sequence[ScalarMatrix]) -> "SeriesMatrix":
+        return SeriesMatrix.from_coefficients(mats, self.rows, self.cols)
 
     # -- arithmetic ------------------------------------------------------
 
-    def map_entries(self, f: Callable[[Series], Series]) -> "SeriesMatrix":
-        return SeriesMatrix([[f(self.entry(i, j)) for j in range(self.cols)]
-                             for i in range(self.rows)])
-
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check_shape(other)
-        return SeriesMatrix(
-            [[self.entry(i, j) + other.entry(i, j) for j in range(self.cols)]
-             for i in range(self.rows)])
+        return self._like([linalg.mat_add(a, b)
+                           for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check_shape(other)
-        return SeriesMatrix(
-            [[self.entry(i, j) - other.entry(i, j) for j in range(self.cols)]
-             for i in range(self.rows)])
+        return self._like([linalg.mat_sub(a, b)
+                           for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "SeriesMatrix":
-        return self.map_entries(lambda e: -e)
+        return self._like([linalg.mat_neg(a) for a in self.coeffs])
 
     def _check_shape(self, other: "SeriesMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
     def __mul__(self, other) -> "SeriesMatrix":
+        """Matrix product as the convolution C_k = sum_j A_j B_(k-j); a
+        Series or scalar factor multiplies every entry."""
+        a = self.coeffs
         if isinstance(other, SeriesMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matrix product")
-            n = min(self.order, other.order)
+            sa, sb = self._sparse(), other._sparse()
             out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = Series.zero(n)
-                    for k in range(self.cols):
-                        acc = acc + self.entry(i, k) * other.entry(k, j)
-                    row.append(acc)
-                out.append(row)
-            return SeriesMatrix(out)
+            for k in range(min(self.order, other.order)):
+                acc = linalg.zeros(self.rows, other.cols)
+                for j in range(k + 1):
+                    linalg.sparse_mul_add(acc, sa[j], sb[k - j])
+                out.append(acc)
+            return SeriesMatrix.from_coefficients(out, self.rows, other.cols)
         if isinstance(other, Series):
-            return self.map_entries(lambda e: e * other)
-        return self.map_entries(lambda e: e * other)
+            s = other.coeffs
+            out = []
+            for k in range(min(self.order, other.order)):
+                acc = linalg.zeros(self.rows, self.cols)
+                for j in range(k + 1):
+                    if not s[j].is_zero():
+                        _add_scaled(acc, s[j], a[k - j])
+                out.append(acc)
+            return self._like(out)
+        c = _coerce(other)
+        return self._like([linalg.mat_scale(m, c) for m in a])
 
     def __rmul__(self, other) -> "SeriesMatrix":
         if isinstance(other, SeriesMatrix):
             return NotImplemented
         return self.__mul__(other)
 
+    def _sparse(self) -> list[linalg.SparseRows]:
+        return [linalg.nonzero_rows(m) for m in self.coeffs]
+
     def scalar_left_mul(self, m: ScalarMatrix) -> "SeriesMatrix":
-        """Constant matrix times this matrix, without order juggling."""
+        """Constant matrix times this matrix, one product per q-order."""
         if len(m[0]) != self.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(len(m)):
-            row = []
-            for j in range(self.cols):
-                acc = Series.zero(self.order)
-                for k in range(self.rows):
-                    if not m[i][k].is_zero():
-                        acc = acc + self.entry(k, j) * m[i][k]
-                row.append(acc)
-            out.append(row)
-        return SeriesMatrix(out)
+        sm = linalg.nonzero_rows(m)
+        return SeriesMatrix.from_coefficients(
+            [linalg.sparse_mul_add(linalg.zeros(len(m), self.cols), sm, a)
+             for a in self._sparse()], len(m), self.cols)
 
     def scalar_right_mul(self, m: ScalarMatrix) -> "SeriesMatrix":
         if len(m) != self.cols:
             raise ValueError("shape mismatch")
-        cols = len(m[0])
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(cols):
-                acc = Series.zero(self.order)
-                for k in range(self.cols):
-                    if not m[k][j].is_zero():
-                        acc = acc + self.entry(i, k) * m[k][j]
-                row.append(acc)
-            out.append(row)
-        return SeriesMatrix(out)
+        sm = linalg.nonzero_rows(m)
+        return SeriesMatrix.from_coefficients(
+            [linalg.sparse_mul_add(linalg.zeros(self.rows, len(m[0])), a, sm)
+             for a in self._sparse()], self.rows, len(m[0]))
 
     def transpose(self) -> "SeriesMatrix":
-        return SeriesMatrix([[self.entry(i, j) for i in range(self.rows)]
-                             for j in range(self.cols)])
+        return SeriesMatrix.from_coefficients(
+            [linalg.transpose(a) for a in self.coeffs], self.cols, self.rows)
 
     def apply(self, vec: Sequence[Series]) -> list[Series]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = Series.zero(min(self.order, min(v.order for v in vec)))
-            for j in range(self.cols):
-                acc = acc + self.entry(i, j) * vec[j]
-            out.append(acc)
-        return out
+        n = min(self.order, min(v.order for v in vec))
+        out = [[ZERO] * n for _ in range(self.rows)]
+        for t in range(n):
+            for row, acc in zip(self.coeffs[t], out):
+                for x, v in zip(row, vec):
+                    if x.is_zero():
+                        continue
+                    vc = v.coeffs
+                    for k in range(t, n):
+                        y = vc[k - t]
+                        if not y.is_zero():
+                            acc[k] = x * y + acc[k]
+        return [Series(acc, n) for acc in out]
 
     def theta_entries(self) -> "SeriesMatrix":
-        return self.map_entries(lambda e: e.theta())
+        return self._like([linalg.mat_scale(m, Scalar(k))
+                           for k, m in enumerate(self.coeffs)])
 
     def compose_entries(self, inner: "Series | PowerTable") -> "SeriesMatrix":
-        """Every entry composed with one inner series.
+        """Every entry composed with one inner series g.
 
-        The powers of the inner series are built once (or passed in, to
-        share them between several compositions) and each entry is then
-        a sum of scaled powers.
+        Coefficient j of the result is sum_k A_k (g^k)_j over a table of
+        the powers of g, built once (or passed in, to share it between
+        several compositions).
         """
         table = inner if isinstance(inner, PowerTable) else PowerTable(inner)
-        return self.map_entries(table.compose)
+        n = min(self.order, table.order)
+        out = [linalg.zeros(self.rows, self.cols) for _ in range(n)]
+        for k in range(n):
+            pk = table.powers[k].coeffs
+            for j in range(k, n):  # g^k vanishes below q^k
+                if not pk[j].is_zero():
+                    _add_scaled(out[j], pk[j], self.coeffs[k])
+        return self._like(out)
 
     def dilate(self, c: ScalarLike) -> "SeriesMatrix":
-        return self.map_entries(lambda e: e.dilate(c))
+        """Substitute q -> c*q: coefficient k scales by c^k."""
+        cc = _coerce(c)
+        out = []
+        power = ONE
+        for m in self.coeffs:
+            out.append(linalg.mat_scale(m, power))
+            power = power * cc
+        return self._like(out)
 
     def inverse(self) -> "SeriesMatrix":
-        """Order-by-order inverse; requires the constant term invertible."""
+        """Order-by-order inverse; requires the constant term invertible:
+        X_k = -M_0^-1 sum_(j=1..k) M_j X_(k-j)."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.order
-        if n == 0:
+        if self.order == 0:
             raise ValueError("cannot invert at order 0")
-        m0_inv = linalg.inverse(self.at0())
-        coeff_mats = [self.coefficient_matrix(k) for k in range(n)]
-        inv_coeffs: list[ScalarMatrix] = [m0_inv]
-        for k in range(1, n):
+        m0_inv = linalg.inverse(self.coeffs[0])
+        sm = self._sparse()
+        out = [m0_inv]
+        sout = [linalg.nonzero_rows(m0_inv)]
+        for k in range(1, self.order):
             acc = linalg.zeros(self.rows, self.rows)
             for j in range(1, k + 1):
-                acc = linalg.mat_add(
-                    acc, linalg.mat_mul(coeff_mats[j], inv_coeffs[k - j]))
-            inv_coeffs.append(linalg.mat_neg(linalg.mat_mul(m0_inv, acc)))
-        return SeriesMatrix(
-            [[Series([inv_coeffs[k][i][j] for k in range(n)], n)
-              for j in range(self.cols)] for i in range(self.rows)])
+                linalg.sparse_mul_add(acc, sm[j], sout[k - j])
+            out.append(linalg.mat_neg(linalg.mat_mul(m0_inv, acc)))
+            sout.append(linalg.nonzero_rows(out[-1]))
+        return self._like(out)
 
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == \
-            (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self.order, self.coeffs) == \
+            (other.rows, other.cols, other.order, other.coeffs)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.order,
+                     tuple(tuple(row) for m in self.coeffs for row in m)))
 
     def __repr__(self) -> str:
         return f"SeriesMatrix({self.rows}x{self.cols}, order={self.order})"

@@ -10,7 +10,11 @@ Two presentations of the same data and the translations between them:
 
 Plus the normal-form machinery: formal flat gauge, Hodge-Tate splitting,
 canonical coordinate, covariant extension of pairings, and the
-equivalence with graded normal-form objects (DnObject).
+equivalence with graded normal-form objects (DnObject).  The flat gauge
+and the pairing extension are one equation, theta X = L(X) + Phi(X)
+with L nilpotent, solved order by order on the coefficient matrices of
+X by one solver.  A residual that should vanish and does not is
+reported at its first nonzero q-order and entry.
 
 Sign conventions are load-bearing and centralized here.  The grading
 collapse evaluates u-polynomials at u = -1; the pairing additionally
@@ -22,7 +26,7 @@ get reconciled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import linalg, nilpotent
 from .linalg import Matrix, Vector
@@ -169,12 +173,11 @@ class GeometricVHS:
         if parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
         lv = tuple(levels2)
-        for i in range(conn.rows):
-            for j in range(conn.cols):
-                if lv[i] < lv[j] - 2 and not conn.entry(i, j).is_zero():
-                    raise InvariantViolation(
-                        f"Griffiths transversality violated at entry "
-                        f"({i},{j}): level {lv[i]} < {lv[j]} - 2")
+        for i, j in sorted(_support(conn)):
+            if lv[i] < lv[j] - 2:
+                raise InvariantViolation(
+                    f"Griffiths transversality violated at entry "
+                    f"({i},{j}): level {lv[i]} < {lv[j]} - 2")
         if pairing is not None:
             if pairing.rows != conn.rows or pairing.cols != conn.cols:
                 raise ValueError("pairing shape mismatch")
@@ -183,14 +186,16 @@ class GeometricVHS:
             sign = Scalar(-1 if parity else 1)
             for i in range(conn.rows):
                 for j in range(conn.cols):
-                    if pairing.entry(i, j) != sign * pairing.entry(j, i):
+                    if any(m[i][j] != sign * m[j][i]
+                           for m in pairing.coeffs):
                         raise InvariantViolation(
                             f"pairing symmetry fails at ({i},{j})")
             residual = pairing.theta_entries() - \
                 (conn.transpose() * pairing + pairing * conn)
-            if not residual.is_zero():
+            failure = _first_failure(residual)
+            if failure:
                 raise InvariantViolation(
-                    "pairing is not covariantly constant")
+                    f"pairing is not covariantly constant: {failure}")
         object.__setattr__(self, "conn", conn)
         object.__setattr__(self, "levels2", lv)
         object.__setattr__(self, "pairing", pairing)
@@ -253,10 +258,10 @@ class DnObject:
         if len(pairing0) != rank or any(len(r) != rank for r in pairing0):
             raise InvariantViolation("pairing size disagrees with grading")
 
+        nonzero = _support(a_series)
         for i in range(rank):
             for j in range(rank):
-                if degrees[i] != degrees[j] + 2 and \
-                        not a_series.entry(i, j).is_zero():
+                if degrees[i] != degrees[j] + 2 and (i, j) in nonzero:
                     raise InvariantViolation(
                         f"A must have pure degree +2; entry ({i},{j}) "
                         f"maps degree {degrees[j]} to {degrees[i]}")
@@ -306,8 +311,8 @@ class DnObject:
             rows = [i for i in range(rank) if degrees[i] == -n + 2]
             col = degrees.index(-n)
             for i in rows:
-                e = a_series.entry(i, col)
-                if any(not c.is_zero() for c in e.coeffs[1:]):
+                if any(not m[i][col].is_zero()
+                       for m in a_series.coeffs[1:]):
                     raise InvariantViolation(
                         "the V_{-n} -> V_{-n+2} component of A must be "
                         "constant")
@@ -372,8 +377,53 @@ def gauge_transform(b: SeriesMatrix, g: SeriesMatrix) -> SeriesMatrix:
     return g_inv * (b * g) - g_inv * g.theta_entries()
 
 
-def _ad(n_mat: Matrix, x: Matrix) -> Matrix:
-    return linalg.mat_sub(linalg.mat_mul(n_mat, x), linalg.mat_mul(x, n_mat))
+def _support(m: SeriesMatrix) -> set[tuple[int, int]]:
+    """The entries (i, j) of m that are nonzero at some q-order."""
+    return {(i, j) for c in m.coeffs for i, row in enumerate(c)
+            for j, x in enumerate(row) if not x.is_zero()}
+
+
+def _first_failure(m: SeriesMatrix,
+                   where: Callable[[int, int], bool] | None = None
+                   ) -> str | None:
+    """Where a residual that should vanish first does not, or None."""
+    hit = m.first_nonzero(where)
+    if hit is None:
+        return None
+    k, i, j = hit
+    return f"the residual is nonzero at q^{k}, entry ({i},{j})"
+
+
+def _solve_theta(x0: Matrix, order: int, lop: Callable[[Matrix], Matrix],
+                 phi: Callable[[list[linalg.SparseRows], int], Matrix],
+                 stuck: Exception) -> SeriesMatrix:
+    """The solution X of theta X = L(X) + Phi(X) with X(0) = x0.
+
+    L is linear and nilpotent, and Phi_k reads only X_0 .. X_(k-1),
+    which it receives as nonzero_rows.  The order-k equation
+    k X_k = L(X_k) + Phi_k is then solved by the terminating Neumann sum
+    X_k = sum_m L^m(Phi_k) / k^(m+1).  A sum longer than 2 dim + 2
+    terms means L is not nilpotent: raise stuck.
+    """
+    dim = len(x0)
+    xs = [x0]
+    sparse = [linalg.nonzero_rows(x0)]
+    for k in range(1, order):
+        term = phi(sparse, k)
+        inv_k = ONE / Scalar(k)
+        acc = linalg.zeros(dim, dim)
+        factor = inv_k
+        steps = 0
+        while not linalg.is_zero_matrix(term):
+            acc = linalg.mat_add(acc, linalg.mat_scale(term, factor))
+            term = lop(term)
+            factor = factor * inv_k
+            steps += 1
+            if steps > 2 * dim + 2:
+                raise stuck
+        xs.append(acc)
+        sparse.append(linalg.nonzero_rows(acc))
+    return SeriesMatrix.from_coefficients(xs, dim, dim)
 
 
 def formal_flat_gauge(b: SeriesMatrix) -> SeriesMatrix:
@@ -388,32 +438,21 @@ def formal_flat_gauge(b: SeriesMatrix) -> SeriesMatrix:
         nilpotent.nilpotency_index(n_mat)
     except nilpotent.NotNilpotent as exc:
         raise NotNilpotentResidue(str(exc)) from exc
-    order = b.order
-    b_coeffs = [b.coefficient_matrix(k) for k in range(order)]
-    u_coeffs: list[Matrix] = [linalg.identity(dim)]
-    cap = 2 * dim + 2
-    for k in range(1, order):
-        phi = linalg.zeros(dim, dim)
+    bs = [linalg.nonzero_rows(m) for m in b.coeffs]
+
+    def phi(u: list[linalg.SparseRows], k: int) -> Matrix:
+        out = linalg.zeros(dim, dim)
         for j in range(1, k + 1):
-            phi = linalg.mat_add(
-                phi, linalg.mat_mul(b_coeffs[j], u_coeffs[k - j]))
-        inv_k = Scalar(1) / Scalar(k)
-        term = phi
-        acc = linalg.zeros(dim, dim)
-        factor = inv_k
-        steps = 0
-        while not linalg.is_zero_matrix(term):
-            acc = linalg.mat_add(acc, linalg.mat_scale(term, factor))
-            term = _ad(n_mat, term)
-            factor = factor * inv_k
-            steps += 1
-            if steps > cap:
-                raise NotNilpotentResidue("ad of the residue does not "
-                                          "terminate")
-        u_coeffs.append(acc)
-    return SeriesMatrix(
-        [[Series([u_coeffs[k][i][j] for k in range(order)], order)
-          for j in range(dim)] for i in range(dim)])
+            linalg.sparse_mul_add(out, bs[j], u[k - j])
+        return out
+
+    def ad_n(x: Matrix) -> Matrix:
+        return linalg.mat_sub(linalg.mat_mul(n_mat, x),
+                              linalg.mat_mul(x, n_mat))
+
+    return _solve_theta(
+        linalg.identity(dim), b.order, ad_n, phi,
+        NotNilpotentResidue("ad of the residue does not terminate"))
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +507,7 @@ def _split_in_flat_gauge(g: GeometricVHS, u: SeriesMatrix
     if linalg.try_inverse(p0) is None:
         raise NotHodgeTate("assembled frame is singular at q = 0")
 
-    t_mat = u.scalar_right_mul(p0)
-    t_coeffs = [t_mat.coefficient_matrix(k) for k in range(order)]
+    t_coeffs = u.scalar_right_mul(p0).coeffs
 
     # columns of the output, as coefficient vectors per q-order
     out_cols: list[list[Vector]] = []
@@ -512,18 +550,18 @@ def _split_in_flat_gauge(g: GeometricVHS, u: SeriesMatrix
             z.append(zm)
         out_cols.append([linalg.mat_vec(p0, zk) for zk in z])
 
-    p_series = SeriesMatrix(
-        [[Series([out_cols[j][k][i] for k in range(order)], order)
-          for j in range(dim)] for i in range(dim)])
+    p_series = SeriesMatrix.from_coefficients(
+        [[[out_cols[j][k][i] for j in range(dim)] for i in range(dim)]
+         for k in range(order)], dim, dim)
 
     # paranoia: each column must actually lie in its flag step
     frame = u * p_series
-    for j in range(dim):
-        for i in range(dim):
-            if g.levels2[i] < col_levels[j] and \
-                    not frame.entry(i, j).is_zero():
-                raise NotHodgeTate(
-                    "splitting residual is nonzero; flag does not extend")
+    failure = _first_failure(
+        frame, lambda i, j: g.levels2[i] < col_levels[j])
+    if failure:
+        raise NotHodgeTate(
+            f"splitting residual is nonzero; flag does not extend: "
+            f"{failure}")
     return p_series, tuple(col_levels), frame
 
 
@@ -538,12 +576,11 @@ def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
     order = g.order
     n_const = SeriesMatrix.from_scalar_matrix(g.conn.at0(), order)
     a = gauge_transform(n_const, p)
-    for i in range(g.rank):
-        for j in range(g.rank):
-            if levels[i] != levels[j] - 2 and not a.entry(i, j).is_zero():
-                raise DegreeViolation(
-                    f"canonical connection entry ({i},{j}) relates levels "
-                    f"{levels[j]} -> {levels[i]}")
+    for i, j in sorted(_support(a)):
+        if levels[i] != levels[j] - 2:
+            raise DegreeViolation(
+                f"canonical connection entry ({i},{j}) relates levels "
+                f"{levels[j]} -> {levels[i]}")
     return CanonicalConnection(frame=frame, a_series=a, levels2=levels)
 
 
@@ -611,55 +648,37 @@ def extend_pairing(a: SeriesMatrix, m0: Matrix, mode: str = "flat",
             raise ResidueNotCompatible(
                 "residue is not self-adjoint for the seed pairing")
         twist = [Scalar.i_power(k) for k in degrees]
-        m0_tw = [[m0[i][j] * twist[j] for j in range(len(degrees))]
-                 for i in range(len(degrees))]
-        solved = extend_pairing(a, m0_tw, mode="flat")
-        untw = [t.inverse() for t in twist]
-        return SeriesMatrix(
-            [[solved.entry(i, j) * untw[j] for j in range(len(degrees))]
-             for i in range(len(degrees))])
+        solved = extend_pairing(a, linalg.mat_mul(m0, linalg.diagonal(twist)),
+                                mode="flat")
+        return solved.scalar_right_mul(
+            linalg.diagonal([t.inverse() for t in twist]))
     if mode != "flat":
         raise ValueError(f"unknown mode {mode!r}")
 
-    dim = a.rows
-    order = a.order
     a0 = a.at0()
-    check = linalg.mat_add(
-        linalg.mat_mul(linalg.transpose(a0), m0), linalg.mat_mul(m0, a0))
-    if not linalg.is_zero_matrix(check):
+    a0t = linalg.transpose(a0)
+
+    def lop(x: Matrix) -> Matrix:
+        return linalg.mat_add(linalg.mat_mul(a0t, x), linalg.mat_mul(x, a0))
+
+    if not linalg.is_zero_matrix(lop(m0)):
         raise ResidueNotCompatible(
             "A(0)^T M0 + M0 A(0) != 0; the constant term cannot start a "
             "covariantly constant pairing")
-    a0t = linalg.transpose(a0)
-    a_coeffs = [a.coefficient_matrix(k) for k in range(order)]
-    m_coeffs: list[Matrix] = [linalg.copy_matrix(m0)]
-    cap = 2 * dim + 2
-    for k in range(1, order):
-        phi = linalg.zeros(dim, dim)
+    a_s = [linalg.nonzero_rows(m) for m in a.coeffs]
+    at_s = [linalg.nonzero_rows(m) for m in a.transpose().coeffs]
+
+    def phi(m: list[linalg.SparseRows], k: int) -> Matrix:
+        out = linalg.zeros(a.rows, a.rows)
         for j in range(1, k + 1):
-            ajt = linalg.transpose(a_coeffs[j])
-            phi = linalg.mat_add(phi, linalg.mat_add(
-                linalg.mat_mul(ajt, m_coeffs[k - j]),
-                linalg.mat_mul(m_coeffs[k - j], a_coeffs[j])))
-        inv_k = Scalar(1) / Scalar(k)
-        term = phi
-        acc = linalg.zeros(dim, dim)
-        factor = inv_k
-        steps = 0
-        while not linalg.is_zero_matrix(term):
-            acc = linalg.mat_add(acc, linalg.mat_scale(term, factor))
-            term = linalg.mat_add(linalg.mat_mul(a0t, term),
-                                  linalg.mat_mul(term, a0))
-            factor = factor * inv_k
-            steps += 1
-            if steps > cap:
-                raise ResidueNotCompatible(
-                    "residue action is not nilpotent; the recursion "
-                    "does not terminate")
-        m_coeffs.append(acc)
-    return SeriesMatrix(
-        [[Series([m_coeffs[k][i][j] for k in range(order)], order)
-          for j in range(dim)] for i in range(dim)])
+            linalg.sparse_mul_add(out, at_s[j], m[k - j])
+            linalg.sparse_mul_add(out, m[k - j], a_s[j])
+        return out
+
+    return _solve_theta(
+        linalg.copy_matrix(m0), a.order, lop, phi,
+        ResidueNotCompatible("residue action is not nilpotent; the "
+                             "recursion does not terminate"))
 
 
 def pairing_grading_check(m0: Matrix,
@@ -764,8 +783,7 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
     mirror = _coordinate_of_ks(h)
     q_of = PowerTable(mirror.reverse())
     j_factor = q_of.compose(h).inverse()
-    a_new = canon.a_series.compose_entries(q_of).map_entries(
-        lambda e: e * j_factor)
+    a_new = canon.a_series.compose_entries(q_of) * j_factor
     frame = canon.frame
     levels = list(canon.levels2)
     dim = len(levels)
@@ -783,10 +801,8 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
                     "A(0) does not generate the frame from the volume "
                     "vector")
             scale.append(scale[-1] * s)
-        c_mat = [[scale[i] if i == j else ZERO for j in range(dim)]
-                 for i in range(dim)]
-        c_inv = [[scale[i].inverse() if i == j else ZERO
-                  for j in range(dim)] for i in range(dim)]
+        c_mat = linalg.diagonal(scale)
+        c_inv = linalg.diagonal([s.inverse() for s in scale])
         a_new = a_new.scalar_left_mul(c_inv).scalar_right_mul(c_mat)
         frame = frame.scalar_right_mul(c_mat)
 
@@ -803,10 +819,11 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
             .compose_entries(q_of)
         residual = transported.theta_entries() - \
             (a_new.transpose() * transported + transported * a_new)
-        if not residual.is_zero():
+        failure = _first_failure(residual)
+        if failure:
             raise InvariantViolation(
                 "transported pairing is not covariantly constant in the "
-                "canonical frame")
+                f"canonical frame: {failure}")
         m_series = transported
         m0 = m_series.at0()
     else:
@@ -840,15 +857,13 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
                         "rationals")
             else:
                 lam = ratio
-            d_mat = [[(lam if i == vol else ONE) if i == j else ZERO
-                      for j in range(dim)] for i in range(dim)]
-            d_inv = [[(lam.inverse() if i == vol else ONE) if i == j
-                      else ZERO for j in range(dim)] for i in range(dim)]
+            d_mat = linalg.diagonal(
+                [lam if i == vol else ONE for i in range(dim)])
+            d_inv = linalg.diagonal(
+                [lam.inverse() if i == vol else ONE for i in range(dim)])
             a_new = a_new.scalar_left_mul(d_inv).scalar_right_mul(d_mat)
-            m_series = SeriesMatrix(
-                [[m_series.entry(i, j) *
-                  ((lam if i == vol else ONE) * (lam if j == vol else ONE))
-                  for j in range(dim)] for i in range(dim)])
+            m_series = m_series.scalar_left_mul(d_mat)\
+                .scalar_right_mul(d_mat)
             m0 = m_series.at0()
             frame = frame.scalar_right_mul(d_mat)
 
@@ -872,10 +887,11 @@ def from_normal_form(d: DnObject) -> ReesModule:
     order = d.order
     residual = d.a_series.transpose().scalar_right_mul(p0) + \
         d.a_series.scalar_left_mul(p0)
-    if not residual.is_zero():
+    failure = _first_failure(residual)
+    if failure:
         raise InvariantViolation(
             "A(q) must be self-adjoint for the pairing at every order to "
-            "define a module pairing")
+            f"define a module pairing: {failure}")
     conn = {-1: -d.a_series}
     rank = d.rank
     m_untw = [[p0[i][j] * Scalar.i_power(-d.degrees[j])
@@ -902,10 +918,8 @@ def rees_to_geometric(r: ReesModule) -> GeometricVHS:
     for p, mat in r.pairing_u.items():
         sign = Scalar(-1 if p % 2 else 1)
         pairing = pairing + mat * sign
-    twist = [Scalar.i_power(-k) for k in r.degrees]
-    pairing = SeriesMatrix(
-        [[pairing.entry(i, j) * twist[i] for j in range(rank)]
-         for i in range(rank)])
+    pairing = pairing.scalar_left_mul(
+        linalg.diagonal([Scalar.i_power(-k) for k in r.degrees]))
     levels2 = [-k for k in r.degrees]
     return GeometricVHS(conn=conn, levels2=levels2, pairing=pairing,
                         parity=r.parity)
@@ -925,51 +939,42 @@ def geometric_to_rees(g: GeometricVHS,
     if g.pairing is None:
         raise ValueError("a pairing is required to lift to a Rees module")
     rank = g.rank
-    order = g.order
-    conn_comp: dict[int, list[list[Series]]] = {}
-    pair_comp: dict[int, list[list[Series]]] = {}
-    zero = Series.zero(order)
+    conn_comp: dict[int, list[Matrix]] = {}
+    pair_comp: dict[int, list[Matrix]] = {}
 
-    def put(target: dict[int, list[list[Series]]], p: int, i: int, j: int,
-            value: Series) -> None:
+    def put(target: dict[int, list[Matrix]], p: int, i: int, j: int,
+            source: SeriesMatrix, factor: Scalar) -> None:
         if p not in target:
-            target[p] = [[zero] * rank for _ in range(rank)]
-        target[p][i][j] = value
+            target[p] = [linalg.zeros(rank, rank) for _ in range(g.order)]
+        for out, m in zip(target[p], source.coeffs):
+            out[i][j] = factor * m[i][j]
 
-    for i in range(rank):
-        for j in range(rank):
-            entry = g.conn.entry(i, j)
-            if entry.is_zero():
-                continue
-            diff = degrees[j] - degrees[i]
-            if diff % 2 != 0:
-                raise InconsistentLift(
-                    f"connection entry ({i},{j}) mixes parities")
-            p = diff // 2
-            if p < -1:
-                raise InconsistentLift(
-                    f"connection entry ({i},{j}) needs u^{p}")
-            sign = Scalar(-1 if p % 2 else 1)
-            put(conn_comp, p, i, j, entry * sign)
-    for i in range(rank):
-        for j in range(rank):
-            entry = g.pairing.entry(i, j)
-            if entry.is_zero():
-                continue
-            s = degrees[i] + degrees[j]
-            if s % 2 != 0:
-                raise InconsistentLift(
-                    f"pairing entry ({i},{j}) mixes parities")
-            p = s // 2
-            if p < 0:
-                raise InconsistentLift(
-                    f"pairing entry ({i},{j}) needs u^{p}")
-            sign = Scalar(-1 if p % 2 else 1)
-            put(pair_comp, p, i, j, entry * sign * Scalar.i_power(
-                degrees[i]))
-    conn_u = {p: SeriesMatrix(m) for p, m in conn_comp.items()}
-    pairing_u = {p: SeriesMatrix(m) for p, m in pair_comp.items()}
-    return ReesModule(degrees, conn_u, pairing_u, g.parity, order=order)
+    for i, j in sorted(_support(g.conn)):
+        diff = degrees[j] - degrees[i]
+        if diff % 2 != 0:
+            raise InconsistentLift(
+                f"connection entry ({i},{j}) mixes parities")
+        p = diff // 2
+        if p < -1:
+            raise InconsistentLift(
+                f"connection entry ({i},{j}) needs u^{p}")
+        put(conn_comp, p, i, j, g.conn, Scalar(-1 if p % 2 else 1))
+    for i, j in sorted(_support(g.pairing)):
+        s = degrees[i] + degrees[j]
+        if s % 2 != 0:
+            raise InconsistentLift(
+                f"pairing entry ({i},{j}) mixes parities")
+        p = s // 2
+        if p < 0:
+            raise InconsistentLift(
+                f"pairing entry ({i},{j}) needs u^{p}")
+        put(pair_comp, p, i, j, g.pairing,
+            Scalar(-1 if p % 2 else 1) * Scalar.i_power(degrees[i]))
+    conn_u = {p: SeriesMatrix.from_coefficients(m, rank, rank)
+              for p, m in conn_comp.items()}
+    pairing_u = {p: SeriesMatrix.from_coefficients(m, rank, rank)
+                 for p, m in pair_comp.items()}
+    return ReesModule(degrees, conn_u, pairing_u, g.parity, order=g.order)
 
 
 def verify_prevhs(r: ReesModule) -> dict[str, bool]:
@@ -980,36 +985,21 @@ def verify_prevhs(r: ReesModule) -> dict[str, bool]:
 
     report["u_valuation"] = all(p >= -1 for p in r.conn_u)
 
-    grading_ok = True
-    for p, mat in r.conn_u.items():
-        for i in range(rank):
-            for j in range(rank):
-                if not mat.entry(i, j).is_zero() and \
-                        2 * p != degrees[j] - degrees[i]:
-                    grading_ok = False
-    report["grading"] = grading_ok
+    report["grading"] = all(2 * p == degrees[j] - degrees[i]
+                            for p, mat in r.conn_u.items()
+                            for i, j in _support(mat))
 
     report["flatness"] = True  # one-dimensional base: nothing to check
 
-    pair_deg_ok = all(p >= 0 for p in r.pairing_u)
-    for p, mat in r.pairing_u.items():
-        for i in range(rank):
-            for j in range(rank):
-                if not mat.entry(i, j).is_zero() and \
-                        2 * p != degrees[i] + degrees[j]:
-                    pair_deg_ok = False
-    report["pairing_degree"] = pair_deg_ok
+    report["pairing_degree"] = all(p >= 0 for p in r.pairing_u) and all(
+        2 * p == degrees[i] + degrees[j]
+        for p, mat in r.pairing_u.items() for i, j in _support(mat))
 
-    sym_ok = True
-    for p, mat in r.pairing_u.items():
-        star = Scalar(-1 if p % 2 else 1)
-        for i in range(rank):
-            for j in range(rank):
-                want = mat.entry(j, i) * \
-                    (Scalar(-1 if (r.parity + degrees[i]) % 2 else 1) * star)
-                if mat.entry(i, j) != want:
-                    sym_ok = False
-    report["pairing_symmetry"] = sym_ok
+    # entry (i, j) is entry (j, i) times (-1)^(parity + k_i) star(u^p)
+    report["pairing_symmetry"] = all(
+        mat == mat.transpose().scalar_left_mul(linalg.diagonal(
+            [Scalar(-1 if (r.parity + k + p) % 2 else 1) for k in degrees]))
+        for p, mat in r.pairing_u.items())
 
     # theta P = C^T P + P C*, as Laurent polynomials in u
     conn_t = {p: m.transpose() for p, m in r.conn_u.items()}

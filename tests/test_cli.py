@@ -253,6 +253,17 @@ def test_zero_denominator_coefficient_exit_two(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("coeff", ["null", "[1]", "1e999"],
+                         ids=["null", "list", "infinite"])
+def test_non_numeric_operator_coefficient_exit_two(coeff, tmp_path, capsys):
+    path = tmp_path / "odd.pf.json"
+    path.write_text('{"order": 1, "coeffs": [[0, %s], "1"]}' % coeff)
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_deep_json_exit_two(tmp_path, capsys):
     deep = "[" * 100000 + "]" * 100000
     for name, text in (("deep.dn.json", '{"kind":"dn_object","n":' + deep
@@ -355,3 +366,30 @@ def test_pipeline_json_bytes_pinned(order, digest, capsys):
                                 "--order", str(order), "--format", "json"])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("value", ['"abc"', "3.5", "true"],
+                         ids=["string", "float", "bool"])
+def test_non_integer_stored_field_exit_two(value, tmp_path, capsys):
+    text = (DATA / "d3-a.dn.json").read_text()
+    assert '"n": 3,' in text
+    path = tmp_path / "bad-n.dn.json"
+    path.write_text(text.replace('"n": 3,', f'"n": {value},'))
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'n'" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, template", [
+    ("long.pf.txt", "theta^4 - {}*q"),
+    ("long.dn.json", '{{"kind": "dn_object", "n": {}}}'),
+], ids=["operator-text", "stored-json"])
+def test_integer_over_digit_limit_exit_two(name, template, tmp_path,
+                                           capsys):
+    path = tmp_path / name
+    path.write_text(template.format("7" * 5000))
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1

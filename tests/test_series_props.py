@@ -1,7 +1,10 @@
 """Property tests for the series kernels that the normal-form route leans
 on: reversion, composition through a shared power table, exp/log,
-inverses, and the single flat-gauge computation per normal form."""
+inverses, the single flat-gauge computation per normal form, and the
+coefficient-major SeriesMatrix against entrywise Series arithmetic."""
+import operator
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 from hypothesis import assume, given, settings
@@ -112,3 +115,118 @@ def test_normal_form_computes_one_flat_gauge(monkeypatch):
                                  normalization=Scalar(5), volume_basis=True)
     assert len(calls) == 1
     assert report.mirror_coordinate.coeffs[2] == Scalar(770)
+
+
+# --- the coefficient-major SeriesMatrix against entrywise Series arithmetic
+
+def _sum(terms):
+    return reduce(operator.add, terms)
+
+
+def ref_product(a, b):
+    return [[_sum(a[i][l] * b[l][j] for l in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def ref_map(a, f):
+    return [[f(e) for e in row] for row in a]
+
+
+def lift(m, order):
+    """A scalar matrix as a matrix of constant series."""
+    return [[Series.constant(x, order) for x in row] for row in m]
+
+
+@st.composite
+def series_entries(draw, rows=None, cols=None, order=None):
+    rows = draw(st.integers(1, 3)) if rows is None else rows
+    cols = draw(st.integers(1, 3)) if cols is None else cols
+    order = draw(st.integers(1, 6)) if order is None else order
+    return [[draw(series(order=order)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def scalar_matrix(draw, rows, cols):
+    return [[draw(scalars) for _ in range(cols)] for _ in range(rows)]
+
+
+@PROPS
+@given(st.data())
+def test_matrix_product_is_the_entrywise_product(data):
+    r, m, c = (data.draw(st.integers(1, 3)) for _ in range(3))
+    a = data.draw(series_entries(r, m))
+    b = data.draw(series_entries(m, c, data.draw(st.integers(1, 6))))
+    assert SeriesMatrix(a) * SeriesMatrix(b) == \
+        SeriesMatrix(ref_product(a, b))
+
+
+@PROPS
+@given(series_entries(), st.integers(1, 6), st.data())
+def test_series_and_scalar_factors_act_entrywise(a, order, data):
+    s = data.draw(series(order=order))
+    c = data.draw(scalars)
+    assert SeriesMatrix(a) * s == SeriesMatrix(ref_map(a, lambda e: e * s))
+    assert SeriesMatrix(a) * c == SeriesMatrix(ref_map(a, lambda e: e * c))
+    assert c * SeriesMatrix(a) == SeriesMatrix(a) * c
+
+
+@PROPS
+@given(st.data())
+def test_sum_and_difference_act_entrywise(data):
+    a = data.draw(series_entries())
+    b = data.draw(series_entries(len(a), len(a[0]), a[0][0].order))
+    sums = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    diffs = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    assert SeriesMatrix(a) + SeriesMatrix(b) == SeriesMatrix(sums)
+    assert SeriesMatrix(a) - SeriesMatrix(b) == SeriesMatrix(diffs)
+    assert -SeriesMatrix(a) == SeriesMatrix(ref_map(a, lambda e: -e))
+
+
+@PROPS
+@given(series_entries(), st.data())
+def test_transpose_theta_dilate_compose_act_entrywise(a, data):
+    m = SeriesMatrix(a)
+    c = data.draw(scalars)
+    inner = data.draw(series(order=m.order + 1, vanishing=True))
+    assert m.transpose() == SeriesMatrix(
+        [[a[i][j] for i in range(m.rows)] for j in range(m.cols)])
+    assert m.theta_entries() == SeriesMatrix(ref_map(a, Series.theta))
+    assert m.dilate(c) == SeriesMatrix(ref_map(a, lambda e: e.dilate(c)))
+    assert m.compose_entries(inner) == SeriesMatrix(
+        ref_map(a, lambda e: horner(e, inner)))
+
+
+@PROPS
+@given(series_entries(), st.data())
+def test_scalar_products_and_apply_act_entrywise(a, data):
+    m = SeriesMatrix(a)
+    left = scalar_matrix(data.draw, data.draw(st.integers(1, 3)), m.rows)
+    right = scalar_matrix(data.draw, m.cols, data.draw(st.integers(1, 3)))
+    assert m.scalar_left_mul(left) == SeriesMatrix(
+        ref_product(lift(left, m.order), a))
+    assert m.scalar_right_mul(right) == SeriesMatrix(
+        ref_product(a, lift(right, m.order)))
+    vec = [data.draw(series(order=data.draw(st.integers(1, 6))))
+           for _ in range(m.cols)]
+    assert m.apply(vec) == [_sum(e * v for e, v in zip(row, vec))
+                            for row in a]
+
+
+@PROPS
+@given(series_entries())
+def test_entries_survive_the_coefficient_storage(a):
+    m = SeriesMatrix(a)
+    assert all(m.entry(i, j) == a[i][j]
+               for i in range(m.rows) for j in range(m.cols))
+    rebuilt = SeriesMatrix.from_coefficients(
+        [m.coefficient_matrix(k) for k in range(m.order)], m.rows,
+        m.cols)
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+    for k in range(m.order):
+        coeff = m.coefficient_matrix(k)
+        coeff[0][0] = coeff[0][0] + Scalar(1)
+        coeff[0].append(ZERO)
+        coeff.append([])
+    assert m == rebuilt and m.at0() == rebuilt.at0()
+    assert all(m.entry(i, j) == a[i][j]
+               for i in range(m.rows) for j in range(m.cols))

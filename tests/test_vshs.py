@@ -383,6 +383,42 @@ def test_from_normal_form_demands_all_orders():
         from_normal_form(d)
 
 
+def _one_term(rank, order, power, terms):
+    """The matrix with sign * q^power at each entry (i, j) of terms."""
+    cells = [[Series.zero(order)] * rank for _ in range(rank)]
+    for (i, j), sign in terms.items():
+        cells[i][j] = Series([ZERO] * power + [Scalar(sign)], order)
+    return SeriesMatrix(cells)
+
+
+def test_pairing_failure_names_its_q_order():
+    rng = Random(33)
+    d = random_dn(rng, 3, order=ORD, max_dim=1)
+    geo = rees_to_geometric(from_normal_form(d))
+    top, bottom = 0, geo.rank - 1
+    # symmetric for parity 1: entry (j, i) is minus entry (i, j)
+    spoiled = geo.pairing + _one_term(geo.rank, ORD, 3,
+                                      {(top, bottom): 1, (bottom, top): -1})
+    with pytest.raises(InvariantViolation,
+                       match=r"not covariantly constant.*q\^3, entry"):
+        GeometricVHS(conn=geo.conn, levels2=geo.levels2, pairing=spoiled,
+                     parity=geo.parity)
+
+
+def test_self_adjointness_failure_names_its_q_order():
+    rng = Random(34)
+    d = random_dn(rng, 3, order=ORD, max_dim=1)
+    # degree -1 -> 1 -> 3: the top entry of A, free of the pointwise
+    # checks above q^0
+    top, below = d.degrees.index(3), d.degrees.index(1)
+    a = d.a_series + _one_term(d.rank, ORD, 2, {(top, below): 1})
+    spoiled = DnObject(n=d.n, graded_dims=d.graded_dims,
+                       pairing0=d.pairing0_matrix(), a_series=a)
+    with pytest.raises(InvariantViolation,
+                       match=r"self-adjoint.*q\^2, entry"):
+        from_normal_form(spoiled)
+
+
 # --- coordinate rescale and Yukawa ----------------------------------------
 
 def test_rescale_coordinate():
