@@ -23,8 +23,13 @@ MAX_ORDER = 256
 
 
 def _read_input(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise picard_fuchs.ParseError(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
 
 
 def _fraction_decimal(f: Fraction, digits: int) -> str:

@@ -221,7 +221,7 @@ def load_text(text: str):
         except ValueError as exc:  # an integer over the digit limit
             raise picard_fuchs.ParseError(f"invalid JSON: {exc}") from None
         kind = data.get("kind")
-        if kind in _LOADERS:
+        if isinstance(kind, str) and kind in _LOADERS:
             try:
                 return _LOADERS[kind](data)
             except KeyError as exc:
@@ -232,5 +232,5 @@ def load_text(text: str):
                     f"malformed {kind}: {exc}") from exc
         if kind == "pf_operator" or "coeffs" in data:
             return picard_fuchs.parse_pf(stripped)
-        raise ValueError(f"unknown object kind {kind!r}")
+        raise picard_fuchs.ParseError(f"unknown object kind {kind!r}")
     return picard_fuchs.parse_pf(stripped)

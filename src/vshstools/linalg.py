@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over Gaussian rationals.
+"""Exact linear algebra over Gaussian rationals.
 
 Hand-rolled on purpose: every matrix in this package is tiny (rank
 rarely above ten) and must be handled exactly, so Gauss elimination
@@ -6,14 +6,23 @@ with explicit pivot normalization is both simpler and faster than
 pulling in a symbolic library.  Vectors are lists of Scalar, matrices
 are lists of rows.  All functions are pure and deterministic; pivots
 are chosen lexicographically (first usable column, first usable row).
+
+Matrix products run in one integer kernel.  A factor is lifted once to
+Gaussian-integer rows over a single common denominator, its zero
+entries dropped (`Lifted`); products accumulate plain ints over one
+denominator (`Accumulator`), and each entry of the result is normalized
+once, when it is lowered back to Scalar (Knuth, TAOCP Vol. 2, 4.5.1).
 """
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, Scalar
+from math import gcd, lcm
+
+from .scalars import ONE, ZERO, Scalar, _norm
 
 Vector = list[Scalar]
 Matrix = list[list[Scalar]]
-SparseRows = list[list[tuple[int, Scalar]]]
+
+_ZERO_ABD = ZERO._abd  # the one triple of a zero Scalar in normal form
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -57,25 +66,123 @@ def mat_scale(a: Matrix, c: Scalar) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return sparse_mul_add(zeros(len(a), len(b[0]) if b else 0),
-                          nonzero_rows(a), nonzero_rows(b))
+    return Lifted.of(a).times(Lifted.of(b))
 
 
-def nonzero_rows(m: Matrix) -> SparseRows:
-    """Each row of m as the list of its (column, entry) pairs with a
-    nonzero entry: built once, it serves every product m takes part in."""
-    return [[(j, x) for j, x in enumerate(row) if not x.is_zero()]
-            for row in m]
+class Lifted:
+    """A scalar matrix as Gaussian-integer rows over one denominator.
+
+    Row i lists (j, a, b) for each nonzero entry (a + b*i)/den in column
+    j < cols.  `real` says that every b is 0, `zero` that no entry is
+    left.  Instances are not mutated once built.
+    """
+
+    __slots__ = ("den", "rows", "cols", "real", "zero")
+
+    def __init__(self, den: int, rows: list[list[tuple[int, int, int]]],
+                 cols: int):
+        self.den = den
+        self.rows = rows
+        self.cols = cols
+        self.real = not any([b for row in rows for _, _, b in row])
+        self.zero = not any(rows)
+
+    @staticmethod
+    def of(m: Matrix) -> "Lifted":
+        """m over the lcm of its entries' denominators."""
+        nonzero = [[(j, x._abd) for j, x in enumerate(row)
+                    if x._abd != _ZERO_ABD] for row in m]
+        den = lcm(*[d for row in nonzero for _, (_, _, d) in row])
+        return Lifted(den, [[(j, a * (den // d), b * (den // d))
+                             for j, (a, b, d) in row] for row in nonzero],
+                      len(m[0]) if m else 0)
+
+    @staticmethod
+    def scalar(c: Scalar, n: int) -> "Lifted":
+        """c times the n x n identity: a product with it scales by c."""
+        a, b, d = c._abd
+        return Lifted(d, [[(i, a, b)] if a or b else [] for i in range(n)], n)
+
+    def times(self, other: "Lifted") -> Matrix:
+        """The product self other, lowered to Scalars."""
+        acc = Accumulator(len(self.rows), other.cols)
+        acc.add_product(self, other)
+        return acc.lower()
 
 
-def sparse_mul_add(out: Matrix, a: SparseRows, b: SparseRows) -> Matrix:
-    """out += a b in place, for a and b given as nonzero_rows; only
-    nonzero entries are ever multiplied.  Returns out."""
-    for ai, oi in zip(a, out):
-        for k, c in ai:
-            for j, x in b[k]:
-                oi[j] = c * x + oi[j]
-    return out
+class Accumulator:
+    """A rows x cols matrix of Gaussian integers over one denominator.
+
+    Products are added in place.  A product over another denominator
+    rescales the accumulator to the lcm of the two once per call, never
+    once per entry.
+    """
+
+    __slots__ = ("den", "re", "im", "_empty")
+
+    def __init__(self, rows: int, cols: int):
+        self.den = 1
+        self.re = [[0] * cols for _ in range(rows)]
+        self.im = [[0] * cols for _ in range(rows)]
+        self._empty = True
+
+    def _rescale(self, den: int) -> int:
+        """Bring the accumulator to a multiple of den; the factor that
+        lifts a term over den to the accumulator's denominator."""
+        if self._empty:
+            self._empty = False
+            self.den = den
+            return 1
+        old = self.den
+        if old == den:
+            return 1
+        new = lcm(old, den)
+        if new != old:
+            f = new // old
+            for part in (self.re, self.im):
+                for row in part:
+                    for j, x in enumerate(row):
+                        if x:
+                            row[j] = x * f
+            self.den = new
+        return new // den
+
+    def add_product(self, a: Lifted, b: Lifted) -> None:
+        """self += a b."""
+        if a.zero or b.zero:
+            return
+        s = self._rescale(a.den * b.den)
+        brows = b.rows
+        if a.real and b.real:
+            for ai, ri in zip(a.rows, self.re):
+                for k, c, _ in ai:
+                    c *= s
+                    for j, x, _ in brows[k]:
+                        ri[j] += c * x
+            return
+        for ai, ri, ii in zip(a.rows, self.re, self.im):
+            for k, c, d in ai:
+                c *= s
+                d *= s
+                for j, x, y in brows[k]:
+                    ri[j] += c * x - d * y
+                    ii[j] += c * y + d * x
+
+    def lifted(self) -> Lifted:
+        """The sum so far as a Lifted matrix, with no entry normalized:
+        only the content common to all entries and den is divided out."""
+        g = gcd(self.den, *(x for part in (self.re, self.im)
+                            for row in part for x in row))
+        return Lifted(self.den // g, [
+            [(j, a // g, b // g) for j, (a, b) in enumerate(zip(ri, ii))
+             if a or b] for ri, ii in zip(self.re, self.im)],
+            len(self.re[0]) if self.re else 0)
+
+    def lower(self) -> Matrix:
+        """The sum so far as Scalars, one normalization per entry."""
+        d = self.den
+        return [[_norm(a, b, d) if a or b else ZERO for a, b in zip(ri, ii)]
+                for ri, ii in zip(self.re, self.im)]
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:

@@ -538,6 +538,13 @@ def frobenius_solve(op: PFOperator, depth: int = 2,
     if order < 2:
         raise ValueError("order must be at least 2")
     op.assert_maximally_unipotent()
+    if op.order_theta < 1:
+        raise ParseError("operator must have positive order")
+    if op.order_theta < depth:
+        raise ValueError(
+            f"a Frobenius basis of depth {depth} needs theta-order at "
+            f"least {depth}; the operator has theta-order "
+            f"{op.order_theta}")
     max_m = op.max_q_degree
     u_list: list[_Eps] = [[ONE] + [ZERO] * (depth - 1)]
     for d in range(1, order):

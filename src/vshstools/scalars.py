@@ -4,6 +4,8 @@ Every computation in this package runs over this field.  No floating point
 is used anywhere, so results are bit-identical across runs and platforms.
 A scalar is one normalized integer triple, so each sum, product or inverse
 is a few integer operations and one gcd (Knuth, TAOCP Vol. 2, 4.5.1).
+Matrix products bypass Scalar arithmetic per term: linalg sums them over
+one common denominator and normalizes each entry once, through _norm.
 """
 from __future__ import annotations
 

@@ -7,15 +7,17 @@ point anywhere and results are bit-identical across runs.
 
 SeriesMatrix is a dense rectangular matrix of Series sharing one
 truncation order, stored coefficient-major as one scalar matrix per
-q-order: products are convolutions of those matrices, and the
-order-by-order inverse needed for gauge transformations works on them
-directly.
+q-order: products are convolutions of those matrices, each output
+coefficient summed over one common denominator by the linalg integer
+kernel, and the order-by-order inverse needed for gauge transformations
+works on them directly.
 """
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence, Union
 
 from . import linalg
+from .linalg import Accumulator, Lifted
 from .scalars import ONE, ZERO, Scalar, ScalarLike
 
 ScalarMatrix = list[list[Scalar]]
@@ -326,14 +328,6 @@ class PowerTable:
         return Series(out, n)
 
 
-def _add_scaled(acc: ScalarMatrix, c: Scalar, m: ScalarMatrix) -> None:
-    """acc += c m in place, skipping the zero entries of m."""
-    for ai, mi in zip(acc, m):
-        for j, x in enumerate(mi):
-            if not x.is_zero():
-                ai[j] = c * x + ai[j]
-
-
 def _shape(entries: Sequence[Sequence]) -> tuple[int, int]:
     rows = len(entries)
     if rows == 0 or len(entries[0]) == 0:
@@ -351,9 +345,11 @@ class SeriesMatrix:
     the scalar matrix of q^k as a list of rows of Scalar.  Those lists
     are never mutated once a matrix holds them: every operation builds
     new ones, and the accessors that hand a matrix out return copies.
+    _lifts caches them as linalg.Lifted, built by the first product that
+    needs them (see _lifted).
     """
 
-    __slots__ = ("rows", "cols", "order", "coeffs")
+    __slots__ = ("rows", "cols", "order", "coeffs", "_lifts")
 
     def __init__(self, entries: Sequence[Sequence[Series]]):
         rows, cols = _shape(entries)
@@ -369,6 +365,7 @@ class SeriesMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "order", len(mats))
         object.__setattr__(self, "coeffs", tuple(mats))
+        object.__setattr__(self, "_lifts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeriesMatrix is immutable")
@@ -464,57 +461,60 @@ class SeriesMatrix:
             raise ValueError("shape mismatch")
 
     def __mul__(self, other) -> "SeriesMatrix":
-        """Matrix product as the convolution C_k = sum_j A_j B_(k-j); a
+        """Matrix product as the convolution C_k = sum_j A_j B_(k-j),
+        each C_k summed over one denominator and normalized once; a
         Series or scalar factor multiplies every entry."""
-        a = self.coeffs
         if isinstance(other, SeriesMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matrix product")
-            sa, sb = self._sparse(), other._sparse()
+            la, lb = self._lifted(), other._lifted()
             out = []
             for k in range(min(self.order, other.order)):
-                acc = linalg.zeros(self.rows, other.cols)
+                acc = Accumulator(self.rows, other.cols)
                 for j in range(k + 1):
-                    linalg.sparse_mul_add(acc, sa[j], sb[k - j])
-                out.append(acc)
+                    acc.add_product(la[j], lb[k - j])
+                out.append(acc.lower())
             return SeriesMatrix.from_coefficients(out, self.rows, other.cols)
         if isinstance(other, Series):
-            s = other.coeffs
+            n = min(self.order, other.order)
+            la = self._lifted()
+            ls = [Lifted.scalar(c, self.rows) for c in other.coeffs[:n]]
             out = []
-            for k in range(min(self.order, other.order)):
-                acc = linalg.zeros(self.rows, self.cols)
+            for k in range(n):
+                acc = Accumulator(self.rows, self.cols)
                 for j in range(k + 1):
-                    if not s[j].is_zero():
-                        _add_scaled(acc, s[j], a[k - j])
-                out.append(acc)
+                    acc.add_product(ls[j], la[k - j])
+                out.append(acc.lower())
             return self._like(out)
         c = _coerce(other)
-        return self._like([linalg.mat_scale(m, c) for m in a])
+        return self._like([linalg.mat_scale(m, c) for m in self.coeffs])
 
     def __rmul__(self, other) -> "SeriesMatrix":
         if isinstance(other, SeriesMatrix):
             return NotImplemented
         return self.__mul__(other)
 
-    def _sparse(self) -> list[linalg.SparseRows]:
-        return [linalg.nonzero_rows(m) for m in self.coeffs]
+    def _lifted(self) -> list[Lifted]:
+        """The coefficient matrices as Lifted, built on first use."""
+        if self._lifts is None:
+            object.__setattr__(self, "_lifts",
+                               [Lifted.of(m) for m in self.coeffs])
+        return self._lifts
 
     def scalar_left_mul(self, m: ScalarMatrix) -> "SeriesMatrix":
         """Constant matrix times this matrix, one product per q-order."""
         if len(m[0]) != self.rows:
             raise ValueError("shape mismatch")
-        sm = linalg.nonzero_rows(m)
+        lm = Lifted.of(m)
         return SeriesMatrix.from_coefficients(
-            [linalg.sparse_mul_add(linalg.zeros(len(m), self.cols), sm, a)
-             for a in self._sparse()], len(m), self.cols)
+            [lm.times(a) for a in self._lifted()], len(m), self.cols)
 
     def scalar_right_mul(self, m: ScalarMatrix) -> "SeriesMatrix":
         if len(m) != self.cols:
             raise ValueError("shape mismatch")
-        sm = linalg.nonzero_rows(m)
+        lm = Lifted.of(m)
         return SeriesMatrix.from_coefficients(
-            [linalg.sparse_mul_add(linalg.zeros(self.rows, len(m[0])), a, sm)
-             for a in self._sparse()], self.rows, len(m[0]))
+            [a.times(lm) for a in self._lifted()], self.rows, len(m[0]))
 
     def transpose(self) -> "SeriesMatrix":
         return SeriesMatrix.from_coefficients(
@@ -550,12 +550,15 @@ class SeriesMatrix:
         """
         table = inner if isinstance(inner, PowerTable) else PowerTable(inner)
         n = min(self.order, table.order)
-        out = [linalg.zeros(self.rows, self.cols) for _ in range(n)]
-        for k in range(n):
-            pk = table.powers[k].coeffs
-            for j in range(k, n):  # g^k vanishes below q^k
-                if not pk[j].is_zero():
-                    _add_scaled(out[j], pk[j], self.coeffs[k])
+        la = self._lifted()
+        out = []
+        for j in range(n):
+            acc = Accumulator(self.rows, self.cols)
+            for k in range(j + 1):  # g^k vanishes below q^k
+                acc.add_product(
+                    Lifted.scalar(table.powers[k].coeffs[j], self.rows),
+                    la[k])
+            out.append(acc.lower())
         return self._like(out)
 
     def dilate(self, c: ScalarLike) -> "SeriesMatrix":
@@ -576,15 +579,18 @@ class SeriesMatrix:
         if self.order == 0:
             raise ValueError("cannot invert at order 0")
         m0_inv = linalg.inverse(self.coeffs[0])
-        sm = self._sparse()
+        neg_inv = Lifted.of(linalg.mat_neg(m0_inv))
+        lm = self._lifted()
         out = [m0_inv]
-        sout = [linalg.nonzero_rows(m0_inv)]
+        lout = [Lifted.of(m0_inv)]
         for k in range(1, self.order):
-            acc = linalg.zeros(self.rows, self.rows)
+            acc = Accumulator(self.rows, self.rows)
             for j in range(1, k + 1):
-                linalg.sparse_mul_add(acc, sm[j], sout[k - j])
-            out.append(linalg.mat_neg(linalg.mat_mul(m0_inv, acc)))
-            sout.append(linalg.nonzero_rows(out[-1]))
+                acc.add_product(lm[j], lout[k - j])
+            x_k = Accumulator(self.rows, self.rows)
+            x_k.add_product(neg_inv, acc.lifted())
+            out.append(x_k.lower())
+            lout.append(x_k.lifted())
         return self._like(out)
 
     # -- comparison ------------------------------------------------------

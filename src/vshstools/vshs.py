@@ -13,8 +13,9 @@ canonical coordinate, covariant extension of pairings, and the
 equivalence with graded normal-form objects (DnObject).  The flat gauge
 and the pairing extension are one equation, theta X = L(X) + Phi(X)
 with L nilpotent, solved order by order on the coefficient matrices of
-X by one solver.  A residual that should vanish and does not is
-reported at its first nonzero q-order and entry.
+X by one solver, which keeps them in the lifted form of the linalg
+integer kernel until each q-order is done.  A residual that should
+vanish and does not is reported at its first nonzero q-order and entry.
 
 Sign conventions are load-bearing and centralized here.  The grading
 collapse evaluates u-polynomials at u = -1; the pairing additionally
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import linalg, nilpotent
-from .linalg import Matrix, Vector
+from .linalg import Accumulator, Lifted, Matrix, Vector
 from .scalars import ONE, ZERO, Scalar, sqrt_exact
 from .series import PowerTable, Series, SeriesMatrix
 
@@ -394,35 +395,36 @@ def _first_failure(m: SeriesMatrix,
     return f"the residual is nonzero at q^{k}, entry ({i},{j})"
 
 
-def _solve_theta(x0: Matrix, order: int, lop: Callable[[Matrix], Matrix],
-                 phi: Callable[[list[linalg.SparseRows], int], Matrix],
+def _solve_theta(x0: Matrix, order: int, lop: Callable[[Lifted], Lifted],
+                 phi: Callable[[list[Lifted], int], Lifted],
                  stuck: Exception) -> SeriesMatrix:
     """The solution X of theta X = L(X) + Phi(X) with X(0) = x0.
 
-    L is linear and nilpotent, and Phi_k reads only X_0 .. X_(k-1),
-    which it receives as nonzero_rows.  The order-k equation
-    k X_k = L(X_k) + Phi_k is then solved by the terminating Neumann sum
-    X_k = sum_m L^m(Phi_k) / k^(m+1).  A sum longer than 2 dim + 2
-    terms means L is not nilpotent: raise stuck.
+    L is linear and nilpotent, and Phi_k reads only X_0 .. X_(k-1).
+    The order-k equation k X_k = L(X_k) + Phi_k is then solved by the
+    terminating Neumann sum X_k = sum_m L^m(Phi_k) / k^(m+1).  A sum
+    longer than 2 dim + 2 terms means L is not nilpotent: raise stuck.
+    Phi, L and the sum work on Lifted matrices; each X_k is lowered to
+    Scalars once.
     """
     dim = len(x0)
     xs = [x0]
-    sparse = [linalg.nonzero_rows(x0)]
+    lifted = [Lifted.of(x0)]
     for k in range(1, order):
-        term = phi(sparse, k)
+        term = phi(lifted, k)
         inv_k = ONE / Scalar(k)
-        acc = linalg.zeros(dim, dim)
+        acc = Accumulator(dim, dim)
         factor = inv_k
         steps = 0
-        while not linalg.is_zero_matrix(term):
-            acc = linalg.mat_add(acc, linalg.mat_scale(term, factor))
+        while not term.zero:
+            acc.add_product(Lifted.scalar(factor, dim), term)
             term = lop(term)
             factor = factor * inv_k
             steps += 1
             if steps > 2 * dim + 2:
                 raise stuck
-        xs.append(acc)
-        sparse.append(linalg.nonzero_rows(acc))
+        xs.append(acc.lower())
+        lifted.append(acc.lifted())
     return SeriesMatrix.from_coefficients(xs, dim, dim)
 
 
@@ -438,17 +440,20 @@ def formal_flat_gauge(b: SeriesMatrix) -> SeriesMatrix:
         nilpotent.nilpotency_index(n_mat)
     except nilpotent.NotNilpotent as exc:
         raise NotNilpotentResidue(str(exc)) from exc
-    bs = [linalg.nonzero_rows(m) for m in b.coeffs]
+    bs = b._lifted()
+    n_neg = Lifted.of(linalg.mat_neg(n_mat))
 
-    def phi(u: list[linalg.SparseRows], k: int) -> Matrix:
-        out = linalg.zeros(dim, dim)
+    def phi(u: list[Lifted], k: int) -> Lifted:
+        acc = Accumulator(dim, dim)
         for j in range(1, k + 1):
-            linalg.sparse_mul_add(out, bs[j], u[k - j])
-        return out
+            acc.add_product(bs[j], u[k - j])
+        return acc.lifted()
 
-    def ad_n(x: Matrix) -> Matrix:
-        return linalg.mat_sub(linalg.mat_mul(n_mat, x),
-                              linalg.mat_mul(x, n_mat))
+    def ad_n(x: Lifted) -> Lifted:
+        acc = Accumulator(dim, dim)
+        acc.add_product(bs[0], x)
+        acc.add_product(x, n_neg)
+        return acc.lifted()
 
     return _solve_theta(
         linalg.identity(dim), b.order, ad_n, phi,
@@ -655,25 +660,27 @@ def extend_pairing(a: SeriesMatrix, m0: Matrix, mode: str = "flat",
     if mode != "flat":
         raise ValueError(f"unknown mode {mode!r}")
 
-    a0 = a.at0()
-    a0t = linalg.transpose(a0)
+    dim = a.rows
+    a_s = a._lifted()
+    at_s = a.transpose()._lifted()
 
-    def lop(x: Matrix) -> Matrix:
-        return linalg.mat_add(linalg.mat_mul(a0t, x), linalg.mat_mul(x, a0))
+    def lop(x: Lifted) -> Lifted:
+        acc = Accumulator(dim, dim)
+        acc.add_product(at_s[0], x)
+        acc.add_product(x, a_s[0])
+        return acc.lifted()
 
-    if not linalg.is_zero_matrix(lop(m0)):
+    if not lop(Lifted.of(m0)).zero:
         raise ResidueNotCompatible(
             "A(0)^T M0 + M0 A(0) != 0; the constant term cannot start a "
             "covariantly constant pairing")
-    a_s = [linalg.nonzero_rows(m) for m in a.coeffs]
-    at_s = [linalg.nonzero_rows(m) for m in a.transpose().coeffs]
 
-    def phi(m: list[linalg.SparseRows], k: int) -> Matrix:
-        out = linalg.zeros(a.rows, a.rows)
+    def phi(m: list[Lifted], k: int) -> Lifted:
+        acc = Accumulator(dim, dim)
         for j in range(1, k + 1):
-            linalg.sparse_mul_add(out, at_s[j], m[k - j])
-            linalg.sparse_mul_add(out, m[k - j], a_s[j])
-        return out
+            acc.add_product(at_s[j], m[k - j])
+            acc.add_product(m[k - j], a_s[j])
+        return acc.lifted()
 
     return _solve_theta(
         linalg.copy_matrix(m0), a.order, lop, phi,

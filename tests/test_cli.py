@@ -1,10 +1,14 @@
 """End-to-end tests of the command line, run in process."""
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vshstools import cli, jsonio, vshs
 from vshstools.amodel import instantons_from_g
@@ -393,3 +397,61 @@ def test_integer_over_digit_limit_exit_two(name, template, tmp_path,
     assert code == 2 and out == ""
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, code, needle", [
+    ("2", 2, "positive order"),
+    ("5", 2, "positive order"),
+    ("theta", 1, "theta-order at least 2"),
+], ids=["two", "five", "theta"])
+def test_mirror_map_low_theta_order(text, code, needle, tmp_path, capsys):
+    path = tmp_path / "low.pf.txt"
+    path.write_text(text + "\n")
+    got, out, err = run(capsys, ["mirror-map", "--input", str(path),
+                                 "--order", "4"])
+    assert got == code and out == ""
+    assert err.startswith("error:") and needle in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "pipeline"])
+def test_non_utf8_input_exit_two(command, tmp_path, capsys):
+    path = tmp_path / "latin1.pf.txt"
+    path.write_bytes("theta^4 - 5 q  # \xe9\n".encode("latin-1"))
+    code, out, err = run(capsys, [command, "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["{}", '{"kind": 5}', '{"kind": [1]}'],
+                         ids=["empty", "number", "list"])
+def test_unknown_kind_exit_two(text, tmp_path, capsys):
+    path = tmp_path / "odd.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "unknown object kind" in err
+    assert err.count("\n") == 1
+
+
+# Token soup for the fuzz test.  Digits stay below 4 and tokens are
+# joined by spaces, so the largest operator the soup can spell has a
+# small theta-order and every example runs in well under a second.
+SOUP_TOKENS = ["theta", "q", "+", "-", "*", "/", "^", "(", ")",
+               "0", "1", "2", "3",
+               "{", "}", "[", "]", ":", ",", '"kind"', '"coeffs"',
+               '"order"', '"pf_operator"', '"dn_object"', "null", '"1/0"']
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(SOUP_TOKENS), max_size=10).map(" ".join))
+def test_cli_fuzz_exit_codes(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "soup.txt"
+    path.write_text(text)
+    for argv in (["pipeline", "--order", "4"], ["mirror-map", "--order", "4"],
+                 ["check"]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv + ["--input", str(path)])
+        assert code in (0, 1, 2), (argv, text)

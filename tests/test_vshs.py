@@ -246,6 +246,18 @@ def test_extend_pairing_rejects_bad_seed():
         extend_pairing(a, bad)
 
 
+def test_extend_pairing_non_nilpotent_residue_does_not_terminate():
+    # M0 is skew for A(0) = diag(1, -1), but A(0)^T X + X A(0) scales
+    # the (1,1) and (0,0) entries by -2 and 2: the Neumann sum for the
+    # A_1 term never ends
+    a0 = [[ONE, ZERO], [ZERO, Scalar(-1)]]
+    a1 = [[ZERO, ONE], [ZERO, ZERO]]
+    a = SeriesMatrix.from_coefficients([a0, a1], 2, 2)
+    m0 = [[ZERO, ONE], [ONE, ZERO]]
+    with pytest.raises(ResidueNotCompatible, match="does not terminate"):
+        extend_pairing(a, m0)
+
+
 def test_extend_pairing_dn_mode_fixes_graded_constants():
     # for a graded object the self-adjoint seed extends without any
     # higher-order correction
