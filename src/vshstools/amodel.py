@@ -4,12 +4,16 @@ build_amodel_dn assembles the graded normal-form object of a variety
 from classical topological data plus the divisor quantum multiplication
 matrix.  The other half of the module is the Aspinwall-Morrison
 correspondence between the middle connection entry g(Q) and genus-zero
-instanton numbers:
+instanton numbers of a variety of dimension n:
 
-    g = 1 + (1/volume) * sum_d n_d d^3 Q^d / (1 - Q^d)
+    g = 1 + (1/volume) * sum_d n_d d^w Q^d / (1 - Q^d)
 
-inverted degree by degree.  Inversion never rounds: a degree whose
-number fails to be a rational integer is reported as suspect.
+with multiple-cover weight w = 3 for a threefold and w = 2 for a fourfold
+(where g is the entry from degree -2 to 0), inverted degree by degree.
+Inversion never rounds: a degree whose number fails to be a rational
+integer is reported as suspect.  From n = 5 on the middle entries carry
+several invariants (Greene-Morrison-Plesser, hep-th/9310022), so there is
+no single g to invert and both directions refuse.
 """
 from __future__ import annotations
 
@@ -29,6 +33,11 @@ class ZeroVolume(ValueError):
 class HardLefschetzFailure(ValueError):
     """Cup product with the divisor fails to induce the required
     isomorphisms."""
+
+
+class UnsupportedDimension(ValueError):
+    """Instanton numbers are read from one connection entry only for
+    n <= 4."""
 
 
 class UnitNotPreserved(ValueError):
@@ -80,9 +89,19 @@ class InstantonTable:
             (other.max_degree, other.entries)
 
 
+def _cover_power(n: int) -> int:
+    """The exponent w of the multiple-cover weight d^w in dimension n."""
+    if n >= 5:
+        raise UnsupportedDimension(
+            f"instanton numbers in dimension {n} are not read from one "
+            "connection entry; only n <= 4 is supported")
+    return 2 if n == 4 else 3
+
+
 def g_from_instantons(table: InstantonTable, volume: Scalar,
-                      order: int) -> Series:
+                      order: int, n: int = 3) -> Series:
     """The connection entry a table predicts, to the requested order."""
+    power = _cover_power(n)
     volume = Scalar.of(volume)
     if volume.is_zero():
         raise ZeroVolume("volume must be nonzero")
@@ -92,7 +111,7 @@ def g_from_instantons(table: InstantonTable, volume: Scalar,
     for d, n_d in table.entries.items():
         if d <= 0:
             raise ValueError("instanton degrees must be positive")
-        weight = n_d * Scalar(d) ** 3 * vol_inv
+        weight = n_d * Scalar(d) ** power * vol_inv
         m = d
         while m < order:
             coeffs[m] = coeffs[m] + weight
@@ -100,8 +119,10 @@ def g_from_instantons(table: InstantonTable, volume: Scalar,
     return Series(coeffs, order)
 
 
-def instantons_from_g(g: Series, volume: Scalar) -> InstantonTable:
+def instantons_from_g(g: Series, volume: Scalar,
+                      n: int = 3) -> InstantonTable:
     """Invert the Aspinwall-Morrison sum degree by degree."""
+    power = _cover_power(n)
     volume = Scalar.of(volume)
     if volume.is_zero():
         raise ZeroVolume("volume must be nonzero")
@@ -112,8 +133,8 @@ def instantons_from_g(g: Series, volume: Scalar) -> InstantonTable:
         acc = volume * g.coefficient(k)
         for d in range(1, k):
             if k % d == 0 and d in raw:
-                acc = acc - raw[d] * Scalar(d) ** 3
-        n_k = acc * (Scalar(k) ** 3).inverse()
+                acc = acc - raw[d] * Scalar(d) ** power
+        n_k = acc * (Scalar(k) ** power).inverse()
         raw[k] = n_k
         if not n_k.is_zero():
             entries[k] = n_k

@@ -85,24 +85,29 @@ def _parse_volume(text: str) -> Scalar:
     return vol
 
 
-def _signed_results(op: picard_fuchs.PFOperator, volume: Scalar,
-                    order: int, sign: int
-                    ) -> tuple[vshs.NormalFormReport, InstantonTable]:
-    report, table = picard_fuchs.bmodel_pipeline(op, volume, order)
+def _signed_report(op: picard_fuchs.PFOperator, volume: Scalar,
+                   order: int, sign: int) -> vshs.NormalFormReport:
+    report = picard_fuchs.bmodel_normal_form(op, volume, order)
     if sign == 1:
-        return report, table
-    dn = vshs.rescale_coordinate(report.dn, Scalar(sign))
-    report = vshs.NormalFormReport(
+        return report
+    return vshs.NormalFormReport(
         mirror_coordinate=report.mirror_coordinate * Scalar(sign),
-        gauge=report.gauge, dn=dn, volume_index=report.volume_index)
-    table = instantons_from_g(picard_fuchs.g_series(dn, volume), volume)
-    return report, table
+        gauge=report.gauge,
+        dn=vshs.rescale_coordinate(report.dn, Scalar(sign)),
+        volume_index=report.volume_index)
+
+
+def _instantons(report: vshs.NormalFormReport,
+                volume: Scalar) -> InstantonTable:
+    return instantons_from_g(picard_fuchs.g_series(report.dn, volume),
+                             volume, report.dn.n)
 
 
 def _cmd_pipeline(args) -> int:
     op = picard_fuchs.parse_pf(_read_input(args.input))
     volume = _parse_volume(args.volume)
-    report, table = _signed_results(op, volume, args.order, args.sign)
+    report = _signed_report(op, volume, args.order, args.sign)
+    table = _instantons(report, volume)
     yuk = vshs.yukawa(report.dn)
     if args.format == "json":
         payload = {
@@ -143,7 +148,7 @@ def _cmd_mirror_map(args) -> int:
 def _cmd_yukawa(args) -> int:
     op = picard_fuchs.parse_pf(_read_input(args.input))
     volume = _parse_volume(args.volume)
-    report, _ = _signed_results(op, volume, args.order, args.sign)
+    report = _signed_report(op, volume, args.order, args.sign)
     yuk = vshs.yukawa(report.dn)
     if args.format == "json":
         sys.stdout.write(jsonio.dumps(
@@ -156,7 +161,8 @@ def _cmd_yukawa(args) -> int:
 def _cmd_instantons(args) -> int:
     op = picard_fuchs.parse_pf(_read_input(args.input))
     volume = _parse_volume(args.volume)
-    _, table = _signed_results(op, volume, args.order, args.sign)
+    report = _signed_report(op, volume, args.order, args.sign)
+    table = _instantons(report, volume)
     if args.format == "json":
         sys.stdout.write(jsonio.dumps(jsonio.table_to_obj(table)))
         return 0
@@ -167,7 +173,7 @@ def _cmd_instantons(args) -> int:
 def _cmd_normal_form(args) -> int:
     op = picard_fuchs.parse_pf(_read_input(args.input))
     volume = _parse_volume(args.volume)
-    report, _ = _signed_results(op, volume, args.order, args.sign)
+    report = _signed_report(op, volume, args.order, args.sign)
     if args.format == "json":
         sys.stdout.write(jsonio.dumps(jsonio.report_to_obj(report)))
         return 0

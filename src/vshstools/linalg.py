@@ -12,10 +12,12 @@ Gaussian-integer rows over a single common denominator, its zero
 entries dropped (`Lifted`); products accumulate plain ints over one
 denominator (`Accumulator`), and each entry of the result is normalized
 once, when it is lowered back to Scalar (Knuth, TAOCP Vol. 2, 4.5.1).
+`lift_vector` is the rank-1 lift that the series arithmetic builds on.
 """
 from __future__ import annotations
 
 from math import gcd, lcm
+from typing import Sequence
 
 from .scalars import ONE, ZERO, Scalar, _norm
 
@@ -108,6 +110,25 @@ class Lifted:
         acc = Accumulator(len(self.rows), other.cols)
         acc.add_product(self, other)
         return acc.lower()
+
+
+def lift_vector(v: Sequence[Scalar]
+                ) -> tuple[int, list[int], list[int] | None]:
+    """The rank-1 Lifted: v over the lcm of its entries' denominators.
+
+    Returns (den, re, im) with v[k] = (re[k] + im[k] i) / den; im is None
+    when every entry is real.  Zero entries stay in place, so the lists
+    are as long as v.
+    """
+    abd = [x._abd for x in v]
+    den = lcm(*[d for _, _, d in abd])
+    if den == 1:
+        re = [a for a, _, _ in abd]
+        im = [b for _, b, _ in abd]
+    else:
+        re = [a * (den // d) for a, _, d in abd]
+        im = [b * (den // d) for _, b, d in abd]
+    return den, re, im if any(im) else None
 
 
 class Accumulator:

@@ -5,6 +5,14 @@ Binary operations truncate to the smaller operand order, so precision
 never silently inflates.  Everything is exact; there is no floating
 point anywhere and results are bit-identical across runs.
 
+Products, inverses, exp, composition and reversion run on the integer
+kernel of linalg in rank 1: each factor is lifted once to Gaussian-integer
+numerators over one common denominator (linalg.lift_vector), each output
+coefficient is a plain int dot product, normalized once.  Reversion is
+Lagrange inversion by the baby-step giant-step method (Brent and Kung,
+JACM 25, 1978; Johansson, Math. Comp. 84, 2015): about 2 sqrt(n) series
+products and n dot products instead of n - 2 products.
+
 SeriesMatrix is a dense rectangular matrix of Series sharing one
 truncation order, stored coefficient-major as one scalar matrix per
 q-order: products are convolutions of those matrices, each output
@@ -14,13 +22,17 @@ works on them directly.
 """
 from __future__ import annotations
 
+from math import isqrt, lcm
+from operator import add, mul
 from typing import Callable, Iterable, Sequence, Union
 
 from . import linalg
-from .linalg import Accumulator, Lifted
-from .scalars import ONE, ZERO, Scalar, ScalarLike
+from .linalg import Accumulator, Lifted, lift_vector
+from .scalars import ONE, ZERO, Scalar, ScalarLike, _norm
 
 ScalarMatrix = list[list[Scalar]]
+# a lifted vector (den, re, im) from linalg.lift_vector; im None when real
+LiftedVector = tuple[int, list[int], Union[list[int], None]]
 
 
 class SeriesError(ValueError):
@@ -51,6 +63,104 @@ def _coerce(value) -> Scalar:
     return value if isinstance(value, Scalar) else Scalar(value)
 
 
+def _dot(a: LiftedVector, sa: slice, b: LiftedVector,
+         sb: slice) -> tuple[int, int]:
+    """The numerator (re, im) of sum a[k] b[k'] over two equally long
+    slices, over the denominator a[0] * b[0]."""
+    _, ar, ai = a
+    _, br, bi = b
+    re = sum(map(mul, ar[sa], br[sb]))
+    im = 0
+    if ai is not None:
+        im = sum(map(mul, ai[sa], br[sb]))
+        if bi is not None:
+            re -= sum(map(mul, ai[sa], bi[sb]))
+    if bi is not None:
+        im += sum(map(mul, ar[sa], bi[sb]))
+    return re, im
+
+
+def _reversed(a: LiftedVector) -> LiftedVector:
+    den, re, im = a
+    return den, re[::-1], None if im is None else im[::-1]
+
+
+def _lead(a: LiftedVector) -> int:
+    """Index of the first nonzero entry; the length if there is none."""
+    _, re, im = a
+    n = len(re)
+    k = next((i for i, x in enumerate(re) if x), n)
+    if im is not None:
+        k = min(k, next((i for i, x in enumerate(im) if x), n))
+    return k
+
+
+def _product(a: LiftedVector, b: LiftedVector) -> LiftedVector:
+    """The product of two lifted series of one length n, to n terms:
+    one dot product per output coefficient, past both leading zeros."""
+    n = len(a[1])
+    va, vb = _lead(a), _lead(b)
+    rev = _reversed(b)
+    re = [0] * n
+    im = [0] * n
+    for k in range(va + vb, n):
+        re[k], im[k] = _dot(a, slice(va, k - vb + 1),
+                            rev, slice(n - 1 - k + va, n - vb))
+    real = a[2] is None and b[2] is None
+    return a[0] * b[0], re, None if real else im
+
+
+def _lower(a: LiftedVector) -> list[Scalar]:
+    """A lifted vector as Scalars, one normalization per nonzero entry."""
+    den, re, im = a
+    if im is None:
+        return [_norm(x, 0, den) if x else ZERO for x in re]
+    return [_norm(x, y, den) if x or y else ZERO for x, y in zip(re, im)]
+
+
+def _split(a: LiftedVector, n: int) -> list[LiftedVector]:
+    """A lifted concatenation of series of n terms each, cut apart."""
+    den, re, im = a
+    return [(den, re[k:k + n], None if im is None else im[k:k + n])
+            for k in range(0, len(re), n or 1)]
+
+
+def _recurrence(w: LiftedVector, first: Scalar,
+                factor: Callable[[int], tuple[int, int, int]]
+                ) -> list[Scalar]:
+    """b_0 = first and b_k = f_k sum_(j=1..k) w_j b_(k-j) for k < len(w),
+    where factor(k) is the triple (p, q, r) of f_k = (p + q i)/r.
+
+    b is kept lifted over the lcm of the denominators so far, rescaled
+    when a new one joins, so each b_k is one dot product against the
+    reversed w and one normalization.
+    """
+    n = len(w[1])
+    w_rev = _reversed(w)
+    out = [first]
+    x, y, den_b = first._abd
+    re_b, im_b = [x], [y]
+    real = not y
+    for k in range(1, n):
+        s_re, s_im = _dot((den_b, re_b, None if real else im_b),
+                          slice(0, k), w_rev, slice(n - 1 - k, n - 1))
+        p, q, r = factor(k)
+        b = _norm(p * s_re - q * s_im, p * s_im + q * s_re, r * w[0] * den_b)
+        out.append(b)
+        x, y, d = b._abd
+        if den_b % d:
+            new = lcm(den_b, d)
+            f = new // den_b
+            re_b = [v * f for v in re_b]
+            im_b = [v * f for v in im_b]
+            den_b = new
+        f = den_b // d
+        re_b.append(x * f)
+        im_b.append(y * f)
+        real = real and not y
+    return out
+
+
 class Series:
     __slots__ = ("coeffs", "order")
 
@@ -64,6 +174,14 @@ class Series:
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
+
+    @staticmethod
+    def _make(coeffs: Iterable[Scalar], order: int) -> "Series":
+        """The series of exactly `order` Scalars, taken as they are."""
+        s = _new(Series)
+        _set_coeffs(s, tuple(coeffs))
+        _set_order(s, order)
+        return s
 
     # -- constructors ----------------------------------------------------
 
@@ -109,21 +227,21 @@ class Series:
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return Series(self.coeffs[:order], order)
+        return Series._make(self.coeffs[:order], order)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other) -> "Series":
         if isinstance(other, Series):
             n = min(self.order, other.order)
-            return Series(
+            return Series._make(
                 (self.coeffs[k] + other.coeffs[k] for k in range(n)), n)
         return self + Series.constant(other, self.order)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
-        return Series((-c for c in self.coeffs), self.order)
+        return Series._make((-c for c in self.coeffs), self.order)
 
     def __sub__(self, other) -> "Series":
         return self + (-other if isinstance(other, Series)
@@ -135,36 +253,24 @@ class Series:
     def __mul__(self, other) -> "Series":
         if isinstance(other, Series):
             n = min(self.order, other.order)
-            out = [ZERO] * n
-            for i in range(n):
-                a = self.coeffs[i]
-                if a.is_zero():
-                    continue
-                for j in range(n - i):
-                    b = other.coeffs[j]
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-            return Series(out, n)
+            return Series._make(_lower(_product(
+                lift_vector(self.coeffs[:n]), lift_vector(other.coeffs[:n]))),
+                n)
         c = _coerce(other)
-        return Series((c * x for x in self.coeffs), self.order)
+        return Series._make((c * x for x in self.coeffs), self.order)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Series":
-        """Multiplicative inverse by the usual order-by-order recurrence."""
+        """Multiplicative inverse by the order-by-order recurrence
+        b_k = -b_0 sum_(j=1..k) a_j b_(k-j)."""
         a0 = self.at0()
         if a0.is_zero():
             raise ZeroConstantTerm("cannot invert a series with a(0) = 0")
         inv0 = a0.inverse()
-        out = [inv0]
-        for k in range(1, self.order):
-            s = ZERO
-            for j in range(1, k + 1):
-                aj = self.coeffs[j]
-                if not aj.is_zero():
-                    s = s + aj * out[k - j]
-            out.append(-inv0 * s)
-        return Series(out, self.order)
+        p, q, r = inv0._abd
+        return Series._make(_recurrence(lift_vector(self.coeffs), inv0,
+                                        lambda k: (-p, -q, r)), self.order)
 
     def __truediv__(self, other) -> "Series":
         if isinstance(other, Series):
@@ -181,9 +287,13 @@ class Series:
     def reverse(self) -> "Series":
         """Compositional inverse g with f(g) = q modulo q^order.
 
-        Lagrange inversion: [q^m] g = (1/m) [q^(m-1)] (q/f)^m.  One
-        series inverse of f/q and n - 2 products of it, O(n^3) scalar
-        operations in all.
+        Lagrange inversion, [q^m] g = (1/m) [q^(m-1)] h^m for h = q/f and
+        m < n, by baby steps and giant steps: with b = isqrt(n - 1), the
+        powers h^0 .. h^(b-1) and (h^b)^0 .. (h^b)^((n-1) div b) are each
+        lifted once, and [q^(m-1)] h^m is the integer dot product of
+        h^(m mod b) with (h^b)^(m div b).  That is b + (n-1) div b - 2
+        series products, about 2 sqrt(n), where one product per m would
+        be n - 2.
         """
         n = self.order
         if n >= 1 and not self.coeffs[0].is_zero():
@@ -192,13 +302,24 @@ class Series:
             raise NotReversible("reversion requires f'(0) != 0")
         if n <= 1:
             return Series.zero(n)
-        q_over_f = Series(self.coeffs[1:], n - 1).inverse()
-        g = [ZERO, q_over_f.coeffs[0]]
-        power = q_over_f
-        for m in range(2, n):
-            power = power * q_over_f
-            g.append(power.coeffs[m - 1] / Scalar(m))
-        return Series(g, n)
+        last = n - 1  # g_1 .. g_last are computed
+        h = Series._make(self.coeffs[1:], last).inverse()
+        b = isqrt(last)
+        baby = [Series.one(last), h]
+        for _ in range(b - 1):
+            baby.append(baby[-1] * h)
+        step = baby.pop()  # h^b
+        giant = [Series.one(last), step]
+        for _ in range(last // b - 1):
+            giant.append(giant[-1] * step)
+        baby_l = [lift_vector(s.coeffs) for s in baby]
+        giant_l = [_reversed(lift_vector(s.coeffs)) for s in giant]
+        g = [ZERO]
+        for m in range(1, n):
+            x, y = baby_l[m % b], giant_l[m // b]
+            re, im = _dot(x, slice(0, m), y, slice(last - m, last))
+            g.append(_norm(re, im, x[0] * y[0] * m))
+        return Series._make(g, n)
 
     # -- exp / log / theta -----------------------------------------------
 
@@ -207,16 +328,12 @@ class Series:
             return Series.zero(0)
         if not self.coeffs[0].is_zero():
             raise BadConstantTerm("exp requires a(0) = 0")
-        out = [ONE] + [ZERO] * (self.order - 1)
         # k b_k = sum_{j=1..k} j a_j b_{k-j}
-        for k in range(1, self.order):
-            s = ZERO
-            for j in range(1, k + 1):
-                aj = self.coeffs[j]
-                if not aj.is_zero():
-                    s = s + Scalar(j) * aj * out[k - j]
-            out[k] = s / Scalar(k)
-        return Series(out, self.order)
+        den, re, im = lift_vector(self.coeffs)
+        w = (den, [j * x for j, x in enumerate(re)],
+             None if im is None else [j * y for j, y in enumerate(im)])
+        return Series._make(_recurrence(w, ONE, lambda k: (1, 0, k)),
+                            self.order)
 
     def log(self) -> "Series":
         if self.order == 0:
@@ -228,8 +345,8 @@ class Series:
 
     def theta(self) -> "Series":
         """q d/dq."""
-        return Series((Scalar(k) * c for k, c in enumerate(self.coeffs)),
-                      self.order)
+        return Series._make(
+            (Scalar(k) * c for k, c in enumerate(self.coeffs)), self.order)
 
     def theta_inverse(self) -> "Series":
         """The antiderivative for q d/dq with zero constant term."""
@@ -238,7 +355,7 @@ class Series:
         out = [ZERO]
         for k in range(1, self.order):
             out.append(self.coeffs[k] / Scalar(k))
-        return Series(out, self.order)
+        return Series._make(out[:self.order], self.order)
 
     def dilate(self, c: ScalarLike) -> "Series":
         """Substitute q -> c*q."""
@@ -248,7 +365,7 @@ class Series:
         for a in self.coeffs:
             out.append(power * a)
             power = power * cc
-        return Series(out, self.order)
+        return Series._make(out, self.order)
 
     # -- comparison and text ---------------------------------------------
 
@@ -286,6 +403,10 @@ class Series:
         return f"Series({[str(c) for c in self.coeffs]}, order={self.order})"
 
 
+_new = object.__new__
+_set_coeffs = Series.coeffs.__set__
+_set_order = Series.order.__set__
+
 SeriesLike = Union[Series, Scalar, int]
 
 
@@ -293,11 +414,13 @@ class PowerTable:
     """The powers 1, g, ..., g^(n-1) of an inner series g with g(0) = 0.
 
     Built once, it composes any number of outer series with g: f(g) is
-    the sum of f_k g^k, one scalar multiply-add per coefficient pair,
-    where a Horner pass would take n series products per outer series.
+    the sum of f_k g^k, where a Horner pass would take n series products
+    per outer series.  Column j of the table, the q^j coefficients of
+    g^0 .. g^j (g^k vanishes below q^k), is lifted once, so coefficient
+    j of f(g) is one integer dot product.
     """
 
-    __slots__ = ("powers", "order")
+    __slots__ = ("powers", "order", "_columns")
 
     def __init__(self, inner: Series):
         n = inner.order
@@ -308,6 +431,9 @@ class PowerTable:
             powers.append(powers[-1] * inner)
         object.__setattr__(self, "powers", tuple(powers))
         object.__setattr__(self, "order", n)
+        object.__setattr__(self, "_columns", [
+            lift_vector([p.coeffs[j] for p in powers[:j + 1]])
+            for j in range(n)])
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerTable is immutable")
@@ -315,17 +441,12 @@ class PowerTable:
     def compose(self, outer: Series) -> Series:
         """outer(g) modulo q^min(outer.order, g.order)."""
         n = min(outer.order, self.order)
-        out = [ZERO] * n
-        for k in range(n):
-            c = outer.coeffs[k]
-            if c.is_zero():
-                continue
-            pk = self.powers[k].coeffs
-            for j in range(k, n):  # g^k vanishes below q^k
-                x = pk[j]
-                if not x.is_zero():
-                    out[j] = out[j] + c * x
-        return Series(out, n)
+        f = lift_vector(outer.coeffs[:n])
+        out = []
+        for j, col in enumerate(self._columns[:n]):
+            re, im = _dot(f, slice(0, j + 1), col, slice(0, j + 1))
+            out.append(_norm(re, im, f[0] * col[0]))
+        return Series._make(out, n)
 
 
 def _shape(entries: Sequence[Sequence]) -> tuple[int, int]:
@@ -521,21 +642,25 @@ class SeriesMatrix:
             [linalg.transpose(a) for a in self.coeffs], self.cols, self.rows)
 
     def apply(self, vec: Sequence[Series]) -> list[Series]:
+        """The column of series sum_j A_ij v_j.  The v_j are lifted over
+        one denominator, the entries of each row over another, so each
+        output coefficient is one integer sum, normalized once."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         n = min(self.order, min(v.order for v in vec))
-        out = [[ZERO] * n for _ in range(self.rows)]
-        for t in range(n):
-            for row, acc in zip(self.coeffs[t], out):
-                for x, v in zip(row, vec):
-                    if x.is_zero():
-                        continue
-                    vc = v.coeffs
-                    for k in range(t, n):
-                        y = vc[k - t]
-                        if not y.is_zero():
-                            acc[k] = x * y + acc[k]
-        return [Series(acc, n) for acc in out]
+        lv = _split(lift_vector([x for v in vec for x in v.coeffs[:n]]), n)
+        out = []
+        for i in range(self.rows):
+            row = _split(lift_vector([m[i][j] for j in range(self.cols)
+                                      for m in self.coeffs[:n]]), n)
+            den, re, im = 1, [0] * n, None
+            for a, v in zip(row, lv):
+                den, p_re, p_im = _product(a, v)
+                re = list(map(add, re, p_re))
+                if p_im is not None:
+                    im = p_im if im is None else list(map(add, im, p_im))
+            out.append(Series._make(_lower((den, re, im)), n))
+        return out
 
     def theta_entries(self) -> "SeriesMatrix":
         return self._like([linalg.mat_scale(m, Scalar(k))

@@ -373,9 +373,8 @@ class NormalFormReport:
 
 
 def gauge_transform(b: SeriesMatrix, g: SeriesMatrix) -> SeriesMatrix:
-    """Connection matrix in the frame g: g^-1 b g - g^-1 (theta g)."""
-    g_inv = g.inverse()
-    return g_inv * (b * g) - g_inv * g.theta_entries()
+    """Connection matrix in the frame g: g^-1 (b g - theta g)."""
+    return g.inverse() * (b * g - g.theta_entries())
 
 
 def _support(m: SeriesMatrix) -> set[tuple[int, int]]:
@@ -512,52 +511,49 @@ def _split_in_flat_gauge(g: GeometricVHS, u: SeriesMatrix
     if linalg.try_inverse(p0) is None:
         raise NotHodgeTate("assembled frame is singular at q = 0")
 
-    t_coeffs = u.scalar_right_mul(p0).coeffs
-
-    # columns of the output, as coefficient vectors per q-order
-    out_cols: list[list[Vector]] = []
-    solver_cache: dict[int, tuple[list[int], list[int], Matrix]] = {}
-    for j in range(dim):
-        pj = col_levels[j]
-        if pj not in solver_cache:
-            low_rows = [i for i in range(dim) if g.levels2[i] < pj]
-            low_cols = [c for c in range(dim) if col_levels[c] < pj]
-            if len(low_rows) != len(low_cols):
-                raise NotHodgeTate("flag and splitting sizes disagree")
-            s_inv: Matrix | None = None
-            if low_rows:
-                s = [[p0[i][c] for c in low_cols] for i in low_rows]
-                s_inv = linalg.try_inverse(s)
-                if s_inv is None:
-                    raise NotHodgeTate(
-                        f"transversality fails below level {pj}")
-            solver_cache[pj] = (low_rows, low_cols, s_inv)
-        low_rows, low_cols, s_inv = solver_cache[pj]
-
-        # z holds piece-frame coordinates per q-order
-        z: list[Vector] = [[ONE if c == j else ZERO for c in range(dim)]]
-        for m in range(1, order):
-            zm = [ZERO] * dim
-            if low_rows:
-                rhs = []
-                for i in low_rows:
-                    s_val = ZERO
-                    for l in range(1, m + 1):
-                        row = t_coeffs[l][i]
-                        prev = z[m - l]
-                        for c in range(dim):
-                            if not prev[c].is_zero():
-                                s_val = s_val + row[c] * prev[c]
-                    rhs.append(-s_val)
-                corr = linalg.mat_vec(s_inv, rhs)
-                for idx, c in enumerate(low_cols):
-                    zm[c] = corr[idx]
-            z.append(zm)
-        out_cols.append([linalg.mat_vec(p0, zk) for zk in z])
-
-    p_series = SeriesMatrix.from_coefficients(
-        [[[out_cols[j][k][i] for j in range(dim)] for i in range(dim)]
-         for k in range(order)], dim, dim)
+    # Column j of P is p0 z with z(0) = e_j, where U p0 z must vanish in
+    # the rows below level p_j and z moves only the columns below p_j:
+    # Z_m = -S^-1 sum_(l=1..m) T_l[low rows] Z_(m-l) with T = U p0 and
+    # S = p0[low rows, low cols], solved for the columns of one level at
+    # once.  Levels are walked in column order, so the first failing
+    # column raises.
+    t_lifted = u.scalar_right_mul(p0)._lifted()
+    p0_lifted = Lifted.of(p0)
+    p_coeffs = [linalg.zeros(dim, dim) for _ in range(order)]
+    for level in sorted(set(col_levels), reverse=True):
+        cols = [c for c in range(dim) if col_levels[c] == level]
+        low_rows = [i for i in range(dim) if g.levels2[i] < level]
+        low_cols = [c for c in range(dim) if col_levels[c] < level]
+        if len(low_rows) != len(low_cols):
+            raise NotHodgeTate("flag and splitting sizes disagree")
+        zs = [Lifted.of([[ONE if c == j else ZERO for j in cols]
+                         for c in range(dim)])]
+        if low_rows:
+            s_inv = linalg.try_inverse(
+                [[p0[i][c] for c in low_cols] for i in low_rows])
+            if s_inv is None:
+                raise NotHodgeTate(
+                    f"transversality fails below level {level}")
+            # -S^-1 placed at the rows of the low columns
+            neg_s_inv = linalg.zeros(dim, len(low_rows))
+            for row, c in zip(s_inv, low_cols):
+                neg_s_inv[c] = [-x for x in row]
+            solve = Lifted.of(neg_s_inv)
+            t_low = [Lifted(t.den, [t.rows[i] for i in low_rows], dim)
+                     for t in t_lifted]
+            for m in range(1, order):
+                rhs = Accumulator(len(low_rows), len(cols))
+                for l in range(1, m + 1):
+                    rhs.add_product(t_low[l], zs[m - l])
+                z = Accumulator(dim, len(cols))
+                z.add_product(solve, rhs.lifted())
+                zs.append(z.lifted())
+        for k, z in enumerate(zs):  # Z_m = 0 when no row lies below
+            block = p0_lifted.times(z)
+            for row, block_row in zip(p_coeffs[k], block):
+                for c, x in zip(cols, block_row):
+                    row[c] = x
+    p_series = SeriesMatrix.from_coefficients(p_coeffs, dim, dim)
 
     # paranoia: each column must actually lie in its flag step
     frame = u * p_series
@@ -747,8 +743,8 @@ def _solve_pairing0(a0: Matrix, degrees: Sequence[int],
     rows: list[Vector] = []
     a0t = linalg.transpose(a0)
     for s in range(len(slots)):
-        basis_vals = [ONE if t == s else ZERO for t in range(len(slots))]
-        m = assemble(basis_vals)
+        unit = [ONE if t == s else ZERO for t in range(len(slots))]
+        m = assemble(unit)
         res = linalg.mat_add(linalg.mat_mul(a0t, m), linalg.mat_mul(m, a0))
         rows.append([res[i][j] for i in range(dim) for j in range(dim)])
     coeff_matrix = [[rows[s][e] for s in range(len(slots))]

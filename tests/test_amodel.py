@@ -10,7 +10,8 @@ from random import Random
 import pytest
 
 from vshstools.amodel import (CohomologyInput, HardLefschetzFailure,
-                              InstantonTable, UnitNotPreserved, ZeroVolume,
+                              InstantonTable, UnitNotPreserved,
+                              UnsupportedDimension, ZeroVolume,
                               build_amodel_dn, g_from_instantons,
                               instantons_from_g)
 from vshstools.picard_fuchs import bmodel_pipeline, parse_pf
@@ -165,3 +166,56 @@ def test_betti_validation():
         build_amodel_dn(CohomologyInput(
             n=1, betti={0: 1, 2: 1}, intersection=[[ZERO]],
             quantum_mult=SeriesMatrix.zeros(2, 2, 4)))
+
+
+# --- fourfolds: the entry from degree -2 to 0, multiple-cover weight d^2
+
+SEXTIC_FOURFOLD = ("theta^5 - 6*q*(6*theta+1)*(6*theta+2)*(6*theta+3)"
+                   "*(6*theta+4)*(6*theta+5)")
+# computed by this package at order 8 (a regression pin, not quoted from
+# the literature); every one is an integer
+SEXTIC_FOURFOLD_N = (60480, 440884080, 6255156277440, 117715791990353760,
+                     2591176156368821985600, 63022367592536650014764880,
+                     1642558496795158117310144372160)
+
+
+def test_sextic_fourfold_instantons_and_amodel():
+    report, table = bmodel_pipeline(parse_pf(SEXTIC_FOURFOLD), Scalar(6),
+                                    order=8)
+    assert table.suspect == ()
+    assert table.entries == {d: Scalar(v)
+                             for d, v in enumerate(SEXTIC_FOURFOLD_N, 1)}
+    g = g_from_instantons(table, Scalar(6), 8, n=4)
+    one, zero = Series.one(8), Series.zero(8)
+    quantum = SeriesMatrix([[one if (i, j) in ((1, 0), (4, 3)) else
+                             g if i == j + 1 else zero for j in range(5)]
+                            for i in range(5)])
+    intersection = [[Scalar(6) if i + j == 4 else ZERO for j in range(5)]
+                    for i in range(5)]
+    built = build_amodel_dn(CohomologyInput(
+        n=4, betti={0: 1, 2: 1, 4: 1, 6: 1, 8: 1},
+        intersection=intersection, quantum_mult=quantum))
+    assert built == report.dn
+
+
+def test_fourfold_weight_roundtrip():
+    table = InstantonTable(max_degree=5, entries={1: Scalar(3),
+                                                  2: Scalar(-4)})
+    g = g_from_instantons(table, Scalar(2), 6, n=4)
+    # 1 + (1/2)(3 (q + q^2 + ...) + 2^2 (-4) (q^2 + q^4))
+    assert g.coeffs[:3] == (ONE, Scalar(Fraction(3, 2)),
+                            Scalar(Fraction(-13, 2)))
+    assert instantons_from_g(g, Scalar(2), n=4) == table
+
+
+def test_dimension_five_and_up_is_refused():
+    with pytest.raises(UnsupportedDimension):
+        instantons_from_g(Series.one(4), Scalar(1), n=5)
+    with pytest.raises(UnsupportedDimension):
+        g_from_instantons(InstantonTable(max_degree=3), Scalar(1), 4, n=6)
+
+
+def test_k3_has_no_instantons():
+    _, table = bmodel_pipeline(parse_pf("theta^3 - 8*q*(2*theta+1)^3"),
+                               Scalar(5), order=8)
+    assert table.entries == {}

@@ -343,6 +343,8 @@ def test_negative_decimal_rejected_before_output(capsys):
     ("theta^4 - 5*q^100000000*(5*theta+1)", "MAX_EXPONENT"),
     ("(theta^64)^64 - q", "MAX_DEGREE"),
     ("theta^4 - 5*q^40*q^40", "MAX_DEGREE"),
+    ("theta^48", "MAX_THETA_ORDER"),
+    ('{"coeffs": [%s"1"]}' % ('"0", ' * 25), "MAX_THETA_ORDER"),
 ])
 def test_operator_size_limits_exit_two(text, limit, tmp_path, capsys):
     path = tmp_path / "big.pf.txt"
@@ -361,9 +363,33 @@ def test_order_limit_exit_two(capsys):
     assert err.count("\n") == 1
 
 
+def test_instantons_by_dimension(tmp_path, capsys):
+    fourfold = tmp_path / "sextic4.pf.txt"
+    fourfold.write_text("theta^5 - 6*q*(6*theta+1)*(6*theta+2)*(6*theta+3)"
+                        "*(6*theta+4)*(6*theta+5)\n")
+    code, out, _ = run(capsys, ["instantons", "--input", str(fourfold),
+                                "--volume", "6", "--order", "6"])
+    assert code == 0
+    assert "d=1     60480\n" in out and "not an integer" not in out
+    k3 = tmp_path / "k3.pf.txt"
+    k3.write_text("theta^3 - 8*q*(2*theta+1)^3\n")
+    code, out, _ = run(capsys, ["instantons", "--input", str(k3)])
+    assert code == 0 and "(all zero)" in out
+    fivefold = tmp_path / "five.pf.txt"
+    fivefold.write_text("theta^6 - q*(theta+1)^6\n")
+    code, out, err = run(capsys, ["instantons", "--input", str(fivefold),
+                                  "--order", "4"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "dimension 5" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("order, digest", [
     (16, "7d604c497e25f1287e3d5228dbfd54834ca8f4fef1d1af5cd0e14d66971e3f4e"),
     (24, "44b0220257f64eae0921ab8c00978899366ebee8cee25d53cdc224d76080a1fe"),
+    (32, "4b34a7ad77229d470d083ceb60e15f7a1621c606f93bbf2e7b695a08ca180b41"),
+    (64, "0f023c4f8225f6657ac41eed6c8fd16985ddfd03f4a437b22a7c1b044336c9cb"),
+    (128, "69471c476896edf8759e45197e547dd4ea05bec4596b1633adbcf98e38d20403"),
 ])
 def test_pipeline_json_bytes_pinned(order, digest, capsys):
     code, out, _ = run(capsys, ["pipeline", "--input", QUINTIC,

@@ -5,6 +5,7 @@ coefficient-major SeriesMatrix against entrywise Series arithmetic."""
 import operator
 from fractions import Fraction
 from functools import reduce
+from math import isqrt
 from pathlib import Path
 
 from hypothesis import assume, given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from vshstools import linalg, picard_fuchs, vshs
 from vshstools.scalars import ZERO, Scalar
-from vshstools.series import Series, SeriesMatrix
+from vshstools.series import PowerTable, Series, SeriesMatrix
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -230,3 +231,165 @@ def test_entries_survive_the_coefficient_storage(a):
     assert m == rebuilt and m.at0() == rebuilt.at0()
     assert all(m.entry(i, j) == a[i][j]
                for i in range(m.rows) for j in range(m.cols))
+
+
+# --- the integer kernel of Series against per-term Scalar references ------
+#
+# The references are the schoolbook loops the kernel replaced: one Scalar
+# product and one Scalar sum per term, normalized every time.
+
+def ref_mul(a, b):
+    n = min(a.order, b.order)
+    out = [ZERO] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
+    return Series(out, n)
+
+
+def ref_inverse(a):
+    inv0 = a.coeffs[0].inverse()
+    out = [inv0]
+    for k in range(1, a.order):
+        s = ZERO
+        for j in range(1, k + 1):
+            s = s + a.coeffs[j] * out[k - j]
+        out.append(-inv0 * s)
+    return Series(out, a.order)
+
+
+def ref_exp(a):
+    out = [Scalar(1)] + [ZERO] * (a.order - 1)
+    for k in range(1, a.order):
+        s = ZERO
+        for j in range(1, k + 1):
+            s = s + Scalar(j) * a.coeffs[j] * out[k - j]
+        out[k] = s / Scalar(k)
+    return Series(out[:a.order], a.order)
+
+
+def ref_compose(outer, inner):
+    n = min(outer.order, inner.order)
+    out = Series.zero(n)
+    power = Series.one(n)
+    for k in range(n):
+        out = out + Series([outer.coeffs[k] * x for x in power.coeffs], n)
+        power = ref_mul(power, inner.truncate(n))
+    return out
+
+
+def ref_reverse(f):
+    """Lagrange inversion with one reference product per coefficient."""
+    n = f.order
+    if n <= 1:
+        return Series.zero(n)
+    h = ref_inverse(Series(f.coeffs[1:], n - 1))
+    g = [ZERO]
+    power = Series.one(n - 1)
+    for m in range(1, n):
+        power = ref_mul(power, h)
+        g.append(power.coeffs[m - 1] / Scalar(m))
+    return Series(g, n)
+
+
+def ref_apply(entries, vec):
+    n = min([entries[0][0].order] + [v.order for v in vec])
+    return [_sum([ref_mul(e.truncate(n), v.truncate(n))
+                  for e, v in zip(row, vec)]) for row in entries]
+
+
+# mixed denominators, Gaussian entries and runs of zero coefficients;
+# orders 0 to 4 are the step-size edge cases of the reversion
+kernel_orders = st.one_of(st.integers(0, 4), st.integers(5, 20))
+kernel_rationals = st.builds(Fraction, st.integers(-40, 40),
+                             st.sampled_from((1, 2, 3, 4, 6, 9, 35, 128)))
+kernel_scalars = st.one_of(
+    st.just(ZERO),
+    st.builds(Scalar, kernel_rationals),
+    st.builds(Scalar, kernel_rationals, kernel_rationals))
+
+
+@st.composite
+def kernel_series(draw, order=None, vanishing=False, unit=False):
+    n = draw(kernel_orders) if order is None else order
+    coeffs = []
+    while len(coeffs) < n:
+        run = draw(st.integers(1, 4))
+        c = draw(kernel_scalars)
+        coeffs.extend([c] * run if c.is_zero() else [c])
+    coeffs = coeffs[:n]
+    if n and vanishing:
+        coeffs[0] = ZERO
+    if n > 1 and vanishing and unit:
+        coeffs[1] = draw(kernel_scalars.filter(lambda x: not x.is_zero()))
+    if n and unit and not vanishing:
+        coeffs[0] = draw(kernel_scalars.filter(lambda x: not x.is_zero()))
+    return Series(coeffs, n)
+
+
+KERNEL = settings(max_examples=60, deadline=None)
+
+
+@KERNEL
+@given(kernel_series(), st.data())
+def test_kernel_product_matches_reference(a, data):
+    b = data.draw(kernel_series(order=data.draw(kernel_orders)))
+    assert a * b == ref_mul(a, b)
+    assert a * a == ref_mul(a, a)
+
+
+@KERNEL
+@given(kernel_series(unit=True).filter(lambda s: s.order > 0))
+def test_kernel_inverse_matches_reference(a):
+    assert a.inverse() == ref_inverse(a)
+
+
+@KERNEL
+@given(kernel_series(vanishing=True))
+def test_kernel_exp_matches_reference(a):
+    assert a.exp() == ref_exp(a)
+
+
+@KERNEL
+@given(kernel_series(vanishing=True, unit=True))
+def test_kernel_reverse_matches_reference(f):
+    assert f.reverse() == ref_reverse(f)
+
+
+@KERNEL
+@given(kernel_series(vanishing=True), st.data())
+def test_kernel_compose_matches_reference(inner, data):
+    table = PowerTable(inner)
+    for _ in range(2):
+        outer = data.draw(kernel_series(order=data.draw(kernel_orders)))
+        assert table.compose(outer) == ref_compose(outer, inner)
+
+
+@KERNEL
+@given(st.data())
+def test_kernel_apply_matches_reference(data):
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    order = data.draw(kernel_orders)
+    entries = [[data.draw(kernel_series(order=order)) for _ in range(cols)]
+               for _ in range(rows)]
+    vec = [data.draw(kernel_series(order=data.draw(kernel_orders)))
+           for _ in range(cols)]
+    assert SeriesMatrix(entries).apply(vec) == ref_apply(entries, vec)
+
+
+def test_reverse_makes_about_two_sqrt_n_products(monkeypatch):
+    order = 64
+    f = Series([ZERO] + [Scalar(Fraction((-1) ** k * k, k % 3 + 1))
+                         for k in range(1, order)], order)
+    calls = []
+    product = Series.__mul__
+
+    def counting(a, b):
+        calls.append(b)
+        return product(a, b)
+
+    monkeypatch.setattr(Series, "__mul__", counting)
+    g = f.reverse()
+    monkeypatch.undo()
+    assert len(calls) <= 2 * isqrt(order - 1) + 2
+    assert f.compose(g) == Series.coordinate(order)

@@ -9,8 +9,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vshstools import linalg, vshs
+from vshstools import linalg, nilpotent, vshs
 from vshstools.scalars import ONE, ZERO, Scalar
 from vshstools.series import Series, SeriesMatrix
 from vshstools.vshs import (DegreeViolation, DnObject, GeometricVHS,
@@ -21,6 +23,7 @@ from vshstools.vshs import (DegreeViolation, DnObject, GeometricVHS,
                             ZeroScalar, canonical_coordinate, extend_pairing,
                             formal_flat_gauge, from_normal_form,
                             gauge_transform, geometric_to_rees,
+                            hodge_tate_split,
                             rees_to_geometric, rescale_coordinate,
                             to_canonical_connection, to_normal_form,
                             verify_prevhs, yukawa)
@@ -172,6 +175,62 @@ def test_not_hodge_tate():
     with pytest.raises(NotHodgeTate):
         to_canonical_connection(
             GeometricVHS(conn=b, levels2=(1, -1), pairing=None, parity=1))
+
+
+def ref_split(g):
+    """hodge_tate_split by the per-column recurrence of Scalar sums that
+    the level-at-once kernel solve replaced: z_m below the level of
+    column j is -S^-1 sum_l (U p0)_l z_(m-l) on the rows below it."""
+    dim, order = g.rank, g.order
+    u = formal_flat_gauge(g.conn)
+    flag = {level: [[ONE if i == j else ZERO for i in range(dim)]
+                    for j in range(dim) if g.levels2[j] >= level]
+            for level in set(g.levels2)}
+    pieces = nilpotent.graded_splitting(g.conn.at0(), flag)
+    col_levels = [lv for lv in sorted(pieces, reverse=True)
+                  for _ in pieces[lv]]
+    p0_cols = [v for lv in sorted(pieces, reverse=True) for v in pieces[lv]]
+    p0 = [[p0_cols[j][i] for j in range(dim)] for i in range(dim)]
+    t = u.scalar_right_mul(p0).coeffs
+    cols = []
+    for j in range(dim):
+        low_rows = [i for i in range(dim) if g.levels2[i] < col_levels[j]]
+        low_cols = [c for c in range(dim) if col_levels[c] < col_levels[j]]
+        z = [[ONE if c == j else ZERO for c in range(dim)]]
+        for m in range(1, order):
+            zm = [ZERO] * dim
+            if low_rows:
+                s_inv = linalg.inverse([[p0[i][c] for c in low_cols]
+                                        for i in low_rows])
+                rhs = []
+                for i in low_rows:
+                    s_val = ZERO
+                    for l in range(1, m + 1):
+                        for c in range(dim):
+                            s_val = s_val + t[l][i][c] * z[m - l][c]
+                    rhs.append(-s_val)
+                for c, x in zip(low_cols, linalg.mat_vec(s_inv, rhs)):
+                    zm[c] = x
+            z.append(zm)
+        cols.append([linalg.mat_vec(p0, zk) for zk in z])
+    return SeriesMatrix.from_coefficients(
+        [[[cols[j][k][i] for j in range(dim)] for i in range(dim)]
+         for k in range(order)], dim, dim), tuple(col_levels)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from((3, 4)), st.booleans(),
+       st.booleans())
+def test_split_matches_the_per_column_recurrence(seed, n, mixed, gaussian):
+    rng = Random(seed)
+    d = random_dn(rng, n, order=ORD, max_dim=2, mixed=mixed)
+    geo = rees_to_geometric(from_normal_form(d))
+    conn = gauge_transform(geo.conn, flag_gauge(rng, geo.levels2, ORD))
+    if gaussian:
+        conn = conn.dilate(Scalar(Fraction(1, 2), Fraction(-3, 5)))
+    scrambled = GeometricVHS(conn=conn, levels2=geo.levels2, pairing=None,
+                             parity=geo.parity)
+    assert hodge_tate_split(scrambled) == ref_split(scrambled)
 
 
 def test_degree_violation():
