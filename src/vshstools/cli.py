@@ -187,8 +187,11 @@ def _cmd_normal_form(args) -> int:
     for row in dn.pairing0:
         print("  " + "  ".join(format_scalar(x) for x in row))
     print()
-    _print_series(picard_fuchs.g_series(dn, volume), "Q",
-                  "middle connection entry g(Q)", args.decimal)
+    # from n = 5 on g(Q) is a product of several entries of A
+    label = ("middle connection entry g(Q)" if dn.n <= 4
+             else "Yukawa coupling over the volume")
+    _print_series(picard_fuchs.g_series(dn, volume), "Q", label,
+                  args.decimal)
     return 0
 
 

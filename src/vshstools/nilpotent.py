@@ -1,8 +1,12 @@
 """Nilpotent endomorphisms: index, Jordan data, monodromy weight filtration.
 
-The weight filtration is computed by the classical inductive recipe: peel
-off ker(N^n) and im(N^n), recurse on the subquotient.  Subspaces are kept
-in reduced echelon form throughout so equality is a literal comparison.
+All three read one list of powers [I, N, ..., N^n], n the nilpotency
+index.  The weight filtration (Deligne, Weil II, 1.6) is built top-down:
+W_n = V, W_k = ker N^(k+1) + N W_(k+2) for n > k >= 0 (W_(n+1) = V) and
+W_(-k) = N^k W_k.  On one Jordan block both sides of each step are
+spanned by the same tail of the block's basis, and kernels, images and
+sums respect a sum of blocks.  Subspaces are kept in reduced echelon
+form throughout so equality is a literal comparison.
 """
 from __future__ import annotations
 
@@ -10,7 +14,6 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .linalg import Matrix, Vector
-from .scalars import ZERO, Scalar
 
 
 class NotNilpotent(ValueError):
@@ -21,28 +24,27 @@ class NotSplit(ValueError):
     """Hodge flag and weight filtration fail to induce a direct sum."""
 
 
+def _powers(n_mat: Matrix) -> list[Matrix]:
+    """[I, N, ..., N^n] with N^(n+1) = 0."""
+    dim = len(n_mat)
+    powers = [linalg.identity(dim)]
+    for _ in range(dim):
+        power = linalg.mat_mul(powers[-1], n_mat)
+        if linalg.is_zero_matrix(power):
+            return powers
+        powers.append(power)
+    raise NotNilpotent(f"N^{dim} != 0")
+
+
 def nilpotency_index(n_mat: Matrix) -> int:
     """Smallest n with N^(n+1) = 0."""
-    dim = len(n_mat)
-    power = linalg.identity(dim)
-    for n in range(dim):
-        power = linalg.mat_mul(power, n_mat)
-        if linalg.is_zero_matrix(power):
-            return n
-    raise NotNilpotent(f"N^{dim} != 0")
+    return len(_powers(n_mat)) - 1
 
 
 def jordan_partition(n_mat: Matrix) -> list[int]:
     """Jordan block sizes in decreasing order, via rank differences."""
-    dim = len(n_mat)
-    nilpotency_index(n_mat)  # raises if not nilpotent
-    ranks = [dim]
-    power = linalg.identity(dim)
-    while ranks[-1] > 0:
-        power = linalg.mat_mul(power, n_mat)
-        ranks.append(linalg.rank(power))
+    ranks = [linalg.rank(p) for p in _powers(n_mat)] + [0, 0]
     # blocks of size exactly s: r_{s-1} - 2 r_s + r_{s+1}
-    ranks.append(0)
     sizes = []
     for s in range(1, len(ranks) - 1):
         count = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
@@ -78,85 +80,30 @@ class WeightFiltration:
         return self.dimension_le(k) - self.dimension_le(k - 1)
 
 
-def _image_basis(m: Matrix) -> list[Vector]:
-    cols = [[m[i][j] for i in range(len(m))] for j in range(len(m[0]))]
-    return linalg.row_space_basis(cols)
-
-
-def _kernel_basis(m: Matrix) -> list[Vector]:
-    return linalg.row_space_basis(linalg.nullspace(m))
-
-
-def _solve_in_basis(basis: list[Vector], v: Vector) -> list[Scalar]:
-    """Coordinates of v in span(basis); basis assumed independent."""
-    dim = len(v)
-    a = [[basis[j][i] for j in range(len(basis))] for i in range(dim)]
-    x = linalg.solve(a, v)
-    if x is None:
-        raise ValueError("vector not in span")
-    return x
-
-
-def _mw_core(mat: Matrix, dim: int) -> tuple[int, dict[int, list[Vector]]]:
-    if dim == 0:
-        return 0, {0: []}
-    n = nilpotency_index(mat)
-    full = linalg.row_space_basis(
-        [[Scalar(1) if i == j else ZERO for i in range(dim)]
-         for j in range(dim)])
-    if n == 0:
-        return 0, {0: full}
-
-    power = linalg.mat_pow(mat, n)
-    k_basis = _kernel_basis(power)
-    i_basis = _image_basis(power)
-
-    # complement of im(N^n) inside ker(N^n), preferring earlier echelon
-    # vectors of K for determinism
-    comp: list[Vector] = []
-    current = list(i_basis)
-    for v in k_basis:
-        extended = linalg.row_space_basis(current + [v])
-        if len(extended) > len(current):
-            comp.append(v)
-            current = extended
-
-    q_dim = len(comp)
-    lift_cols = i_basis + comp  # basis of K, quotient coords are the tail
-
-    # induced endomorphism on K / im(N^n)
-    induced = [[ZERO] * q_dim for _ in range(q_dim)]
-    for j, c in enumerate(comp):
-        w = linalg.mat_vec(mat, c)
-        coords = _solve_in_basis(lift_cols, w)
-        for i in range(q_dim):
-            induced[i][j] = coords[len(i_basis) + i]
-
-    child_n, child_sub = _mw_core(induced, q_dim)
-
-    def child_le(k: int) -> list[Vector]:
-        if k < -child_n:
-            return []
-        return child_sub[min(k, child_n)]
-
-    out: dict[int, list[Vector]] = {n: full}
-    for k in range(-n, n):
-        quotient_vectors = child_le(k)
-        lifted = [
-            [sum((coords[j] * comp[j][i] for j in range(q_dim)), ZERO)
-             for i in range(dim)]
-            for coords in quotient_vectors
-        ]
-        out[k] = linalg.row_space_basis(i_basis + lifted)
-    return n, out
+def _image(m: Matrix, basis: list[Vector]) -> list[Vector]:
+    """Canonical basis of m span(basis); basis nonempty."""
+    return linalg.row_space_basis(
+        linalg.transpose(linalg.mat_mul(m, linalg.transpose(basis))))
 
 
 def weight_filtration(n_mat: Matrix) -> WeightFiltration:
     """The unique filtration with N MW_{<=k} in MW_{<=k-2} and
     N^k : Gr_k -> Gr_{-k} an isomorphism for every k >= 0."""
     dim = len(n_mat)
-    n, subspaces = _mw_core(n_mat, dim)
-    return WeightFiltration(center_shift=n, dim=dim, subspaces=subspaces)
+    if dim == 0:
+        return WeightFiltration(center_shift=0, dim=0, subspaces={0: []})
+    powers = _powers(n_mat)
+    n = len(powers) - 1
+    full = powers[0]
+    w = {n: full}
+    for k in range(n - 1, -1, -1):
+        w[k] = linalg.row_space_basis(
+            linalg.nullspace(powers[k + 1])
+            + _image(n_mat, w.get(k + 2, full)))
+    for k in range(1, n + 1):
+        w[-k] = _image(powers[k], w[k])
+    return WeightFiltration(center_shift=n, dim=dim,
+                            subspaces=dict(sorted(w.items())))
 
 
 def _flag_evaluator(flag: dict[int, list[Vector]], dim: int):
@@ -166,9 +113,7 @@ def _flag_evaluator(flag: dict[int, list[Vector]], dim: int):
     for lower, upper in zip(keys, keys[1:]):
         if not linalg.subspace_leq(canonical[upper], canonical[lower]):
             raise ValueError("flag bases are not nested")
-    full = linalg.row_space_basis(
-        [[Scalar(1) if i == j else ZERO for i in range(dim)]
-         for j in range(dim)])
+    full = linalg.identity(dim)
 
     def ge(p: int) -> list[Vector]:
         # below the lowest stated step the flag is the whole space

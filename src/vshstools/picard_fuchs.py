@@ -138,9 +138,9 @@ MAX_NESTING = 100
 MAX_EXPONENT = 64
 MAX_DEGREE = 64
 # the largest theta-order of an operator.  The companion connection has
-# rank theta-order, and its weight filtration and splitting cost grows
-# steeply with it: the pipeline at order 4 on theta^N took 0.7 s for
-# N = 24, 2 s for 32 and 13 s for 48 on a 2-vCPU VM
+# rank theta-order, and the cost of a run grows steeply with it:
+# mirror-map at order 4 on theta^N takes 0.2 s for N = 24, 0.5 s for 32
+# and 1.1 s for 48 on a 2-vCPU VM (the pipeline 0.3, 0.7 and 1.9 s)
 MAX_THETA_ORDER = 24
 
 
@@ -669,7 +669,8 @@ def g_series(dn: vshs.DnObject, volume: Scalar) -> Series:
     """The series the instanton numbers are read from: the middle entry
     of A, from degree -1 to 1 for a threefold and from degree -2 to 0
     for a fourfold (by self-adjointness it equals the entry from 0 to
-    2), and the Yukawa series over the volume otherwise."""
+    2), and the Yukawa series over the volume otherwise: one entry of A
+    again for n <= 2, a product of several from n = 5 on."""
     if dn.n in (3, 4):
         return dn.a_series.entry(dn.degrees.index(4 - dn.n),
                                  dn.degrees.index(2 - dn.n))

@@ -168,12 +168,13 @@ def random_rees(rng: Random, *, order: int = 8) -> vshs.ReesModule:
     return vshs.from_normal_form(d)
 
 
-def random_nilpotent_conjugate(rng: Random, mat, span: int = 2):
+def random_nilpotent_conjugate(rng: Random, mat, span: int = 2,
+                               complex_ok: bool = False):
     """P N P^-1 for a random invertible P; exercises non-coordinate
-    subspace positions."""
+    subspace positions, and Gaussian entries when complex_ok."""
     dim = len(mat)
     while True:
-        p = [[rand_scalar(rng, span) for _ in range(dim)]
+        p = [[rand_scalar(rng, span, complex_ok) for _ in range(dim)]
              for _ in range(dim)]
         p_inv = linalg.try_inverse(p)
         if p_inv is not None:

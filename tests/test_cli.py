@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vshstools import cli, jsonio, vshs
+from vshstools import cli, jsonio, picard_fuchs, vshs
 from vshstools.amodel import instantons_from_g
 from vshstools.scalars import Scalar
 from vshstools.series import Series
@@ -123,6 +123,19 @@ def test_normal_form_report(capsys):
     assert "-5*i" in out and "5*i" in out
     assert "middle connection entry g(Q)" in out
     assert "575" in out
+
+
+def test_normal_form_heading_from_dimension_five(tmp_path, capsys):
+    # from n = 5 on g(Q) is the Yukawa series over the volume, a product
+    # of several connection entries, not one middle entry
+    path = tmp_path / "five.pf.txt"
+    path.write_text("theta^6 - q*(theta+1)^6\n")
+    code, out, _ = run(capsys, ["normal-form", "--input", str(path),
+                                "--order", "4"])
+    assert code == 0
+    assert "n = 5, degrees" in out
+    assert "# Yukawa coupling over the volume mod Q^4" in out
+    assert "middle connection entry" not in out
 
 
 def test_check_pf_operator(capsys):
@@ -353,6 +366,15 @@ def test_operator_size_limits_exit_two(text, limit, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and limit in err
     assert err.count("\n") == 1
+
+
+def test_theta_order_at_the_limit_runs(tmp_path, capsys):
+    path = tmp_path / "top.pf.txt"
+    path.write_text(f"theta^{picard_fuchs.MAX_THETA_ORDER}\n")
+    code, out, err = run(capsys, ["mirror-map", "--input", str(path),
+                                  "--order", "4"])
+    assert code == 0 and err == ""
+    assert out.startswith("# mirror map Q(q), both routes agree mod q^4")
 
 
 def test_order_limit_exit_two(capsys):

@@ -1,6 +1,6 @@
 """Weight filtrations checked against the closed-form kernel/image
-description, which shares no code with the inductive construction used
-by the module:
+description, which shares no code with the top-down recursion
+W_k = ker N^(k+1) + N W_(k+2) used by the module:
 
     MW_{<=k} = sum over j >= max(0, -k) of  ker(N^{j+k+1}) ∩ im(N^j)
 """
@@ -10,9 +10,9 @@ from random import Random
 import pytest
 
 from vshstools import linalg
-from vshstools.nilpotent import (NotNilpotent, NotSplit, graded_splitting,
-                                 jordan_partition, nilpotency_index,
-                                 weight_filtration)
+from vshstools.nilpotent import (NotNilpotent, NotSplit, WeightFiltration,
+                                 graded_splitting, jordan_partition,
+                                 nilpotency_index, weight_filtration)
 from vshstools.scalars import ONE, ZERO, Scalar
 
 from genutil import random_nilpotent_conjugate
@@ -30,18 +30,25 @@ def jordan_matrix(partition):
     return mat
 
 
-def deligne_le(mat, k):
+def deligne_filtration(mat):
+    """k -> MW_{<=k} for |k| <= dim + 1, by the closed formula."""
     dim = len(mat)
-    space: list[list[Scalar]] = []
-    for j in range(max(0, -k), dim + 1):
-        power_j = linalg.mat_pow(mat, j)
-        power_top = linalg.mat_pow(mat, j + k + 1)
-        image = linalg.row_space_basis(
-            [linalg.mat_vec(power_j, row) for row in linalg.identity(dim)])
-        kernel = linalg.nullspace(power_top)
-        space = linalg.subspace_sum(
-            space, linalg.subspace_intersection(kernel, image))
-    return space
+    powers = [linalg.identity(dim)]
+    for _ in range(2 * dim + 2):
+        powers.append(linalg.mat_mul(powers[-1], mat))
+    images = [linalg.row_space_basis(
+        [linalg.mat_vec(p, row) for row in linalg.identity(dim)])
+        for p in powers]
+    kernels = [linalg.nullspace(p) for p in powers]
+    out = {}
+    for k in range(-dim - 1, dim + 2):
+        space: list[list[Scalar]] = []
+        for j in range(max(0, -k), dim + 1):
+            space = linalg.subspace_sum(
+                space, linalg.subspace_intersection(kernels[j + k + 1],
+                                                    images[j]))
+        out[k] = space
+    return out
 
 
 def partitions(total):
@@ -98,16 +105,32 @@ def test_weight_filtration_zero_map():
 
 def test_matches_kernel_image_formula_all_small_types():
     rng = Random(12)
-    for dim in range(1, 6):
-        for part in partitions(dim):
-            plain = jordan_matrix(list(part))
-            conj, _ = random_nilpotent_conjugate(rng, plain)
-            for mat in (plain, conj):
-                wf = weight_filtration(mat)
-                n = wf.center_shift
-                for k in range(-n - 1, n + 2):
-                    assert linalg.subspace_equal(
-                        wf.le(k), deligne_le(mat, k)), (part, k)
+    types = [part for dim in range(1, 6) for part in partitions(dim)]
+    # a sample of the larger types, and single blocks up to size 12
+    types += rng.sample([p for dim in (6, 7, 8) for p in partitions(dim)],
+                        9)
+    types += [(size,) for size in range(6, 13)]
+    for part in types:
+        plain = jordan_matrix(list(part))
+        mats = [plain, random_nilpotent_conjugate(rng, plain)[0]]
+        if sum(part) <= 8:
+            # Gaussian (non-real) conjugates
+            mats.append(random_nilpotent_conjugate(rng, plain,
+                                                   complex_ok=True)[0])
+        for mat in mats:
+            wf = weight_filtration(mat)
+            expected = deligne_filtration(mat)
+            n = wf.center_shift
+            for k in range(-n - 1, n + 2):
+                assert wf.le(k) == expected[k], (part, k)
+
+
+def test_empty_matrix():
+    assert weight_filtration([]) == WeightFiltration(0, 0, {0: []})
+    with pytest.raises(NotNilpotent):
+        nilpotency_index([])
+    with pytest.raises(NotNilpotent):
+        jordan_partition([])
 
 
 def test_filtration_axioms():
