@@ -27,9 +27,9 @@ from .vshs import (DegreeViolation, DnObject, GeometricVHS,
                    ZeroKS, ZeroScalar, canonical_coordinate,
                    extend_pairing, formal_flat_gauge, from_normal_form,
                    gauge_transform, geometric_to_rees, hodge_tate_split,
-                   pairing_grading_check, rees_to_geometric,
-                   rescale_coordinate, to_canonical_connection,
-                   to_normal_form, verify_prevhs, yukawa)
+                   rees_to_geometric, rescale_coordinate,
+                   to_canonical_connection, to_normal_form, verify_prevhs,
+                   yukawa)
 
 __version__ = "0.1.0"
 
@@ -50,8 +50,7 @@ __all__ = [
     "frobenius_solve", "g_from_instantons", "gauge_transform",
     "geometric_to_rees", "graded_splitting", "hodge_tate_split",
     "instantons_from_g", "jordan_partition", "mirror_map_frobenius",
-    "nilpotency_index", "pairing_grading_check", "parse_pf",
-    "parse_scalar", "rees_to_geometric", "rescale_coordinate",
-    "sqrt_exact", "to_canonical_connection", "to_normal_form",
-    "verify_prevhs", "weight_filtration", "yukawa",
+    "nilpotency_index", "parse_pf", "parse_scalar", "rees_to_geometric",
+    "rescale_coordinate", "sqrt_exact", "to_canonical_connection",
+    "to_normal_form", "verify_prevhs", "weight_filtration", "yukawa",
 ]

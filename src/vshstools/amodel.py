@@ -89,7 +89,7 @@ class InstantonTable:
             (other.max_degree, other.entries)
 
 
-def _cover_power(n: int) -> int:
+def cover_power(n: int) -> int:
     """The exponent w of the multiple-cover weight d^w in dimension n."""
     if n >= 5:
         raise UnsupportedDimension(
@@ -101,7 +101,7 @@ def _cover_power(n: int) -> int:
 def g_from_instantons(table: InstantonTable, volume: Scalar,
                       order: int, n: int = 3) -> Series:
     """The connection entry a table predicts, to the requested order."""
-    power = _cover_power(n)
+    power = cover_power(n)
     volume = Scalar.of(volume)
     if volume.is_zero():
         raise ZeroVolume("volume must be nonzero")
@@ -122,7 +122,7 @@ def g_from_instantons(table: InstantonTable, volume: Scalar,
 def instantons_from_g(g: Series, volume: Scalar,
                       n: int = 3) -> InstantonTable:
     """Invert the Aspinwall-Morrison sum degree by degree."""
-    power = _cover_power(n)
+    power = cover_power(n)
     volume = Scalar.of(volume)
     if volume.is_zero():
         raise ZeroVolume("volume must be nonzero")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import jsonio, picard_fuchs, vshs
-from .amodel import InstantonTable, instantons_from_g
+from .amodel import InstantonTable, cover_power, instantons_from_g
 from .scalars import Scalar, format_scalar, parse_scalar
 from .series import Series
 
@@ -106,6 +106,7 @@ def _instantons(report: vshs.NormalFormReport,
 def _cmd_pipeline(args) -> int:
     op = picard_fuchs.parse_pf(_read_input(args.input))
     volume = _parse_volume(args.volume)
+    cover_power(op.order_theta - 1)  # refuses n >= 5 before the normal form
     report = _signed_report(op, volume, args.order, args.sign)
     table = _instantons(report, volume)
     yuk = vshs.yukawa(report.dn)
@@ -161,6 +162,7 @@ def _cmd_yukawa(args) -> int:
 def _cmd_instantons(args) -> int:
     op = picard_fuchs.parse_pf(_read_input(args.input))
     volume = _parse_volume(args.volume)
+    cover_power(op.order_theta - 1)  # refuses n >= 5 before the normal form
     report = _signed_report(op, volume, args.order, args.sign)
     table = _instantons(report, volume)
     if args.format == "json":

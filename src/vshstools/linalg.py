@@ -338,14 +338,6 @@ def subspace_equal(a: list[Vector], b: list[Vector]) -> bool:
     return row_space_basis(a) == row_space_basis(b)
 
 
-def subspace_contains(space: list[Vector], v: Vector) -> bool:
-    if all(x.is_zero() for x in v):
-        return True
-    if not space:
-        return False
-    return rank(space) == rank(space + [v])
-
-
 def subspace_leq(sub: list[Vector], sup: list[Vector]) -> bool:
     """span(sub) ⊆ span(sup)."""
     if not sub:

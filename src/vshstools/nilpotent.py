@@ -1,19 +1,25 @@
-"""Nilpotent endomorphisms: index, Jordan data, monodromy weight filtration.
+"""Nilpotent endomorphisms: index, Jordan data, monodromy weight
+filtration, and its splitting against a coordinate Hodge flag.
 
-All three read one list of powers [I, N, ..., N^n], n the nilpotency
+The first three read one list of powers [I, N, ..., N^n], n the nilpotency
 index.  The weight filtration (Deligne, Weil II, 1.6) is built top-down:
 W_n = V, W_k = ker N^(k+1) + N W_(k+2) for n > k >= 0 (W_(n+1) = V) and
 W_(-k) = N^k W_k.  On one Jordan block both sides of each step are
 spanned by the same tail of the block's basis, and kernels, images and
 sums respect a sum of blocks.  Subspaces are kept in reduced echelon
-form throughout so equality is a literal comparison.
+form throughout so equality is a literal comparison.  The splitting
+intersects each flag step with the weight step of the same index and
+checks only that the pieces are a direct sum, which implies that they
+refine both filtrations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector
+from .scalars import ONE, ZERO
 
 
 class NotNilpotent(ValueError):
@@ -106,60 +112,28 @@ def weight_filtration(n_mat: Matrix) -> WeightFiltration:
                             subspaces=dict(sorted(w.items())))
 
 
-def _flag_evaluator(flag: dict[int, list[Vector]], dim: int):
-    """Decreasing flag p -> F^{>=p}; clamps to full below, zero above."""
-    keys = sorted(flag)
-    canonical = {p: linalg.row_space_basis(flag[p]) for p in keys}
-    for lower, upper in zip(keys, keys[1:]):
-        if not linalg.subspace_leq(canonical[upper], canonical[lower]):
-            raise ValueError("flag bases are not nested")
-    full = linalg.identity(dim)
+def graded_splitting(n_mat: Matrix,
+                     levels2: Sequence[int]) -> dict[int, list[Vector]]:
+    """Pieces I^p = F^(>=p) ∩ MW_(<=p), checked to be a direct sum of V.
 
-    def ge(p: int) -> list[Vector]:
-        # below the lowest stated step the flag is the whole space
-        if not keys or p < keys[0]:
-            return full
-        if p > keys[-1]:
-            return []
-        return canonical[min(k for k in keys if k >= p)]
-
-    return ge, keys
-
-
-def graded_splitting(
-        n_mat: Matrix,
-        flag: dict[int, list[Vector]]) -> dict[int, list[Vector]]:
-    """Graded pieces F^{>=p} ∩ MW_{<=p}, verified to give a direct sum.
-
-    Both refinement identities are checked: partial sums from below must
-    recover the weight filtration and partial sums from above the flag.
-    Raises NotSplit when either fails.
+    F^(>=p) is the span of the e_j with levels2[j] >= p.  A direct sum
+    gives both refinements, MW_(<=p) = sum_(j<=p) I^j and F^(>=p+1) =
+    sum_(j>p) I^j (Deligne, Hodge II, 1.2): their intersection lies in
+    I^p ∩ I^(p+1) = 0, the two sums lie in them and together fill V, so
+    by dimension both inclusions are equalities.  Raises NotSplit when
+    the pieces are not dim independent vectors.
     """
     dim = len(n_mat)
     mw = weight_filtration(n_mat)
-    ge, keys = _flag_evaluator(flag, dim)
-
-    lo = min([-mw.center_shift] + keys) if keys else -mw.center_shift
-    hi = max([mw.center_shift] + keys) if keys else mw.center_shift
-
     pieces: dict[int, list[Vector]] = {}
     assembled: list[Vector] = []
-    below: list[Vector] = []
-    for p in range(lo, hi + 1):
-        piece = linalg.subspace_intersection(ge(p), mw.le(p))
+    for p in range(-mw.center_shift, max(levels2, default=0) + 1):
+        ge = [[ONE if i == j else ZERO for i in range(dim)]
+              for j in range(dim) if levels2[j] >= p]
+        piece = linalg.subspace_intersection(ge, mw.le(p))
         if piece:
             pieces[p] = piece
             assembled.extend(piece)
-        below = linalg.subspace_sum(below, piece)
-        if not linalg.subspace_equal(below, mw.le(p)):
-            raise NotSplit(
-                f"partial sums up to weight {p} miss the weight filtration")
     if len(assembled) != dim or linalg.rank(assembled) != dim:
-        raise NotSplit("graded pieces do not span")
-    above: list[Vector] = []
-    for p in range(hi, lo - 1, -1):
-        above = linalg.subspace_sum(above, pieces.get(p, []))
-        if not linalg.subspace_equal(above, ge(p)):
-            raise NotSplit(
-                f"partial sums down to weight {p} miss the flag")
+        raise NotSplit("graded pieces do not give a direct sum")
     return pieces

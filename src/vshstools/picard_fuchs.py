@@ -140,7 +140,7 @@ MAX_DEGREE = 64
 # the largest theta-order of an operator.  The companion connection has
 # rank theta-order, and the cost of a run grows steeply with it:
 # mirror-map at order 4 on theta^N takes 0.2 s for N = 24, 0.5 s for 32
-# and 1.1 s for 48 on a 2-vCPU VM (the pipeline 0.3, 0.7 and 1.9 s)
+# and 1.5 s for 48 on a 2-vCPU VM
 MAX_THETA_ORDER = 24
 
 

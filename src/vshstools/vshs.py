@@ -14,8 +14,11 @@ equivalence with graded normal-form objects (DnObject).  The flat gauge
 and the pairing extension are one equation, theta X = L(X) + Phi(X)
 with L nilpotent, solved order by order on the coefficient matrices of
 X by one solver, which keeps them in the lifted form of the linalg
-integer kernel until each q-order is done.  A residual that should
-vanish and does not is reported at its first nonzero q-order and entry.
+integer kernel until each q-order is done.  The Hodge-Tate splitting
+takes the pieces F^p ∩ W_p at q = 0 from nilpotent.graded_splitting,
+whose direct-sum check makes every block the recurrence inverts
+invertible.  A residual that should vanish and does not is reported at
+its first nonzero q-order and entry.
 
 Sign conventions are load-bearing and centralized here.  The grading
 collapse evaluates u-polynomials at u = -1; the pairing additionally
@@ -486,37 +489,27 @@ def _split_in_flat_gauge(g: GeometricVHS, u: SeriesMatrix
     order = g.order
     n_mat = g.conn.at0()
 
-    flag: dict[int, list[Vector]] = {}
-    for level in sorted(set(g.levels2)):
-        flag[level] = [
-            [ONE if i == j else ZERO for i in range(dim)]
-            for j in range(dim) if g.levels2[j] >= level
-        ]
     try:
-        pieces = nilpotent.graded_splitting(n_mat, flag)
+        pieces = nilpotent.graded_splitting(n_mat, g.levels2)
     except nilpotent.NotSplit as exc:
         raise NotHodgeTate(
             f"flag and weight filtration do not split at q = 0: {exc}"
         ) from exc
 
+    # the pieces are dim independent vectors, so p0 is invertible
     col_levels: list[int] = []
     p0_cols: list[Vector] = []
     for level in sorted(pieces, reverse=True):
         for v in pieces[level]:
             col_levels.append(level)
             p0_cols.append(v)
-    if len(p0_cols) != dim:
-        raise NotHodgeTate("graded pieces do not assemble to a frame")
     p0 = [[p0_cols[j][i] for j in range(dim)] for i in range(dim)]
-    if linalg.try_inverse(p0) is None:
-        raise NotHodgeTate("assembled frame is singular at q = 0")
 
     # Column j of P is p0 z with z(0) = e_j, where U p0 z must vanish in
     # the rows below level p_j and z moves only the columns below p_j:
     # Z_m = -S^-1 sum_(l=1..m) T_l[low rows] Z_(m-l) with T = U p0 and
     # S = p0[low rows, low cols], solved for the columns of one level at
-    # once.  Levels are walked in column order, so the first failing
-    # column raises.
+    # once.
     t_lifted = u.scalar_right_mul(p0)._lifted()
     p0_lifted = Lifted.of(p0)
     p_coeffs = [linalg.zeros(dim, dim) for _ in range(order)]
@@ -524,16 +517,13 @@ def _split_in_flat_gauge(g: GeometricVHS, u: SeriesMatrix
         cols = [c for c in range(dim) if col_levels[c] == level]
         low_rows = [i for i in range(dim) if g.levels2[i] < level]
         low_cols = [c for c in range(dim) if col_levels[c] < level]
-        if len(low_rows) != len(low_cols):
-            raise NotHodgeTate("flag and splitting sizes disagree")
         zs = [Lifted.of([[ONE if c == j else ZERO for j in cols]
                          for c in range(dim)])]
         if low_rows:
-            s_inv = linalg.try_inverse(
+            # the high columns span F^(>=level), which vanishes in the
+            # low rows, so p0 is block-triangular and S is invertible
+            s_inv = linalg.inverse(
                 [[p0[i][c] for c in low_cols] for i in low_rows])
-            if s_inv is None:
-                raise NotHodgeTate(
-                    f"transversality fails below level {level}")
             # -S^-1 placed at the rows of the low columns
             neg_s_inv = linalg.zeros(dim, len(low_rows))
             for row, c in zip(s_inv, low_cols):
@@ -585,9 +575,8 @@ def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
     return CanonicalConnection(frame=frame, a_series=a, levels2=levels)
 
 
-def _ks_component(a: SeriesMatrix,
-                  levels2: Sequence[int]) -> tuple[Series, int, list[int]]:
-    """Kodaira-Spencer column data: (h, top column, next-piece rows)."""
+def _ks_component(a: SeriesMatrix, levels2: Sequence[int]) -> Series:
+    """Kodaira-Spencer component h, normalized to h(0) = 1."""
     top = max(levels2)
     top_cols = [j for j, l in enumerate(levels2) if l == top]
     if len(top_cols) != 1:
@@ -610,7 +599,7 @@ def _ks_component(a: SeriesMatrix,
             raise NotProportional(
                 "Kodaira-Spencer component is not proportional to its "
                 "value at q = 0")
-    return h, col, rows
+    return h
 
 
 def canonical_coordinate(a: SeriesMatrix,
@@ -620,8 +609,7 @@ def canonical_coordinate(a: SeriesMatrix,
     Normalized so Q'(0) = 1; any further scalar is the documented
     freedom and lives in rescale_coordinate.
     """
-    h, _, _ = _ks_component(a, levels2)
-    return _coordinate_of_ks(h)
+    return _coordinate_of_ks(_ks_component(a, levels2))
 
 
 def _coordinate_of_ks(h: Series) -> Series:
@@ -682,37 +670,6 @@ def extend_pairing(a: SeriesMatrix, m0: Matrix, mode: str = "flat",
         linalg.copy_matrix(m0), a.order, lop, phi,
         ResidueNotCompatible("residue action is not nilpotent; the "
                              "recursion does not terminate"))
-
-
-def pairing_grading_check(m0: Matrix,
-                          degrees: Sequence[int]) -> dict[str, object]:
-    """Block-pattern report: antidiagonal support, nondegenerate blocks."""
-    failures: list[str] = []
-    antidiagonal = True
-    for i, ki in enumerate(degrees):
-        for j, kj in enumerate(degrees):
-            if ki + kj != 0 and not m0[i][j].is_zero():
-                antidiagonal = False
-                failures.append(
-                    f"entry ({i},{j}) pairs degrees {ki} and {kj}")
-    nondeg = True
-    for k in sorted({abs(d) for d in degrees}):
-        rows = [i for i, d in enumerate(degrees) if d == k]
-        cols = [j for j, d in enumerate(degrees) if d == -k]
-        if not rows and not cols:
-            continue
-        if len(rows) != len(cols):
-            nondeg = False
-            failures.append(f"degrees {k} and {-k} have unequal dimensions")
-            continue
-        block = [[m0[i][j] for j in cols] for i in rows]
-        if rows and linalg.try_inverse(block) is None:
-            nondeg = False
-            failures.append(f"block pairing degrees {k} and {-k} is "
-                            "degenerate")
-    return {"antidiagonal": antidiagonal,
-            "nondegenerate_blocks": nondeg,
-            "failures": failures}
 
 
 def _solve_pairing0(a0: Matrix, degrees: Sequence[int],
@@ -782,7 +739,7 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
     volume.
     """
     canon = to_canonical_connection(g)
-    h, _, _ = _ks_component(canon.a_series, canon.levels2)
+    h = _ks_component(canon.a_series, canon.levels2)
     mirror = _coordinate_of_ks(h)
     q_of = PowerTable(mirror.reverse())
     j_factor = q_of.compose(h).inverse()

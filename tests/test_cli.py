@@ -406,6 +406,40 @@ def test_instantons_by_dimension(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+FIVEFOLD_REFUSAL = ("error: instanton numbers in dimension 5 are not read "
+                    "from one connection entry; only n <= 4 is supported\n")
+
+
+@pytest.mark.parametrize("command", ["pipeline", "instantons"])
+def test_dimension_five_refused_before_the_normal_form(command, tmp_path,
+                                                       capsys, monkeypatch):
+    fivefold = tmp_path / "five.pf.txt"
+    fivefold.write_text("theta^6 - q*(theta+1)^6\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("the normal form was built")
+
+    monkeypatch.setattr(vshs, "to_normal_form", never)
+    code, out, err = run(capsys, [command, "--input", str(fivefold),
+                                  "--order", "4"])
+    assert (code, out, err) == (1, "", FIVEFOLD_REFUSAL)
+    # volume errors are still reported first
+    code, out, err = run(capsys, [command, "--input", str(fivefold),
+                                  "--volume", "0"])
+    assert (code, out, err) == (1, "", "error: volume must be nonzero\n")
+    code, _, err = run(capsys, [command, "--input", str(fivefold),
+                                "--volume", "x"])
+    assert code == 2 and err.startswith("error: --volume:")
+
+
+def test_dimension_five_yukawa_still_runs(tmp_path, capsys):
+    fivefold = tmp_path / "five.pf.txt"
+    fivefold.write_text("theta^6 - q*(theta+1)^6\n")
+    code, out, _ = run(capsys, ["yukawa", "--input", str(fivefold),
+                                "--order", "4"])
+    assert code == 0 and out.startswith("# Yukawa coupling mod Q^4\n")
+
+
 @pytest.mark.parametrize("order, digest", [
     (16, "7d604c497e25f1287e3d5228dbfd54834ca8f4fef1d1af5cd0e14d66971e3f4e"),
     (24, "44b0220257f64eae0921ab8c00978899366ebee8cee25d53cdc224d76080a1fe"),

@@ -66,8 +66,8 @@ def test_subspace_operations():
     e1 = [ZERO, ONE, ZERO]
     e2 = [ZERO, ZERO, ONE]
     plane = [e0, e1]
-    assert linalg.subspace_contains(plane, [Scalar(3), Scalar(-2), ZERO])
-    assert not linalg.subspace_contains(plane, e2)
+    assert linalg.subspace_leq([[Scalar(3), Scalar(-2), ZERO]], plane)
+    assert not linalg.subspace_leq([e2], plane)
     assert linalg.subspace_leq([e0], plane)
     assert not linalg.subspace_leq(plane, [e0])
     assert linalg.subspace_equal(

@@ -183,10 +183,7 @@ def ref_split(g):
     column j is -S^-1 sum_l (U p0)_l z_(m-l) on the rows below it."""
     dim, order = g.rank, g.order
     u = formal_flat_gauge(g.conn)
-    flag = {level: [[ONE if i == j else ZERO for i in range(dim)]
-                    for j in range(dim) if g.levels2[j] >= level]
-            for level in set(g.levels2)}
-    pieces = nilpotent.graded_splitting(g.conn.at0(), flag)
+    pieces = nilpotent.graded_splitting(g.conn.at0(), g.levels2)
     col_levels = [lv for lv in sorted(pieces, reverse=True)
                   for _ in pieces[lv]]
     p0_cols = [v for lv in sorted(pieces, reverse=True) for v in pieces[lv]]
