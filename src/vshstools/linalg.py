@@ -347,22 +347,3 @@ def subspace_leq(sub: list[Vector], sup: list[Vector]) -> bool:
 
 def subspace_sum(a: list[Vector], b: list[Vector]) -> list[Vector]:
     return row_space_basis(list(a) + list(b))
-
-
-def subspace_intersection(a: list[Vector], b: list[Vector]) -> list[Vector]:
-    """Canonical basis of span(a) ∩ span(b)."""
-    if not a or not b:
-        return []
-    dim = len(a[0])
-    # columns: coefficients on a, then on b; rows: ambient coordinates
-    m = [[a[k][i] for k in range(len(a))] + [-b[k][i] for k in range(len(b))]
-         for i in range(dim)]
-    out = []
-    for sol in nullspace(m):
-        vec = [ZERO] * dim
-        for k in range(len(a)):
-            c = sol[k]
-            if not c.is_zero():
-                vec = [x + c * y for x, y in zip(vec, a[k])]
-        out.append(vec)
-    return row_space_basis(out)

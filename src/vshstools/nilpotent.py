@@ -8,9 +8,9 @@ W_(-k) = N^k W_k.  On one Jordan block both sides of each step are
 spanned by the same tail of the block's basis, and kernels, images and
 sums respect a sum of blocks.  Subspaces are kept in reduced echelon
 form throughout so equality is a literal comparison.  The splitting
-intersects each flag step with the weight step of the same index and
-checks only that the pieces are a direct sum, which implies that they
-refine both filtrations.
+cuts each weight step down to the coordinate flag step of the same index
+and checks only that the pieces are a direct sum, which implies that
+they refine both filtrations.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from typing import Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector
-from .scalars import ONE, ZERO
 
 
 class NotNilpotent(ValueError):
@@ -128,9 +127,12 @@ def graded_splitting(n_mat: Matrix,
     pieces: dict[int, list[Vector]] = {}
     assembled: list[Vector] = []
     for p in range(-mw.center_shift, max(levels2, default=0) + 1):
-        ge = [[ONE if i == j else ZERO for i in range(dim)]
-              for j in range(dim) if levels2[j] >= p]
-        piece = linalg.subspace_intersection(ge, mw.le(p))
+        # the combinations of W_p's basis vanishing off F^(>=p)
+        w = mw.le(p)
+        low = [[v[i] for v in w] for i in range(dim) if levels2[i] < p]
+        if low and w:
+            w = linalg.mat_mul(linalg.nullspace(low), w)
+        piece = linalg.row_space_basis(w)
         if piece:
             pieces[p] = piece
             assembled.extend(piece)

@@ -117,9 +117,10 @@ def _op_mul(a: _OpPoly, b: _OpPoly) -> _OpPoly:
 
 
 def _op_pow(a: _OpPoly, k: int) -> _OpPoly:
+    """a^k with each factor on the left, where _op_mul expands less."""
     out: _OpPoly = {0: [ONE]}
     for _ in range(k):
-        out = _op_mul(out, a)
+        out = _op_mul(a, out)
     return out
 
 

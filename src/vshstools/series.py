@@ -17,8 +17,9 @@ SeriesMatrix is a dense rectangular matrix of Series sharing one
 truncation order, stored coefficient-major as one scalar matrix per
 q-order: products are convolutions of those matrices, each output
 coefficient summed over one common denominator by the linalg integer
-kernel, and the order-by-order inverse needed for gauge transformations
-works on them directly.
+kernel, and the order-by-order inverse works on them directly.  The
+normal form needs no inverse: its unipotent factor Z(0) = I is divided
+out order by order in vshs.to_canonical_connection.
 """
 from __future__ import annotations
 

@@ -476,15 +476,16 @@ def hodge_tate_split(g: GeometricVHS) -> tuple[SeriesMatrix,
     the j-th entry of levels2 (weakly decreasing).  The gauge of the
     constant residue by P is the canonical connection.
     """
-    p, levels, _ = _split_in_flat_gauge(g, formal_flat_gauge(g.conn))
-    return p, levels
+    z, p0, levels, _ = _split_in_flat_gauge(g, formal_flat_gauge(g.conn))
+    return z.scalar_left_mul(p0), levels
 
 
 def _split_in_flat_gauge(g: GeometricVHS, u: SeriesMatrix
-                         ) -> tuple[SeriesMatrix, tuple[int, ...],
+                         ) -> tuple[SeriesMatrix, Matrix, tuple[int, ...],
                                     SeriesMatrix]:
-    """hodge_tate_split given the flat gauge U of g.conn; also returns
-    the frame U P, which the residual check computes anyway."""
+    """The splitting P = p0 Z of hodge_tate_split, given the flat gauge U
+    of g.conn, as (Z, p0, levels2, U P).  Z(0) = I and each Z_m, m >= 1,
+    is nonzero only in the rows of columns of lower level."""
     dim = g.rank
     order = g.order
     n_mat = g.conn.at0()
@@ -510,50 +511,49 @@ def _split_in_flat_gauge(g: GeometricVHS, u: SeriesMatrix
     # Z_m = -S^-1 sum_(l=1..m) T_l[low rows] Z_(m-l) with T = U p0 and
     # S = p0[low rows, low cols], solved for the columns of one level at
     # once.
-    t_lifted = u.scalar_right_mul(p0)._lifted()
-    p0_lifted = Lifted.of(p0)
-    p_coeffs = [linalg.zeros(dim, dim) for _ in range(order)]
+    t = u.scalar_right_mul(p0)
+    z_coeffs = [linalg.identity(dim)]
+    z_coeffs.extend(linalg.zeros(dim, dim) for _ in range(1, order))
     for level in sorted(set(col_levels), reverse=True):
-        cols = [c for c in range(dim) if col_levels[c] == level]
         low_rows = [i for i in range(dim) if g.levels2[i] < level]
+        if not low_rows:
+            continue  # Z_m = 0 in these columns
+        cols = [c for c in range(dim) if col_levels[c] == level]
         low_cols = [c for c in range(dim) if col_levels[c] < level]
         zs = [Lifted.of([[ONE if c == j else ZERO for j in cols]
                          for c in range(dim)])]
-        if low_rows:
-            # the high columns span F^(>=level), which vanishes in the
-            # low rows, so p0 is block-triangular and S is invertible
-            s_inv = linalg.inverse(
-                [[p0[i][c] for c in low_cols] for i in low_rows])
-            # -S^-1 placed at the rows of the low columns
-            neg_s_inv = linalg.zeros(dim, len(low_rows))
-            for row, c in zip(s_inv, low_cols):
-                neg_s_inv[c] = [-x for x in row]
-            solve = Lifted.of(neg_s_inv)
-            t_low = [Lifted(t.den, [t.rows[i] for i in low_rows], dim)
-                     for t in t_lifted]
-            for m in range(1, order):
-                rhs = Accumulator(len(low_rows), len(cols))
-                for l in range(1, m + 1):
-                    rhs.add_product(t_low[l], zs[m - l])
-                z = Accumulator(dim, len(cols))
-                z.add_product(solve, rhs.lifted())
-                zs.append(z.lifted())
-        for k, z in enumerate(zs):  # Z_m = 0 when no row lies below
-            block = p0_lifted.times(z)
-            for row, block_row in zip(p_coeffs[k], block):
-                for c, x in zip(cols, block_row):
+        # the high columns span F^(>=level), which vanishes in the low
+        # rows, so p0 is block-triangular and S is invertible
+        s_inv = linalg.inverse(
+            [[p0[i][c] for c in low_cols] for i in low_rows])
+        # -S^-1 placed at the rows of the low columns
+        neg_s_inv = linalg.zeros(dim, len(low_rows))
+        for row, c in zip(s_inv, low_cols):
+            neg_s_inv[c] = [-x for x in row]
+        solve = Lifted.of(neg_s_inv)
+        t_low = [Lifted(tl.den, [tl.rows[i] for i in low_rows], dim)
+                 for tl in t._lifted()]
+        for m in range(1, order):
+            rhs = Accumulator(len(low_rows), len(cols))
+            for l in range(1, m + 1):
+                rhs.add_product(t_low[l], zs[m - l])
+            z = Accumulator(dim, len(cols))
+            z.add_product(solve, rhs.lifted())
+            zs.append(z.lifted())
+            for row, z_row in zip(z_coeffs[m], z.lower()):
+                for c, x in zip(cols, z_row):
                     row[c] = x
-    p_series = SeriesMatrix.from_coefficients(p_coeffs, dim, dim)
+    z_series = SeriesMatrix.from_coefficients(z_coeffs, dim, dim)
 
     # paranoia: each column must actually lie in its flag step
-    frame = u * p_series
+    frame = t * z_series
     failure = _first_failure(
         frame, lambda i, j: g.levels2[i] < col_levels[j])
     if failure:
         raise NotHodgeTate(
             f"splitting residual is nonzero; flag does not extend: "
             f"{failure}")
-    return p_series, tuple(col_levels), frame
+    return z_series, p0, tuple(col_levels), frame
 
 
 def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
@@ -562,11 +562,28 @@ def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
     The returned frame is cumulative from the input frame; a_series is
     the connection matrix in it, guaranteed to have entries only on
     blocks dropping the doubled level by exactly 2.
+
+    With P = p0 Z the connection P^-1 (N P - theta P) of the constant
+    residue N is A = Z^-1 (N' Z - theta Z), N' = p0^-1 N p0.  As Z(0) = I,
+    Z A = N' Z - theta Z is solved order by order with no inverse:
+    A_k = N' Z_k - k Z_k - sum_(j=1..k) Z_j A_(k-j).
     """
-    p, levels, frame = _split_in_flat_gauge(g, formal_flat_gauge(g.conn))
-    order = g.order
-    n_const = SeriesMatrix.from_scalar_matrix(g.conn.at0(), order)
-    a = gauge_transform(n_const, p)
+    z, p0, levels, frame = _split_in_flat_gauge(g, formal_flat_gauge(g.conn))
+    dim = len(levels)
+    a_coeffs = [linalg.mat_mul(linalg.inverse(p0),
+                               linalg.mat_mul(g.conn.at0(), p0))]
+    n_prime = Lifted.of(a_coeffs[0])
+    a_lifted = [n_prime]
+    zl, neg_z = z._lifted(), (-z)._lifted()
+    for k in range(1, g.order):
+        acc = Accumulator(dim, dim)
+        acc.add_product(n_prime, zl[k])
+        acc.add_product(Lifted.scalar(Scalar(-k), dim), zl[k])
+        for j in range(1, k + 1):
+            acc.add_product(neg_z[j], a_lifted[k - j])
+        a_coeffs.append(acc.lower())
+        a_lifted.append(acc.lifted())
+    a = SeriesMatrix.from_coefficients(a_coeffs, dim, dim)
     for i, j in sorted(_support(a)):
         if levels[i] != levels[j] - 2:
             raise DegreeViolation(
@@ -784,11 +801,10 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
             raise InvariantViolation(
                 "transported pairing is not covariantly constant in the "
                 f"canonical frame: {failure}")
-        m_series = transported
-        m0 = m_series.at0()
+        m0 = transported.at0()
     else:
+        # m0 would extend (it is skew for the nilpotent A(0)); keep m0 only
         m0 = _solve_pairing0(a_new.at0(), degrees, parity)
-        m_series = extend_pairing(a_new, m0, mode="flat")
 
     vol = 0  # columns are in descending level order
     partner_cands = [j for j, l in enumerate(levels) if l == -n]
@@ -806,7 +822,6 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
             raise InvariantViolation("top pairing value vanishes")
         ratio = target / current
         if not pairing_supplied:
-            m_series = m_series * ratio
             m0 = [[x * ratio for x in row] for row in m0]
         else:
             if vol == partner:
@@ -822,9 +837,7 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
             d_inv = linalg.diagonal(
                 [lam.inverse() if i == vol else ONE for i in range(dim)])
             a_new = a_new.scalar_left_mul(d_inv).scalar_right_mul(d_mat)
-            m_series = m_series.scalar_left_mul(d_mat)\
-                .scalar_right_mul(d_mat)
-            m0 = m_series.at0()
+            m0 = linalg.mat_mul(d_mat, linalg.mat_mul(m0, d_mat))
             frame = frame.scalar_right_mul(d_mat)
 
     dims: dict[int, int] = {}

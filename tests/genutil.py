@@ -179,3 +179,24 @@ def random_nilpotent_conjugate(rng: Random, mat, span: int = 2,
         p_inv = linalg.try_inverse(p)
         if p_inv is not None:
             return linalg.mat_mul(p, linalg.mat_mul(mat, p_inv)), p
+
+
+def subspace_intersection(a, b):
+    """Canonical basis of span(a) ∩ span(b), by the general route: the
+    nullspace of the coefficients on a and on b; a reference for the
+    coordinate intersections of nilpotent.graded_splitting."""
+    if not a or not b:
+        return []
+    dim = len(a[0])
+    # columns: coefficients on a, then on b; rows: ambient coordinates
+    m = [[a[k][i] for k in range(len(a))] + [-b[k][i] for k in range(len(b))]
+         for i in range(dim)]
+    out = []
+    for sol in linalg.nullspace(m):
+        vec = [ZERO] * dim
+        for k in range(len(a)):
+            c = sol[k]
+            if not c.is_zero():
+                vec = [x + c * y for x, y in zip(vec, a[k])]
+        out.append(vec)
+    return linalg.row_space_basis(out)

@@ -454,6 +454,20 @@ def test_pipeline_json_bytes_pinned(order, digest, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_pipeline_never_extends_the_solved_pairing(capsys, monkeypatch):
+    """The normal form keeps only the constant pairing it solves for, so
+    the pipeline does not run the pairing extension."""
+    def fail(*args, **kwargs):
+        raise AssertionError("extend_pairing called")
+
+    monkeypatch.setattr(vshs, "extend_pairing", fail)
+    code, out, _ = run(capsys, ["pipeline", "--input", QUINTIC,
+                                "--order", "16", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "7d604c497e25f1287e3d5228dbfd54834ca8f4fef1d1af5cd0e14d66971e3f4e"
+
+
 @pytest.mark.parametrize("value", ['"abc"', "3.5", "true"],
                          ids=["string", "float", "bool"])
 def test_non_integer_stored_field_exit_two(value, tmp_path, capsys):

@@ -10,6 +10,8 @@ from vshstools import linalg
 from vshstools.linalg import Accumulator, Lifted
 from vshstools.scalars import ONE, ZERO, Scalar
 
+from genutil import subspace_intersection
+
 
 def _rand_matrix(rng, rows, cols, span=5):
     return [[Scalar(rng.randint(-span, span)) for _ in range(cols)]
@@ -72,7 +74,7 @@ def test_subspace_operations():
     assert not linalg.subspace_leq(plane, [e0])
     assert linalg.subspace_equal(
         linalg.subspace_sum([e0], [e1]), plane)
-    inter = linalg.subspace_intersection(plane, [e1, e2])
+    inter = subspace_intersection(plane, [e1, e2])
     assert linalg.subspace_equal(inter, [e1])
 
 

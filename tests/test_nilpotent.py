@@ -20,7 +20,8 @@ from vshstools.nilpotent import (NotNilpotent, NotSplit, WeightFiltration,
                                  nilpotency_index, weight_filtration)
 from vshstools.scalars import ONE, ZERO, Scalar
 
-from genutil import rand_scalar, random_dn, random_nilpotent_conjugate
+from genutil import (rand_scalar, random_dn, random_nilpotent_conjugate,
+                     subspace_intersection)
 
 
 def jordan_matrix(partition):
@@ -50,8 +51,7 @@ def deligne_filtration(mat):
         space: list[list[Scalar]] = []
         for j in range(max(0, -k), dim + 1):
             space = linalg.subspace_sum(
-                space, linalg.subspace_intersection(kernels[j + k + 1],
-                                                    images[j]))
+                space, subspace_intersection(kernels[j + k + 1], images[j]))
         out[k] = space
     return out
 
@@ -229,7 +229,7 @@ def ref_graded_splitting(n_mat, flag):
     assembled = []
     below = []
     for p in range(lo, hi + 1):
-        piece = linalg.subspace_intersection(ge(p), mw.le(p))
+        piece = subspace_intersection(ge(p), mw.le(p))
         if piece:
             pieces[p] = piece
             assembled.extend(piece)

@@ -11,7 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vshstools import picard_fuchs
 from vshstools.picard_fuchs import (FrobeniusBasis, LogSeries,
                                     MirrorMapMismatch, NotMaximallyUnipotent,
                                     ParseError, PFOperator, bmodel_pipeline,
@@ -190,3 +193,28 @@ def test_nesting_limit():
         parse_pf("(" + nested + ")")
     with pytest.raises(ParseError, match="nested"):
         parse_pf("- " * 150 + "theta")
+
+
+def ref_op_pow(a, k):
+    """a^k with each factor multiplied in on the right."""
+    out = {0: [ONE]}
+    for _ in range(k):
+        out = picard_fuchs._op_mul(out, a)
+    return out
+
+
+SCALARS = st.builds(lambda re, im, den: Scalar(Fraction(re, den),
+                                                Fraction(im, den)),
+                    st.integers(-3, 3), st.sampled_from((0, 0, 1, -2)),
+                    st.sampled_from((1, 2, 3)))
+OP_POLYS = st.dictionaries(st.integers(0, 3),
+                           st.lists(SCALARS, min_size=1, max_size=3),
+                           max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(OP_POLYS, st.integers(0, 5))
+def test_op_pow_matches_the_right_multiplying_loop(a, k):
+    a = picard_fuchs._op_clean(
+        {i: picard_fuchs._poly_trim(list(p)) for i, p in a.items()})
+    assert picard_fuchs._op_pow(a, k) == ref_op_pow(a, k)

@@ -215,19 +215,42 @@ def ref_split(g):
          for k in range(order)], dim, dim), tuple(col_levels)
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.integers(0, 2 ** 32), st.sampled_from((3, 4)), st.booleans(),
-       st.booleans())
-def test_split_matches_the_per_column_recurrence(seed, n, mixed, gaussian):
+def scrambled_dn(seed, n, mixed, gaussian):
+    """A random D_n object as a GeometricVHS, moved by a random q-dependent
+    flag-preserving gauge and, when gaussian, pulled back along a non-real
+    dilation."""
     rng = Random(seed)
     d = random_dn(rng, n, order=ORD, max_dim=2, mixed=mixed)
     geo = rees_to_geometric(from_normal_form(d))
     conn = gauge_transform(geo.conn, flag_gauge(rng, geo.levels2, ORD))
     if gaussian:
         conn = conn.dilate(Scalar(Fraction(1, 2), Fraction(-3, 5)))
-    scrambled = GeometricVHS(conn=conn, levels2=geo.levels2, pairing=None,
-                             parity=geo.parity)
+    return GeometricVHS(conn=conn, levels2=geo.levels2, pairing=None,
+                        parity=geo.parity)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from((3, 4)), st.booleans(),
+       st.booleans())
+def test_split_matches_the_per_column_recurrence(seed, n, mixed, gaussian):
+    scrambled = scrambled_dn(seed, n, mixed, gaussian)
     assert hodge_tate_split(scrambled) == ref_split(scrambled)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from((3, 4)), st.booleans(),
+       st.booleans())
+def test_canonical_connection_matches_the_gauge_by_the_split(seed, n, mixed,
+                                                             gaussian):
+    """The reference route through P = hodge_tate_split: the connection
+    P^-1 (N P - theta P) of the constant residue N, and the frame U P."""
+    scrambled = scrambled_dn(seed, n, mixed, gaussian)
+    canon = to_canonical_connection(scrambled)
+    p, levels = hodge_tate_split(scrambled)
+    residue = SeriesMatrix.from_scalar_matrix(scrambled.conn.at0(), ORD)
+    assert canon.levels2 == levels
+    assert canon.a_series == gauge_transform(residue, p)
+    assert canon.frame == formal_flat_gauge(scrambled.conn) * p
 
 
 def test_degree_violation():
