@@ -18,7 +18,7 @@ no single g to invert and both directions refuse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import linalg, vshs
 from .linalg import Matrix

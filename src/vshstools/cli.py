@@ -20,6 +20,9 @@ from .series import Series
 
 # the largest --order any command accepts; the benchmark runs order 32
 MAX_ORDER = 256
+# the most digits --decimal prints; CPython refuses to turn an int of more
+# than 4300 digits into a string
+MAX_DECIMAL = 1000
 
 
 def _read_input(path: str) -> str:
@@ -324,6 +327,10 @@ def main(argv=None) -> int:
     decimal = getattr(args, "decimal", None)
     if decimal is not None and decimal < 0:
         print("error: --decimal must be nonnegative", file=sys.stderr)
+        return 2
+    if decimal is not None and decimal > MAX_DECIMAL:
+        print(f"error: --decimal exceeds the limit MAX_DECIMAL = "
+              f"{MAX_DECIMAL}", file=sys.stderr)
         return 2
     try:
         return args.func(args)

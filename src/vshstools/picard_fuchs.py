@@ -4,18 +4,23 @@ solutions at a maximally unipotent point.
 An operator is stored with exact polynomial coefficients, written on the
 left of powers of theta: L = sum_j c_j(q) theta^j.  Input comes either
 from JSON or from a small expression language (`theta`, `q`, integers,
-+ - * ^ and parentheses, juxtaposition multiplies); the rewriting to
-normal order uses theta q^b = q^b (theta + b).
++ - * ^ and parentheses, juxtaposition multiplies).  While an expression
+is parsed, an operator is a dict of its monomials, (theta-power j,
+q-power b) -> the nonzero coefficient of q^b theta^j, and products are
+normal-ordered with theta^i q^b = q^b (theta + b)^i.
 
 The Frobenius method is run with a nilpotent shift: solutions are found
 as q^eps * U(q, eps) with eps^depth = 0, whose eps-coefficients produce
-the logarithmic basis y0, y0 log q + f, ...  The quotient of the first
-two gives the mirror map, the second route to the canonical coordinate.
+the logarithmic basis y0, y0 log q + f, ...  The ring of eps modulo
+eps^depth is Series of order depth, so the recursion uses the series
+product and inverse.  The quotient of the first two solutions gives the
+mirror map, the second route to the canonical coordinate.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from . import amodel, vshs
@@ -36,89 +41,43 @@ class MirrorMapMismatch(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# operator polynomials: dict theta-power -> q-coefficient list
+# operators as monomials: (theta-power, q-power) -> nonzero coefficient
 # ---------------------------------------------------------------------------
 
-_OpPoly = dict[int, list[Scalar]]
+_Op = dict[tuple[int, int], Scalar]
 
 
-def _poly_trim(p: list[Scalar]) -> list[Scalar]:
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
+def _op_add(a: _Op, b: _Op) -> _Op:
+    out = dict(a)
+    for key, c in b.items():
+        s = out.pop(key, ZERO) + c
+        if not s.is_zero():
+            out[key] = s
+    return out
 
 
-def _poly_add(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
-    out = [ZERO] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = out[i] + x
-    for i, x in enumerate(b):
-        out[i] = out[i] + x
-    return _poly_trim(out)
+def _op_neg(a: _Op) -> _Op:
+    return {key: -c for key, c in a.items()}
 
 
-def _poly_scale(a: Sequence[Scalar], c: Scalar) -> list[Scalar]:
-    return _poly_trim([x * c for x in a])
-
-
-def _poly_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
-    if not a or not b:
-        return []
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _poly_trim(out)
-
-
-def _op_clean(a: _OpPoly) -> _OpPoly:
-    return {i: p for i, p in a.items() if p}
-
-
-def _op_add(a: _OpPoly, b: _OpPoly) -> _OpPoly:
-    out = {i: list(p) for i, p in a.items()}
-    for i, p in b.items():
-        out[i] = _poly_add(out.get(i, []), p)
-    return _op_clean(out)
-
-
-def _op_neg(a: _OpPoly) -> _OpPoly:
-    return {i: _poly_scale(p, Scalar(-1)) for i, p in a.items()}
-
-
-def _binom_row(i: int) -> list[int]:
-    row = [1]
-    for _ in range(i):
-        row = [1] + [row[s] + row[s + 1] for s in range(len(row) - 1)] + [1]
-    return row
-
-
-def _op_mul(a: _OpPoly, b: _OpPoly) -> _OpPoly:
+def _op_mul(a: _Op, b: _Op) -> _Op:
     """Normal-ordered product: theta^i q^b = q^b (theta + b)^i."""
-    out: _OpPoly = {}
-    for i, pa in a.items():
-        binom = _binom_row(i)
-        for j, pb in b.items():
-            for bpow, coeff in enumerate(pb):
-                if coeff.is_zero():
-                    continue
-                # theta^i applied past q^bpow: (theta + bpow)^i
-                shift = Scalar(bpow)
-                power = ONE
-                for s in range(i, -1, -1):
-                    c = coeff * Scalar(binom[s]) * power
-                    term = _poly_mul(pa, [c])
-                    term = [ZERO] * bpow + term
-                    out[s + j] = _poly_add(out.get(s + j, []), term)
-                    power = power * shift
-    return _op_clean(out)
+    out: _Op = {}
+    for (i, qa), x in a.items():
+        for (j, qb), y in b.items():
+            xy = x * y
+            # (theta + qb)^i = sum_s C(i, s) qb^(i - s) theta^s; for
+            # qb = 0 only s = i is left
+            for s in range(i + 1) if qb else (i,):
+                key = (s + j, qa + qb)
+                out[key] = out.get(key, ZERO) + \
+                    xy * (comb(i, s) * qb ** (i - s))
+    return {key: c for key, c in out.items() if not c.is_zero()}
 
 
-def _op_pow(a: _OpPoly, k: int) -> _OpPoly:
+def _op_pow(a: _Op, k: int) -> _Op:
     """a^k with each factor on the left, where _op_mul expands less."""
-    out: _OpPoly = {0: [ONE]}
+    out: _Op = {(0, 0): ONE}
     for _ in range(k):
         out = _op_mul(a, out)
     return out
@@ -140,15 +99,15 @@ MAX_EXPONENT = 64
 MAX_DEGREE = 64
 # the largest theta-order of an operator.  The companion connection has
 # rank theta-order, and the cost of a run grows steeply with it:
-# mirror-map at order 4 on theta^N takes 0.2 s for N = 24, 0.5 s for 32
-# and 1.5 s for 48 on a 2-vCPU VM
+# mirror-map at order 4 on theta^N takes 0.1 s for N = 24, 0.2 s for 32
+# and 0.6 s for 48 in process on a 2-vCPU VM
 MAX_THETA_ORDER = 24
 
 
-def _op_degrees(a: _OpPoly) -> tuple[int, int]:
-    """(theta-degree, q-degree) of an operator polynomial."""
-    return (max(a, default=0),
-            max((len(p) - 1 for p in a.values()), default=0))
+def _op_degrees(a: _Op) -> tuple[int, int]:
+    """(theta-degree, q-degree) of an operator."""
+    return (max((i for i, _ in a), default=0),
+            max((b for _, b in a), default=0))
 
 
 def _check_degree(theta_deg: int, q_deg: int) -> None:
@@ -213,7 +172,7 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self) -> _OpPoly:
+    def expr(self) -> _Op:
         if self.peek() == "-":
             self.take()
             acc = _op_neg(self.term())
@@ -225,7 +184,7 @@ class _Parser:
             acc = _op_add(acc, rhs if kind == "+" else _op_neg(rhs))
         return acc
 
-    def term(self) -> _OpPoly:
+    def term(self) -> _Op:
         acc = self.factor()
         while True:
             nxt = self.peek()
@@ -236,7 +195,7 @@ class _Parser:
             acc = _op_mul(acc, self.factor())
             _check_degree(*_op_degrees(acc))
 
-    def factor(self) -> _OpPoly:
+    def factor(self) -> _Op:
         base = self.atom()
         if self.peek() == "^":
             self.take()
@@ -251,7 +210,7 @@ class _Parser:
             return _op_pow(base, k)
         return base
 
-    def atom(self) -> _OpPoly:
+    def atom(self) -> _Op:
         nxt = self.peek()
         if nxt is None:
             raise ParseError("unexpected end of input")
@@ -266,16 +225,16 @@ class _Parser:
                 self.depth -= 1
         if nxt == "int":
             _, v = self.take()
-            return {0: [Scalar(int(v))]}
+            return {(0, 0): Scalar(int(v))} if v else {}
         if nxt == "theta":
             self.take()
-            return {1: [ONE]}
+            return {(1, 0): ONE}
         if nxt == "q":
             self.take()
-            return {0: [ZERO, ONE]}
+            return {(0, 1): ONE}
         raise ParseError(f"unexpected token {nxt!r}")
 
-    def nested(self) -> _OpPoly:
+    def nested(self) -> _Op:
         """A parenthesized expression or a negated factor."""
         kind, _ = self.take()
         if kind == "-":
@@ -415,9 +374,12 @@ def parse_pf(text: str) -> PFOperator:
             raise ParseError("trailing input after expression")
         if not poly:
             raise ParseError("zero operator")
-        top = max(poly)
-        coeffs = [list(poly.get(j, [])) for j in range(top + 1)]
-        op = PFOperator(coeffs)
+        # each theta-row ends at its last nonzero q-coefficient
+        q_deg = [-1] * (_op_degrees(poly)[0] + 1)
+        for i, b in poly:
+            q_deg[i] = max(q_deg[i], b)
+        op = PFOperator([[poly.get((i, b), ZERO) for b in range(top + 1)]
+                         for i, top in enumerate(q_deg)])
     _check_degree(op.order_theta, op.max_q_degree)
     if op.order_theta > MAX_THETA_ORDER:
         raise ParseError(f"theta-order {op.order_theta} exceeds the limit "
@@ -430,47 +392,13 @@ def parse_pf(text: str) -> PFOperator:
 # Frobenius solutions
 # ---------------------------------------------------------------------------
 
-_Eps = list[Scalar]  # truncated polynomial in a nilpotent eps
 
-
-def _eps_mul(a: _Eps, b: _Eps, depth: int) -> _Eps:
-    out = [ZERO] * depth
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if i + j >= depth:
-                break
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _eps_inv(a: _Eps, depth: int) -> _Eps:
-    lead = a[0].inverse()
-    out = [lead] + [ZERO] * (depth - 1)
-    for k in range(1, depth):
-        acc = ZERO
-        for j in range(1, k + 1):
-            if j < len(a):
-                acc = acc + a[j] * out[k - j]
-        out[k] = -(lead * acc)
-    return out
-
-
-def _eps_poly_eval(op: PFOperator, m: int, t0: Scalar,
-                   depth: int) -> _Eps:
-    """P_m(t0 + eps) where P_m(t) = sum_j [q^m] c_j(q) t^j."""
-    base = [t0, ONE] + [ZERO] * max(0, depth - 2)
-    base = base[:depth]
-    power = [ONE] + [ZERO] * (depth - 1)
-    out = [ZERO] * depth
-    for j in range(op.order_theta + 1):
-        c = op.coefficient(j, m)
-        if not c.is_zero():
-            for s in range(depth):
-                out[s] = out[s] + c * power[s]
-        power = _eps_mul(power, base, depth)
-    return out
+def _taylor_shift(p: dict[int, Scalar], t0: int, depth: int) -> Series:
+    """p(t0 + eps) mod eps^depth for p(t) = sum_j p[j] t^j, from its
+    Taylor coefficients sum_j C(j, s) p[j] t0^(j - s)."""
+    return Series([sum((c * (comb(j, s) * t0 ** (j - s))
+                        for j, c in p.items() if j >= s), ZERO)
+                   for s in range(depth)], depth)
 
 
 class LogSeries:
@@ -554,19 +482,19 @@ def frobenius_solve(op: PFOperator, depth: int = 2,
             f"a Frobenius basis of depth {depth} needs theta-order at "
             f"least {depth}; the operator has theta-order "
             f"{op.order_theta}")
-    max_m = op.max_q_degree
-    u_list: list[_Eps] = [[ONE] + [ZERO] * (depth - 1)]
+    # P_m(t) = sum_j [q^m] c_j t^j, and u_d = -P_0(d + eps)^-1
+    # sum_m P_m(d - m + eps) u_(d-m) in the eps-series of order depth
+    p = [{j: op.coefficient(j, m) for j in range(op.order_theta + 1)
+          if not op.coefficient(j, m).is_zero()}
+         for m in range(op.max_q_degree + 1)]
+    u = [Series.one(depth)]
     for d in range(1, order):
-        rhs = [ZERO] * depth
-        for m in range(1, min(d, max_m) + 1):
-            pm = _eps_poly_eval(op, m, Scalar(d - m), depth)
-            rhs = [r + x for r, x in
-                   zip(rhs, _eps_mul(pm, u_list[d - m], depth))]
-        p0 = _eps_poly_eval(op, 0, Scalar(d), depth)
-        u_list.append([-x for x in _eps_mul(_eps_inv(p0, depth), rhs,
-                                            depth)])
-    u_eps = [Series([u_list[d][m] for d in range(order)], order)
-             for m in range(depth)]
+        rhs = Series.zero(depth)
+        for m in range(1, min(d, len(p) - 1) + 1):
+            rhs = rhs + _taylor_shift(p[m], d - m, depth) * u[d - m]
+        u.append(-(rhs * _taylor_shift(p[0], d, depth).inverse()))
+    u_eps = [Series([u[d].coeffs[s] for d in range(order)], order)
+             for s in range(depth)]
     solutions = []
     for j in range(depth):
         parts = []

@@ -351,6 +351,23 @@ def test_negative_decimal_rejected_before_output(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("digits", ["1001", "4400", "200000"])
+def test_decimal_over_the_limit_rejected_before_output(capsys, digits):
+    code, out, err = run(capsys, ["instantons", "--input",
+                                  str(DATA / "quintic.pf.txt"), "--order",
+                                  "3", "--volume", "3/7", "--decimal", digits])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "MAX_DECIMAL = 1000" in err
+    assert err.count("\n") == 1
+
+
+def test_decimal_at_the_limit_prints(capsys):
+    code, out, _ = run(capsys, ["instantons", "--input",
+                                str(DATA / "quintic.pf.txt"), "--order", "3",
+                                "--volume", "3/7", "--decimal", "1000"])
+    assert code == 0 and "(~ " in out
+
+
 @pytest.mark.parametrize("text, limit", [
     ("theta^100000000 - 5*q*(5*theta+1)", "MAX_EXPONENT"),
     ("theta^4 - 5*q^100000000*(5*theta+1)", "MAX_EXPONENT"),

@@ -3,7 +3,8 @@
 The holomorphic solution of the standard degree-5 hypergeometric
 operator has the closed form sum (5d)!/(d!)^5 q^d; that series is the
 oracle here, computed with math.factorial and nothing from the module
-under test.
+under test.  Operator products are checked against how operators act on
+monomials, theta^j q^k = k^j q^k.
 """
 import json
 import math
@@ -197,7 +198,7 @@ def test_nesting_limit():
 
 def ref_op_pow(a, k):
     """a^k with each factor multiplied in on the right."""
-    out = {0: [ONE]}
+    out = {(0, 0): ONE}
     for _ in range(k):
         out = picard_fuchs._op_mul(out, a)
     return out
@@ -207,14 +208,81 @@ SCALARS = st.builds(lambda re, im, den: Scalar(Fraction(re, den),
                                                 Fraction(im, den)),
                     st.integers(-3, 3), st.sampled_from((0, 0, 1, -2)),
                     st.sampled_from((1, 2, 3)))
-OP_POLYS = st.dictionaries(st.integers(0, 3),
-                           st.lists(SCALARS, min_size=1, max_size=3),
-                           max_size=3)
+# operators as monomial dicts (theta-power, q-power) -> nonzero scalar
+OPS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                      SCALARS.filter(lambda c: not c.is_zero()),
+                      max_size=4)
 
 
 @settings(max_examples=60, deadline=None)
-@given(OP_POLYS, st.integers(0, 5))
+@given(OPS, st.integers(0, 5))
 def test_op_pow_matches_the_right_multiplying_loop(a, k):
-    a = picard_fuchs._op_clean(
-        {i: picard_fuchs._poly_trim(list(p)) for i, p in a.items()})
     assert picard_fuchs._op_pow(a, k) == ref_op_pow(a, k)
+
+
+def act(op, poly):
+    """L applied to a polynomial {k: a_k}: theta^j q^k = k^j q^k, so
+    L(q^k) = sum c_(j,b) k^j q^(k+b)."""
+    out = {}
+    for (j, b), c in op.items():
+        for k, a in poly.items():
+            out[k + b] = out.get(k + b, ZERO) + c * a * k ** j
+    return {k: a for k, a in out.items() if not a.is_zero()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(OPS, OPS)
+def test_op_mul_composes_the_actions_on_monomials(x, y):
+    xy = picard_fuchs._op_mul(x, y)
+    assert all(not c.is_zero() for c in xy.values())
+    for k in range(7):
+        assert act(xy, {k: ONE}) == act(x, act(y, {k: ONE}))
+
+
+@st.composite
+def unipotent_integer_ops(draw):
+    """Monomial dicts with integer coefficients that parse_pf accepts:
+    a unit leading coefficient theta^r and no other q^0 term."""
+    r = draw(st.integers(1, 5))
+    body = draw(st.dictionaries(
+        st.tuples(st.integers(0, r), st.integers(1, 3)),
+        st.integers(-40, 40).filter(bool), max_size=6))
+    return {(r, 0): draw(st.integers(-9, 9).filter(bool)), **body}
+
+
+@settings(max_examples=80, deadline=None)
+@given(unipotent_integer_ops())
+def test_monomials_round_trip_through_the_expression_language(op):
+    text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)} q^{b} theta^{j}"
+                    for (j, b), c in op.items()).removeprefix("+ ")
+    r = max(j for j, _ in op)
+    rows = [[op.get((j, b), 0) for b in
+             range(1 + max((b for i, b in op if i == j), default=-1))]
+            for j in range(r + 1)]
+    assert parse_pf(text).coeffs == tuple(
+        tuple(Scalar(c) for c in row) for row in rows)
+
+
+@st.composite
+def unipotent_operators(draw):
+    """theta-order 2-5, q-degree <= 2, Gaussian coefficients, and
+    c_j(0) = 0 below a nonzero leading c_r(0)."""
+    r = draw(st.integers(2, 5))
+    rows = [[ZERO] + draw(st.lists(SCALARS, min_size=2, max_size=2))
+            for _ in range(r)]
+    lead = draw(SCALARS.filter(lambda c: not c.is_zero()))
+    rows.append([lead] + draw(st.lists(SCALARS, min_size=2, max_size=2)))
+    return PFOperator(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(unipotent_operators())
+def test_frobenius_full_depth_restricts_to_depth_two(op):
+    # frobenius_solve checks L(solution) = 0 itself, so returning at all
+    # exercises the eps-ring up to eps^(r-1)
+    full = frobenius_solve(op, depth=op.order_theta, order=6)
+    two = frobenius_solve(op, depth=2, order=6)
+    assert full.y0 == two.y0
+    for j in range(2):
+        assert full.solutions[j].parts[:2] == two.solutions[j].parts
+        assert all(p.is_zero() for p in full.solutions[j].parts[2:])

@@ -1,0 +1,85 @@
+"""Dead code in the package, found with the stdlib ast module alone.
+
+Every import of a module in src/vshstools must be used in it (the
+package __init__ re-exports, and `from __future__` is a directive), and
+every module-level private function, class or constant must be named
+somewhere in the package besides its own definition.
+"""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "vshstools"
+MODULES = {path.name: ast.parse(path.read_text(), str(path))
+           for path in sorted(SRC.glob("*.py"))}
+
+
+def quoted_names(annotation: ast.AST) -> set[str]:
+    """Names inside a quoted annotation such as "amodel.InstantonTable"."""
+    names = set()
+    for sub in ast.walk(annotation):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            expr = ast.parse(sub.value, mode="eval")
+            names |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return names
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    """The names a module reads, quoted annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        for annotation in (getattr(node, "annotation", None),
+                           getattr(node, "returns", None)):
+            if annotation is not None:
+                names |= quoted_names(annotation)
+    return names
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in MODULES.items():
+        if name == "__init__.py":
+            continue
+        read = read_names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{name}: {alias.asname or alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0]
+                           not in read]
+    assert unused == []
+
+
+def test_no_unreferenced_private_definitions():
+    # a name read anywhere, an attribute name, or a name imported from
+    # another module of the package counts as a reference
+    used: set[str] = set()
+    for tree in MODULES.values():
+        used |= read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+    orphans = []
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets
+                           if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and \
+                    isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                continue
+            orphans += [f"{name}: {d}" for d in defined
+                        if d.startswith("_") and not d.startswith("__")
+                        and d not in used]
+    assert orphans == []
