@@ -23,6 +23,10 @@ MAX_ORDER = 256
 # the most digits --decimal prints; CPython refuses to turn an int of more
 # than 4300 digits into a string
 MAX_DECIMAL = 1000
+# the most digits of each numerator and denominator of --volume; the
+# printed values carry the volume's digits on top of their own (under 1000
+# for the quintic at MAX_ORDER), and stay under that same 4300
+MAX_VOLUME_DIGITS = 1000
 
 
 def _read_input(path: str) -> str:
@@ -85,6 +89,12 @@ def _parse_volume(text: str) -> Scalar:
         raise picard_fuchs.ParseError(f"--volume: {exc}") from None
     if vol.is_zero():
         raise vshs.ZeroScalar("volume must be nonzero")
+    bound = 10 ** MAX_VOLUME_DIGITS
+    if any(abs(n) >= bound for part in (vol.re, vol.im)
+           for n in (part.numerator, part.denominator)):
+        raise picard_fuchs.ParseError(
+            f"--volume has a numerator or denominator of more than "
+            f"MAX_VOLUME_DIGITS = {MAX_VOLUME_DIGITS} digits")
     return vol
 
 

@@ -199,29 +199,18 @@ class Accumulator:
              if a or b] for ri, ii in zip(self.re, self.im)],
             len(self.re[0]) if self.re else 0)
 
-    def lower(self) -> Matrix:
-        """The sum so far as Scalars, one normalization per entry."""
+    def lower(self, keep: Sequence[Sequence[bool]] | None = None) -> Matrix:
+        """The sum so far as Scalars, one normalization per entry; with
+        keep, the entries (i, j) where keep[i][j] is false read ZERO and
+        are not normalized."""
         d = self.den
-        return [[_norm(a, b, d) if a or b else ZERO for a, b in zip(ri, ii)]
-                for ri, ii in zip(self.re, self.im)]
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    out = []
-    for row in a:
-        s = ZERO
-        for c, x in zip(row, v):
-            if not c.is_zero():
-                s = s + c * x
-        out.append(s)
-    return out
-
-
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    out = identity(len(a))
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
+        if keep is None:
+            return [[_norm(a, b, d) if a or b else ZERO
+                     for a, b in zip(ri, ii)]
+                    for ri, ii in zip(self.re, self.im)]
+        return [[_norm(a, b, d) if k and (a or b) else ZERO
+                 for a, b, k in zip(ri, ii, ki)]
+                for ri, ii, ki in zip(self.re, self.im, keep)]
 
 
 def is_zero_matrix(a: Matrix) -> bool:
@@ -332,18 +321,3 @@ def row_space_basis(vectors: list[Vector]) -> list[Vector]:
         return []
     r, pivots = rref(vectors)
     return r[: len(pivots)]
-
-
-def subspace_equal(a: list[Vector], b: list[Vector]) -> bool:
-    return row_space_basis(a) == row_space_basis(b)
-
-
-def subspace_leq(sub: list[Vector], sup: list[Vector]) -> bool:
-    """span(sub) ⊆ span(sup)."""
-    if not sub:
-        return True
-    return rank(list(sup) + list(sub)) == rank(sup)
-
-
-def subspace_sum(a: list[Vector], b: list[Vector]) -> list[Vector]:
-    return row_space_basis(list(a) + list(b))

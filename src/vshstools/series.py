@@ -18,8 +18,8 @@ truncation order, stored coefficient-major as one scalar matrix per
 q-order: products are convolutions of those matrices, each output
 coefficient summed over one common denominator by the linalg integer
 kernel, and the order-by-order inverse works on them directly.  The
-normal form needs no inverse: its unipotent factor Z(0) = I is divided
-out order by order in vshs.to_canonical_connection.
+normal form needs no inverse: vshs.to_canonical_connection solves for
+its frame and connection together, order by order.
 """
 from __future__ import annotations
 

@@ -13,12 +13,19 @@ canonical coordinate, covariant extension of pairings, and the
 equivalence with graded normal-form objects (DnObject).  The flat gauge
 and the pairing extension are one equation, theta X = L(X) + Phi(X)
 with L nilpotent, solved order by order on the coefficient matrices of
-X by one solver, which keeps them in the lifted form of the linalg
-integer kernel until each q-order is done.  The Hodge-Tate splitting
-takes the pieces F^p ∩ W_p at q = 0 from nilpotent.graded_splitting,
-whose direct-sum check makes every block the recurrence inverts
-invertible.  A residual that should vanish and does not is reported at
-its first nonzero q-order and entry.
+X by one Neumann sum, which keeps them in the lifted form of the linalg
+integer kernel until each q-order is done.
+
+The canonical connection is one more such solve.  Its frame is p0 Y,
+p0 the pieces F^p ∩ W_p at q = 0 from nilpotent.graded_splitting and
+lev[j] the level of column j, and with b' = p0^-1 b p0 the equation
+theta Y = b' Y - Y A, Y(0) = I, reads at q^k
+    k Y_k - [A_0, Y_k] + A_k = R_k,
+    R_k = sum_(j=1..k) b'_j Y_(k-j) - sum_(j=1..k-1) Y_(k-j) A_j.
+Graded by lev[i] - lev[j] it splits three ways: Y_k on the entries of
+grade >= 0 is the Neumann sum, A_k is R_k + [A_0, Y_k] on grade -2, and
+every other entry must vanish.  A residual that should vanish and does
+not is reported at its first nonzero q-order and entry.
 
 Sign conventions are load-bearing and centralized here.  The grading
 collapse evaluates u-polynomials at u = -1; the pairing additionally
@@ -397,6 +404,26 @@ def _first_failure(m: SeriesMatrix,
     return f"the residual is nonzero at q^{k}, entry ({i},{j})"
 
 
+def _neumann_sum(term: Lifted, k: int, lop: Callable[[Lifted], Lifted],
+                 stuck: Exception) -> Accumulator:
+    """The solution X of k X = L(X) + term, L linear and nilpotent, as
+    the terminating Neumann sum X = sum_m L^m(term) / k^(m+1).  A sum
+    longer than 2 dim + 2 terms means L is not nilpotent: raise stuck."""
+    dim = len(term.rows)
+    inv_k = ONE / Scalar(k)
+    acc = Accumulator(dim, term.cols)
+    factor = inv_k
+    steps = 0
+    while not term.zero:
+        acc.add_product(Lifted.scalar(factor, dim), term)
+        term = lop(term)
+        factor = factor * inv_k
+        steps += 1
+        if steps > 2 * dim + 2:
+            raise stuck
+    return acc
+
+
 def _solve_theta(x0: Matrix, order: int, lop: Callable[[Lifted], Lifted],
                  phi: Callable[[list[Lifted], int], Lifted],
                  stuck: Exception) -> SeriesMatrix:
@@ -404,27 +431,14 @@ def _solve_theta(x0: Matrix, order: int, lop: Callable[[Lifted], Lifted],
 
     L is linear and nilpotent, and Phi_k reads only X_0 .. X_(k-1).
     The order-k equation k X_k = L(X_k) + Phi_k is then solved by the
-    terminating Neumann sum X_k = sum_m L^m(Phi_k) / k^(m+1).  A sum
-    longer than 2 dim + 2 terms means L is not nilpotent: raise stuck.
-    Phi, L and the sum work on Lifted matrices; each X_k is lowered to
-    Scalars once.
+    Neumann sum.  Phi, L and the sum work on Lifted matrices; each X_k is
+    lowered to Scalars once.
     """
     dim = len(x0)
     xs = [x0]
     lifted = [Lifted.of(x0)]
     for k in range(1, order):
-        term = phi(lifted, k)
-        inv_k = ONE / Scalar(k)
-        acc = Accumulator(dim, dim)
-        factor = inv_k
-        steps = 0
-        while not term.zero:
-            acc.add_product(Lifted.scalar(factor, dim), term)
-            term = lop(term)
-            factor = factor * inv_k
-            steps += 1
-            if steps > 2 * dim + 2:
-                raise stuck
+        acc = _neumann_sum(phi(lifted, k), k, lop, stuck)
         xs.append(acc.lower())
         lifted.append(acc.lifted())
     return SeriesMatrix.from_coefficients(xs, dim, dim)
@@ -474,122 +488,108 @@ def hodge_tate_split(g: GeometricVHS) -> tuple[SeriesMatrix,
     Returns (P, levels2) where column j of P spans the intersection of
     F^(>= p_j) with the flat extension of the weight filtration, p_j
     the j-th entry of levels2 (weakly decreasing).  The gauge of the
-    constant residue by P is the canonical connection.
+    constant residue by P is the canonical connection, and U P is its
+    frame, U the flat gauge of g.conn.
     """
-    z, p0, levels, _ = _split_in_flat_gauge(g, formal_flat_gauge(g.conn))
-    return z.scalar_left_mul(p0), levels
+    canon = to_canonical_connection(g)
+    return formal_flat_gauge(g.conn).inverse() * canon.frame, canon.levels2
 
 
-def _split_in_flat_gauge(g: GeometricVHS, u: SeriesMatrix
-                         ) -> tuple[SeriesMatrix, Matrix, tuple[int, ...],
-                                    SeriesMatrix]:
-    """The splitting P = p0 Z of hodge_tate_split, given the flat gauge U
-    of g.conn, as (Z, p0, levels2, U P).  Z(0) = I and each Z_m, m >= 1,
-    is nonzero only in the rows of columns of lower level."""
-    dim = g.rank
-    order = g.order
-    n_mat = g.conn.at0()
-
-    try:
-        pieces = nilpotent.graded_splitting(n_mat, g.levels2)
-    except nilpotent.NotSplit as exc:
-        raise NotHodgeTate(
-            f"flag and weight filtration do not split at q = 0: {exc}"
-        ) from exc
-
-    # the pieces are dim independent vectors, so p0 is invertible
-    col_levels: list[int] = []
-    p0_cols: list[Vector] = []
-    for level in sorted(pieces, reverse=True):
-        for v in pieces[level]:
-            col_levels.append(level)
-            p0_cols.append(v)
-    p0 = [[p0_cols[j][i] for j in range(dim)] for i in range(dim)]
-
-    # Column j of P is p0 z with z(0) = e_j, where U p0 z must vanish in
-    # the rows below level p_j and z moves only the columns below p_j:
-    # Z_m = -S^-1 sum_(l=1..m) T_l[low rows] Z_(m-l) with T = U p0 and
-    # S = p0[low rows, low cols], solved for the columns of one level at
-    # once.
-    t = u.scalar_right_mul(p0)
-    z_coeffs = [linalg.identity(dim)]
-    z_coeffs.extend(linalg.zeros(dim, dim) for _ in range(1, order))
-    for level in sorted(set(col_levels), reverse=True):
-        low_rows = [i for i in range(dim) if g.levels2[i] < level]
-        if not low_rows:
-            continue  # Z_m = 0 in these columns
-        cols = [c for c in range(dim) if col_levels[c] == level]
-        low_cols = [c for c in range(dim) if col_levels[c] < level]
-        zs = [Lifted.of([[ONE if c == j else ZERO for j in cols]
-                         for c in range(dim)])]
-        # the high columns span F^(>=level), which vanishes in the low
-        # rows, so p0 is block-triangular and S is invertible
-        s_inv = linalg.inverse(
-            [[p0[i][c] for c in low_cols] for i in low_rows])
-        # -S^-1 placed at the rows of the low columns
-        neg_s_inv = linalg.zeros(dim, len(low_rows))
-        for row, c in zip(s_inv, low_cols):
-            neg_s_inv[c] = [-x for x in row]
-        solve = Lifted.of(neg_s_inv)
-        t_low = [Lifted(tl.den, [tl.rows[i] for i in low_rows], dim)
-                 for tl in t._lifted()]
-        for m in range(1, order):
-            rhs = Accumulator(len(low_rows), len(cols))
-            for l in range(1, m + 1):
-                rhs.add_product(t_low[l], zs[m - l])
-            z = Accumulator(dim, len(cols))
-            z.add_product(solve, rhs.lifted())
-            zs.append(z.lifted())
-            for row, z_row in zip(z_coeffs[m], z.lower()):
-                for c, x in zip(cols, z_row):
-                    row[c] = x
-    z_series = SeriesMatrix.from_coefficients(z_coeffs, dim, dim)
-
-    # paranoia: each column must actually lie in its flag step
-    frame = t * z_series
-    failure = _first_failure(
-        frame, lambda i, j: g.levels2[i] < col_levels[j])
-    if failure:
-        raise NotHodgeTate(
-            f"splitting residual is nonzero; flag does not extend: "
-            f"{failure}")
-    return z_series, p0, tuple(col_levels), frame
+def _restrict(x: Lifted, keep: list[list[bool]]) -> Lifted:
+    """x with the entries (i, j) where keep[i][j] is false dropped."""
+    return Lifted(x.den, [[e for e in row if mask[e[0]]]
+                          for row, mask in zip(x.rows, keep)], x.cols)
 
 
 def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
     """Gauge to the frame where the connection is grade-lowering.
 
-    The returned frame is cumulative from the input frame; a_series is
-    the connection matrix in it, guaranteed to have entries only on
-    blocks dropping the doubled level by exactly 2.
+    The returned frame F is cumulative from the input frame; a_series is
+    the connection matrix A in it, with entries only on blocks dropping
+    the doubled level by exactly 2.  F(0) = p0 holds the graded pieces of
+    nilpotent.graded_splitting, column j at level lev[j].
 
-    With P = p0 Z the connection P^-1 (N P - theta P) of the constant
-    residue N is A = Z^-1 (N' Z - theta Z), N' = p0^-1 N p0.  As Z(0) = I,
-    Z A = N' Z - theta Z is solved order by order with no inverse:
-    A_k = N' Z_k - k Z_k - sum_(j=1..k) Z_j A_(k-j).
+    F is the gauge that carries b = g.conn to A, so theta F = b F - F A.
+    With Y = p0^-1 F and b' = p0^-1 b p0 this is theta Y = b' Y - Y A with
+    Y(0) = I and A_0 = b'_0, and its q^k coefficient is
+        k Y_k - [A_0, Y_k] + A_k = R_k,
+        R_k = sum_(j=1..k) b'_j Y_(k-j) - sum_(j=1..k-1) Y_(k-j) A_j.
+    Graded by lev[i] - lev[j], the equation splits three ways:
+    * Y_k lives on the entries with lev[i] >= lev[j] (column j of F lies
+      in F^(>= lev[j])), where it is (k - P ad_(A_0)) Y_k = P R_k, P the
+      projection onto those entries; ad_(A_0) lowers the grade by 2, so
+      this is the Neumann sum of _neumann_sum;
+    * A_k is E_k = R_k + [A_0, Y_k] on the entries with lev[i] = lev[j] - 2;
+    * every other entry of E_k must vanish (Griffiths transversality in
+      the graded frame), else DegreeViolation names q^k and the entry.
+    The solution is unique, and F = p0 Y takes no inverse of a series.
     """
-    z, p0, levels, frame = _split_in_flat_gauge(g, formal_flat_gauge(g.conn))
-    dim = len(levels)
-    a_coeffs = [linalg.mat_mul(linalg.inverse(p0),
-                               linalg.mat_mul(g.conn.at0(), p0))]
-    n_prime = Lifted.of(a_coeffs[0])
-    a_lifted = [n_prime]
-    zl, neg_z = z._lifted(), (-z)._lifted()
-    for k in range(1, g.order):
+    dim, order = g.rank, g.order
+    try:
+        pieces = nilpotent.graded_splitting(g.conn.at0(), g.levels2)
+    except nilpotent.NotNilpotent as exc:
+        raise NotNilpotentResidue(str(exc)) from exc
+    except nilpotent.NotSplit as exc:
+        raise NotHodgeTate(
+            f"flag and weight filtration do not split at q = 0: {exc}"
+        ) from exc
+    # the pieces are dim independent vectors, so p0 is invertible
+    tops = sorted(pieces, reverse=True)
+    lev = tuple(level for level in tops for _ in pieces[level])
+    p0 = linalg.transpose([v for level in tops for v in pieces[level]])
+    upper = [[lev[i] >= lev[j] for j in range(dim)] for i in range(dim)]
+    lower = [[not x for x in row] for row in upper]
+
+    p0_inv, lp0 = Lifted.of(linalg.inverse(p0)), Lifted.of(p0)
+    bp = []  # b' = p0^-1 b p0
+    for bk in g.conn._lifted():
         acc = Accumulator(dim, dim)
-        acc.add_product(n_prime, zl[k])
-        acc.add_product(Lifted.scalar(Scalar(-k), dim), zl[k])
+        acc.add_product(p0_inv, bk)
+        conj = Accumulator(dim, dim)
+        conj.add_product(acc.lifted(), lp0)
+        bp.append(conj)
+    # A_0 = b'_0 lowers the level by exactly 2: N maps F^(>=p) into
+    # F^(>=p-2) (transversality, checked by GeometricVHS) and W_(<=p) into
+    # W_(<=p-2), so it maps each piece F^(>=p) ∩ W_(<=p) into the next
+    a_coeffs = [bp[0].lower()]
+    bp = [acc.lifted() for acc in bp]
+    a0, neg_a0 = bp[0], Lifted.of(linalg.mat_neg(a_coeffs[0]))
+
+    def ad_a0(x: Lifted) -> Lifted:
+        acc = Accumulator(dim, dim)
+        acc.add_product(a0, x)
+        acc.add_product(x, neg_a0)
+        return _restrict(acc.lifted(), upper)
+
+    stuck = NotNilpotentResidue("ad of the residue does not terminate")
+    ys = [Lifted.of(linalg.identity(dim))]
+    neg_a = [neg_a0]
+    for k in range(1, order):
+        r = Accumulator(dim, dim)
         for j in range(1, k + 1):
-            acc.add_product(neg_z[j], a_lifted[k - j])
-        a_coeffs.append(acc.lower())
-        a_lifted.append(acc.lifted())
-    a = SeriesMatrix.from_coefficients(a_coeffs, dim, dim)
-    for i, j in sorted(_support(a)):
-        if levels[i] != levels[j] - 2:
-            raise DegreeViolation(
-                f"canonical connection entry ({i},{j}) relates levels "
-                f"{levels[j]} -> {levels[i]}")
-    return CanonicalConnection(frame=frame, a_series=a, levels2=levels)
+            r.add_product(bp[j], ys[k - j])
+        for j in range(1, k):
+            r.add_product(ys[k - j], neg_a[j])
+        y = _neumann_sum(_restrict(r.lifted(), upper), k, ad_a0,
+                         stuck).lifted()
+        r.add_product(a0, y)
+        r.add_product(y, neg_a0)
+        a_k = r.lower(lower)
+        for i, row in enumerate(a_k):
+            for j, x in enumerate(row):
+                if not x.is_zero() and lev[i] != lev[j] - 2:
+                    raise DegreeViolation(
+                        f"canonical connection is nonzero at q^{k}, entry "
+                        f"({i},{j}), which relates levels {lev[j]} -> "
+                        f"{lev[i]}")
+        a_coeffs.append(a_k)
+        neg_a.append(Lifted.of(linalg.mat_neg(a_k)))
+        ys.append(y)
+    return CanonicalConnection(
+        frame=SeriesMatrix.from_coefficients(
+            [lp0.times(y) for y in ys], dim, dim),
+        a_series=SeriesMatrix.from_coefficients(a_coeffs, dim, dim),
+        levels2=lev)
 
 
 def _ks_component(a: SeriesMatrix, levels2: Sequence[int]) -> Series:

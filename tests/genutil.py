@@ -181,6 +181,40 @@ def random_nilpotent_conjugate(rng: Random, mat, span: int = 2,
             return linalg.mat_mul(p, linalg.mat_mul(mat, p_inv)), p
 
 
+def mat_vec(a, v):
+    """The matrix a applied to the vector v."""
+    out = []
+    for row in a:
+        s = ZERO
+        for c, x in zip(row, v):
+            if not c.is_zero():
+                s = s + c * x
+        out.append(s)
+    return out
+
+
+def mat_pow(a, k):
+    out = linalg.identity(len(a))
+    for _ in range(k):
+        out = linalg.mat_mul(out, a)
+    return out
+
+
+def subspace_equal(a, b):
+    return linalg.row_space_basis(a) == linalg.row_space_basis(b)
+
+
+def subspace_leq(sub, sup):
+    """span(sub) ⊆ span(sup)."""
+    if not sub:
+        return True
+    return linalg.rank(list(sup) + list(sub)) == linalg.rank(sup)
+
+
+def subspace_sum(a, b):
+    return linalg.row_space_basis(list(a) + list(b))
+
+
 def subspace_intersection(a, b):
     """Canonical basis of span(a) ∩ span(b), by the general route: the
     nullspace of the coefficients on a and on b; a reference for the

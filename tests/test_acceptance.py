@@ -19,8 +19,8 @@ from vshstools.nilpotent import weight_filtration
 from vshstools.scalars import ONE, ZERO, Scalar
 from vshstools.series import Series
 
-from genutil import (rand_scalar, random_dn, random_flat_pair,
-                     random_nilpotent_conjugate, random_rees)
+from genutil import (mat_vec, rand_scalar, random_dn, random_flat_pair,
+                     random_nilpotent_conjugate, random_rees, subspace_equal)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 QUINTIC = str(DATA / "quintic.pf.txt")
@@ -192,13 +192,13 @@ def test_criterion_6_weight_filtration_vs_exhaustive_search():
                 expected = linalg.row_space_basis(
                     [unit_vector(i, dim) for i in range(dim)
                      if weights[i] <= k])
-                assert linalg.subspace_equal(wf.le(k), expected)
+                assert subspace_equal(wf.le(k), expected)
             if dim >= 2:
                 conj, p = random_nilpotent_conjugate(rng, mat)
                 wf_conj = weight_filtration(conj)
                 for k in range(-n - 1, n + 2):
-                    moved = [linalg.mat_vec(p, v) for v in wf.le(k)]
-                    assert linalg.subspace_equal(
+                    moved = [mat_vec(p, v) for v in wf.le(k)]
+                    assert subspace_equal(
                         wf_conj.le(k), linalg.row_space_basis(moved))
             checked += 1
     assert checked == 18

@@ -368,6 +368,30 @@ def test_decimal_at_the_limit_prints(capsys):
     assert code == 0 and "(~ " in out
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("volume", ["7" * 4251, "1e1000", "3/1" + "0" * 1000,
+                                    "1+" + "7" * 1001 + "*i"])
+def test_volume_over_the_digit_limit_rejected_before_output(capsys, fmt,
+                                                            volume):
+    # 4251 sevens used to print 70 KB of table and then fail on a value
+    # past CPython's 4300-digit limit for int to str
+    code, out, err = run(capsys, ["pipeline", "--input",
+                                  str(DATA / "quintic.pf.txt"), "--order",
+                                  "32", "--volume", volume, "--format", fmt])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --volume") and \
+        "MAX_VOLUME_DIGITS = 1000" in err
+    assert err.count("\n") == 1
+
+
+def test_volume_at_the_digit_limit_prints(capsys):
+    volume = "7" * 1000 + "/1" + "0" * 998 + "3"
+    code, out, _ = run(capsys, ["pipeline", "--input",
+                                str(DATA / "quintic.pf.txt"), "--order", "32",
+                                "--volume", volume])
+    assert code == 0 and "7" * 1000 in out
+
+
 @pytest.mark.parametrize("text, limit", [
     ("theta^100000000 - 5*q*(5*theta+1)", "MAX_EXPONENT"),
     ("theta^4 - 5*q^100000000*(5*theta+1)", "MAX_EXPONENT"),

@@ -10,7 +10,8 @@ from vshstools import linalg
 from vshstools.linalg import Accumulator, Lifted
 from vshstools.scalars import ONE, ZERO, Scalar
 
-from genutil import subspace_intersection
+from genutil import (mat_pow, mat_vec, subspace_equal, subspace_intersection,
+                     subspace_leq, subspace_sum)
 
 
 def _rand_matrix(rng, rows, cols, span=5):
@@ -33,7 +34,7 @@ def test_rank_and_nullspace():
     ns = linalg.nullspace(m)
     assert len(ns) == 2
     for v in ns:
-        assert all(x.is_zero() for x in linalg.mat_vec(m, v))
+        assert all(x.is_zero() for x in mat_vec(m, v))
 
 
 def test_inverse_random():
@@ -59,7 +60,7 @@ def test_solve():
     b = [Scalar(5), Scalar(10)]
     x = linalg.solve(a, b)
     assert x is not None
-    assert linalg.mat_vec(a, x) == b
+    assert mat_vec(a, x) == b
     assert linalg.solve([[ONE, ONE], [ONE, ONE]], [ONE, Scalar(2)]) is None
 
 
@@ -68,14 +69,14 @@ def test_subspace_operations():
     e1 = [ZERO, ONE, ZERO]
     e2 = [ZERO, ZERO, ONE]
     plane = [e0, e1]
-    assert linalg.subspace_leq([[Scalar(3), Scalar(-2), ZERO]], plane)
-    assert not linalg.subspace_leq([e2], plane)
-    assert linalg.subspace_leq([e0], plane)
-    assert not linalg.subspace_leq(plane, [e0])
-    assert linalg.subspace_equal(
-        linalg.subspace_sum([e0], [e1]), plane)
+    assert subspace_leq([[Scalar(3), Scalar(-2), ZERO]], plane)
+    assert not subspace_leq([e2], plane)
+    assert subspace_leq([e0], plane)
+    assert not subspace_leq(plane, [e0])
+    assert subspace_equal(
+        subspace_sum([e0], [e1]), plane)
     inter = subspace_intersection(plane, [e1, e2])
-    assert linalg.subspace_equal(inter, [e1])
+    assert subspace_equal(inter, [e1])
 
 
 def test_row_space_basis_canonical():
@@ -90,8 +91,8 @@ def test_row_space_basis_canonical():
 
 def test_mat_pow():
     m = [[ZERO, ONE], [ZERO, ZERO]]
-    assert linalg.mat_eq(linalg.mat_pow(m, 0), linalg.identity(2))
-    assert linalg.is_zero_matrix(linalg.mat_pow(m, 2))
+    assert linalg.mat_eq(mat_pow(m, 0), linalg.identity(2))
+    assert linalg.is_zero_matrix(mat_pow(m, 2))
 
 
 # --- the integer product kernel --------------------------------------------
@@ -170,6 +171,9 @@ def test_kernel_accumulates_over_mixed_denominators(data):
                 acc.add_product(Lifted.of(x), Lifted.scalar(c, p))
             ref = linalg.mat_add(ref, linalg.mat_scale(x, c))
     assert acc.lower() == ref
+    keep = [[data.draw(st.booleans()) for _ in range(p)] for _ in range(n)]
+    assert acc.lower(keep) == [[x if k else ZERO for x, k in zip(row, ks)]
+                               for row, ks in zip(ref, keep)]
     # the unnormalized form holds the same values
     again = Accumulator(n, p)
     again.add_product(Lifted.scalar(ONE, n), acc.lifted())

@@ -20,8 +20,9 @@ from vshstools.nilpotent import (NotNilpotent, NotSplit, WeightFiltration,
                                  nilpotency_index, weight_filtration)
 from vshstools.scalars import ONE, ZERO, Scalar
 
-from genutil import (rand_scalar, random_dn, random_nilpotent_conjugate,
-                     subspace_intersection)
+from genutil import (mat_pow, mat_vec, rand_scalar, random_dn,
+                     random_nilpotent_conjugate, subspace_equal,
+                     subspace_intersection, subspace_leq, subspace_sum)
 
 
 def jordan_matrix(partition):
@@ -43,14 +44,14 @@ def deligne_filtration(mat):
     for _ in range(2 * dim + 2):
         powers.append(linalg.mat_mul(powers[-1], mat))
     images = [linalg.row_space_basis(
-        [linalg.mat_vec(p, row) for row in linalg.identity(dim)])
+        [mat_vec(p, row) for row in linalg.identity(dim)])
         for p in powers]
     kernels = [linalg.nullspace(p) for p in powers]
     out = {}
     for k in range(-dim - 1, dim + 2):
         space: list[list[Scalar]] = []
         for j in range(max(0, -k), dim + 1):
-            space = linalg.subspace_sum(
+            space = subspace_sum(
                 space, subspace_intersection(kernels[j + k + 1], images[j]))
         out[k] = space
     return out
@@ -146,16 +147,16 @@ def test_filtration_axioms():
         n = wf.center_shift
         for k in range(-n, n + 1):
             # N MW_{<=k} ⊆ MW_{<=k-2}
-            mapped = [linalg.mat_vec(mat, v) for v in wf.le(k)]
-            assert linalg.subspace_leq(
+            mapped = [mat_vec(mat, v) for v in wf.le(k)]
+            assert subspace_leq(
                 linalg.row_space_basis(mapped), wf.le(k - 2))
         for k in range(1, n + 1):
             # N^k : Gr_k -> Gr_{-k} bijective
             assert wf.graded_dimension(k) == wf.graded_dimension(-k)
-            power = linalg.mat_pow(mat, k)
-            pushed = linalg.subspace_sum(
-                [linalg.mat_vec(power, v) for v in wf.le(k)], wf.le(-k - 1))
-            assert linalg.subspace_equal(pushed, wf.le(-k))
+            power = mat_pow(mat, k)
+            pushed = subspace_sum(
+                [mat_vec(power, v) for v in wf.le(k)], wf.le(-k - 1))
+            assert subspace_equal(pushed, wf.le(-k))
 
 
 def test_conjugation_equivariance():
@@ -165,8 +166,8 @@ def test_conjugation_equivariance():
     conj, p = random_nilpotent_conjugate(rng, mat)
     wf_conj = weight_filtration(conj)
     for k in range(-3, 4):
-        moved = [linalg.mat_vec(p, v) for v in wf.le(k)]
-        assert linalg.subspace_equal(wf_conj.le(k),
+        moved = [mat_vec(p, v) for v in wf.le(k)]
+        assert subspace_equal(wf_conj.le(k),
                                      linalg.row_space_basis(moved))
 
 
@@ -178,9 +179,9 @@ def test_graded_splitting_regular_block():
     mat = jordan_matrix([3])
     pieces = graded_splitting(mat, (-2, 0, 2))
     assert sorted(pieces) == [-2, 0, 2]
-    assert linalg.subspace_equal(pieces[-2], [e(0, 3)])
-    assert linalg.subspace_equal(pieces[0], [e(1, 3)])
-    assert linalg.subspace_equal(pieces[2], [e(2, 3)])
+    assert subspace_equal(pieces[-2], [e(0, 3)])
+    assert subspace_equal(pieces[0], [e(1, 3)])
+    assert subspace_equal(pieces[2], [e(2, 3)])
 
 
 def test_graded_splitting_rejects_incompatible_flag():
@@ -196,8 +197,8 @@ def test_graded_splitting_respects_n_action():
     mat = jordan_matrix([4])
     pieces = graded_splitting(mat, (-3, -1, 1, 3))
     for p in (3, 1, -1):
-        mapped = [linalg.mat_vec(mat, v) for v in pieces[p]]
-        assert linalg.subspace_leq(
+        mapped = [mat_vec(mat, v) for v in pieces[p]]
+        assert subspace_leq(
             linalg.row_space_basis(mapped), pieces[p - 2])
 
 
@@ -213,7 +214,7 @@ def ref_graded_splitting(n_mat, flag):
     keys = sorted(flag)
     canonical = {p: linalg.row_space_basis(flag[p]) for p in keys}
     for lower, upper in zip(keys, keys[1:]):
-        if not linalg.subspace_leq(canonical[upper], canonical[lower]):
+        if not subspace_leq(canonical[upper], canonical[lower]):
             raise ValueError("flag bases are not nested")
 
     def ge(p):
@@ -233,15 +234,15 @@ def ref_graded_splitting(n_mat, flag):
         if piece:
             pieces[p] = piece
             assembled.extend(piece)
-        below = linalg.subspace_sum(below, piece)
-        if not linalg.subspace_equal(below, mw.le(p)):
+        below = subspace_sum(below, piece)
+        if not subspace_equal(below, mw.le(p)):
             raise NotSplit(f"partial sums up to {p} miss the weights")
     if len(assembled) != dim or linalg.rank(assembled) != dim:
         raise NotSplit("graded pieces do not span")
     above = []
     for p in range(hi, lo - 1, -1):
-        above = linalg.subspace_sum(above, pieces.get(p, []))
-        if not linalg.subspace_equal(above, ge(p)):
+        above = subspace_sum(above, pieces.get(p, []))
+        if not subspace_equal(above, ge(p)):
             raise NotSplit(f"partial sums down to {p} miss the flag")
     return pieces
 

@@ -28,7 +28,7 @@ from vshstools.vshs import (DegreeViolation, DnObject, GeometricVHS,
                             to_canonical_connection, to_normal_form,
                             verify_prevhs, yukawa)
 
-from genutil import random_dn, random_flat_pair, random_rees
+from genutil import mat_vec, random_dn, random_flat_pair, random_rees
 
 ORD = 8
 COORD = Series.coordinate(ORD)
@@ -206,10 +206,10 @@ def ref_split(g):
                         for c in range(dim):
                             s_val = s_val + t[l][i][c] * z[m - l][c]
                     rhs.append(-s_val)
-                for c, x in zip(low_cols, linalg.mat_vec(s_inv, rhs)):
+                for c, x in zip(low_cols, mat_vec(s_inv, rhs)):
                     zm[c] = x
             z.append(zm)
-        cols.append([linalg.mat_vec(p0, zk) for zk in z])
+        cols.append([mat_vec(p0, zk) for zk in z])
     return SeriesMatrix.from_coefficients(
         [[[cols[j][k][i] for j in range(dim)] for i in range(dim)]
          for k in range(order)], dim, dim), tuple(col_levels)
@@ -242,15 +242,16 @@ def test_split_matches_the_per_column_recurrence(seed, n, mixed, gaussian):
        st.booleans())
 def test_canonical_connection_matches_the_gauge_by_the_split(seed, n, mixed,
                                                              gaussian):
-    """The reference route through P = hodge_tate_split: the connection
-    P^-1 (N P - theta P) of the constant residue N, and the frame U P."""
+    """The reference route through the splitting P of ref_split: the
+    connection P^-1 (N P - theta P) of the constant residue N, and the
+    frame U P, U the flat gauge."""
     scrambled = scrambled_dn(seed, n, mixed, gaussian)
     canon = to_canonical_connection(scrambled)
-    p, levels = hodge_tate_split(scrambled)
+    p_ref, levels = ref_split(scrambled)
     residue = SeriesMatrix.from_scalar_matrix(scrambled.conn.at0(), ORD)
     assert canon.levels2 == levels
-    assert canon.a_series == gauge_transform(residue, p)
-    assert canon.frame == formal_flat_gauge(scrambled.conn) * p
+    assert canon.a_series == gauge_transform(residue, p_ref)
+    assert canon.frame == formal_flat_gauge(scrambled.conn) * p_ref
 
 
 def test_degree_violation():
@@ -259,6 +260,17 @@ def test_degree_violation():
     b = smat([[0, 0, 0], [[0, 1], 0, 0], [1, 0, 0]])
     g = GeometricVHS(conn=b, levels2=(1, 0, -1), pairing=None, parity=1)
     with pytest.raises(DegreeViolation):
+        to_canonical_connection(g)
+
+
+def test_degree_violation_names_its_order_and_entry():
+    # the level-1 -> level-0 term q^2 passes the constructor's check and
+    # no frame compatible with the splitting removes it; nothing at q^1
+    b = smat([[0, 0, 0], [[0, 0, 1], 0, 0], [1, 0, 0]])
+    g = GeometricVHS(conn=b, levels2=(1, 0, -1), pairing=None, parity=1)
+    with pytest.raises(DegreeViolation,
+                       match=r"nonzero at q\^2, entry \(1,0\), which relates "
+                             r"levels 1 -> 0"):
         to_canonical_connection(g)
 
 
