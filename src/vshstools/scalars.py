@@ -265,11 +265,16 @@ def format_scalar(s: Scalar) -> str:
     return f"{_format_rational(a, d)}{sign}{im_part}"
 
 
+# Fraction expands the 10**300 of "1e300" before any size check can run
+MAX_SCALAR_EXPONENT = 4300
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse the canonical scalar string form.
 
     Accepts "a", "a/b", optionally followed by "+c/d*i" or "-c/d*i", and
-    the purely imaginary forms "c/d*i", "-c/d*i", "i", "-i".
+    the purely imaginary forms "c/d*i", "-c/d*i", "i", "-i"; an exponent
+    ("1e300") is at most MAX_SCALAR_EXPONENT in magnitude.
     """
     t = text.strip().replace(" ", "")
     if not t:
@@ -282,19 +287,23 @@ def parse_scalar(text: str) -> Scalar:
             parts.append(t[start:k])
             start = k
     parts.append(t[start:])
-    re = Fraction(0)
-    im = Fraction(0)
+    re = im = Fraction(0)
     try:
         for p in parts:
-            if p.endswith("*i") or p == "i" or p == "-i" or p == "+i":
-                if p in ("i", "+i"):
-                    im += 1
-                elif p == "-i":
-                    im -= 1
-                else:
-                    im += Fraction(p[:-2])
+            if p in ("i", "+i", "-i"):
+                p = p[:-1] + "1*i"
+            imag = p.endswith("*i")
+            num = p[:-2] if imag else p
+            exp = num.lower().partition("e")[2].replace("_", "").lstrip("+-0")
+            if exp.isdecimal() and (len(exp) > len(str(MAX_SCALAR_EXPONENT))
+                                    or int(exp) > MAX_SCALAR_EXPONENT):
+                raise ValueError("exponent exceeds the limit "
+                                 "MAX_SCALAR_EXPONENT = "
+                                 f"{MAX_SCALAR_EXPONENT}")
+            if imag:
+                im += Fraction(num)
             else:
-                re += Fraction(p)
+                re += Fraction(num)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar {text!r}") from None
     return Scalar(re, im)

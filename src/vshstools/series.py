@@ -538,20 +538,9 @@ class SeriesMatrix:
     def at0(self) -> ScalarMatrix:
         return self.coefficient_matrix(0)
 
-    def first_nonzero(self, where: Callable[[int, int], bool] | None = None
-                      ) -> tuple[int, int, int] | None:
-        """(k, i, j) of the first nonzero coefficient, by q-order and then
-        row by row, among the entries (i, j) that `where` accepts (all by
-        default); None if there is none modulo q^order."""
-        for k, m in enumerate(self.coeffs):
-            for i, row in enumerate(m):
-                for j, x in enumerate(row):
-                    if not x.is_zero() and (where is None or where(i, j)):
-                        return k, i, j
-        return None
-
     def is_zero(self) -> bool:
-        return self.first_nonzero() is None
+        return all(x.is_zero() for m in self.coeffs for row in m
+                   for x in row)
 
     def truncate(self, order: int) -> "SeriesMatrix":
         if order > self.order:

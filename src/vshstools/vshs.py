@@ -10,22 +10,18 @@ Two presentations of the same data and the translations between them:
 
 Plus the normal-form machinery: formal flat gauge, Hodge-Tate splitting,
 canonical coordinate, covariant extension of pairings, and the
-equivalence with graded normal-form objects (DnObject).  The flat gauge
-and the pairing extension are one equation, theta X = L(X) + Phi(X)
-with L nilpotent, solved order by order on the coefficient matrices of
-X by one Neumann sum, which keeps them in the lifted form of the linalg
-integer kernel until each q-order is done.
+equivalence with graded normal-form objects (DnObject).  The flat gauge,
+the canonical connection (see to_canonical_connection) and the pairing
+extension each solve theta X = L(X) + Phi(X) with L nilpotent, order by
+order on the coefficient matrices of X by one Neumann sum, which keeps
+them in the lifted form of the linalg integer kernel until each q-order
+is done.  A residual that should vanish and does not is reported at its
+first nonzero q-order and entry.
 
-The canonical connection is one more such solve.  Its frame is p0 Y,
-p0 the pieces F^p ∩ W_p at q = 0 from nilpotent.graded_splitting and
-lev[j] the level of column j, and with b' = p0^-1 b p0 the equation
-theta Y = b' Y - Y A, Y(0) = I, reads at q^k
-    k Y_k - [A_0, Y_k] + A_k = R_k,
-    R_k = sum_(j=1..k) b'_j Y_(k-j) - sum_(j=1..k-1) Y_(k-j) A_j.
-Graded by lev[i] - lev[j] it splits three ways: Y_k on the entries of
-grade >= 0 is the Neumann sum, A_k is R_k + [A_0, Y_k] on grade -2, and
-every other entry must vanish.  A residual that should vanish and does
-not is reported at its first nonzero q-order and entry.
+The pairing M solves theta M = A^T M + M A, and every M here has
+M^T = eps M, eps = (-1)^n, so M A = eps (A^T M)^T: one kernel,
+_plus_transpose, forms X + eps X^T on the integers, and the equation
+takes one product per term where it is checked or solved.
 
 Sign conventions are load-bearing and centralized here.  The grading
 collapse evaluates u-polynomials at u = -1; the pairing additionally
@@ -40,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import linalg, nilpotent
-from .linalg import Accumulator, Lifted, Matrix, Vector
+from .linalg import Accumulator, Lifted, Matrix
 from .scalars import ONE, ZERO, Scalar, sqrt_exact
 from .series import PowerTable, Series, SeriesMatrix
 
@@ -194,16 +190,14 @@ class GeometricVHS:
                 raise ValueError("pairing shape mismatch")
             if pairing.order != conn.order:
                 raise ValueError("pairing and connection order mismatch")
-            sign = Scalar(-1 if parity else 1)
+            # a failure at (i, j) is one at (j, i): the first has i <= j
             for i in range(conn.rows):
-                for j in range(conn.cols):
-                    if any(m[i][j] != sign * m[j][i]
+                for j in range(i, conn.cols):
+                    if any(m[i][j] != (-m[j][i] if parity else m[j][i])
                            for m in pairing.coeffs):
                         raise InvariantViolation(
                             f"pairing symmetry fails at ({i},{j})")
-            residual = pairing.theta_entries() - \
-                (conn.transpose() * pairing + pairing * conn)
-            failure = _first_failure(residual)
+            failure = _pairing_failure(conn, pairing, parity)
             if failure:
                 raise InvariantViolation(
                     f"pairing is not covariantly constant: {failure}")
@@ -312,9 +306,8 @@ class DnObject:
 
         # self-adjointness of A(0) in the sesquilinear sense: with the
         # twisted pairing stored here the matrix condition is skewness
-        at_p = linalg.mat_mul(linalg.transpose(a0), pairing0)
-        p_a = linalg.mat_mul(pairing0, a0)
-        if not linalg.is_zero_matrix(linalg.mat_add(at_p, p_a)):
+        p0 = SeriesMatrix.from_scalar_matrix(pairing0, 1)
+        if _pairing_failure(a_series.truncate(1), p0, n % 2):
             raise InvariantViolation(
                 "A(0) is not self-adjoint with respect to the pairing")
 
@@ -393,15 +386,39 @@ def _support(m: SeriesMatrix) -> set[tuple[int, int]]:
             for j, x in enumerate(row) if not x.is_zero()}
 
 
-def _first_failure(m: SeriesMatrix,
-                   where: Callable[[int, int], bool] | None = None
-                   ) -> str | None:
-    """Where a residual that should vanish first does not, or None."""
-    hit = m.first_nonzero(where)
-    if hit is None:
-        return None
-    k, i, j = hit
-    return f"the residual is nonzero at q^{k}, entry ({i},{j})"
+def _plus_transpose(pairs: list[tuple[Lifted, Lifted]], eps: int,
+                    dim: int) -> Accumulator:
+    """X + eps X^T, eps = +-1, for X the sum of the products a b over the
+    pairs (a, b) of dim x dim matrices, formed on the kernel's integers."""
+    acc = Accumulator(dim, dim)
+    for a, b in pairs:
+        acc.add_product(a, b)
+    for part in (acc.re, acc.im):
+        for i, row in enumerate(part):
+            for j in range(i, dim):
+                row[j] += eps * part[j][i]
+                part[j][i] = eps * row[j]
+    return acc
+
+
+def _pairing_failure(a: SeriesMatrix, m: SeriesMatrix,
+                     parity: int) -> str | None:
+    """Where theta M = A^T M + M A first fails, for M^T = eps M with eps =
+    (-1)^parity, or None.  At q^k the residual is -(Y + eps Y^T), Y =
+    sum_(j=0..k) A_j^T M_(k-j) - (k/2) M_k: eps-symmetric, so its first
+    nonzero entry, row by row, has i <= j."""
+    dim, eps = a.rows, -1 if parity else 1
+    at, ms = a.transpose()._lifted(), m._lifted()
+    for k in range(min(a.order, m.order)):
+        half_k = Lifted.scalar(Scalar(-k) / Scalar(2), dim)
+        y = _plus_transpose([(at[j], ms[k - j]) for j in range(k + 1)]
+                            + [(half_k, ms[k])], eps, dim)
+        for i, (re, im) in enumerate(zip(y.re, y.im)):
+            for j in range(i, dim):
+                if re[j] or im[j]:
+                    return (f"the residual is nonzero at q^{k}, entry "
+                            f"({i},{j})")
+    return None
 
 
 def _neumann_sum(term: Lifted, k: int, lop: Callable[[Lifted], Lifted],
@@ -662,31 +679,37 @@ def extend_pairing(a: SeriesMatrix, m0: Matrix, mode: str = "flat",
         raise ValueError(f"unknown mode {mode!r}")
 
     dim = a.rows
-    a_s = a._lifted()
-    at_s = a.transpose()._lifted()
-
-    def lop(x: Lifted) -> Lifted:
-        acc = Accumulator(dim, dim)
-        acc.add_product(at_s[0], x)
-        acc.add_product(x, a_s[0])
-        return acc.lifted()
-
-    if not lop(Lifted.of(m0)).zero:
+    at = a.transpose()._lifted()
+    seed = Accumulator(dim, dim)
+    seed.add_product(at[0], Lifted.of(m0))
+    seed.add_product(Lifted.of(m0), Lifted.of(a.at0()))
+    if not seed.lifted().zero:
         raise ResidueNotCompatible(
             "A(0)^T M0 + M0 A(0) != 0; the constant term cannot start a "
             "covariantly constant pairing")
+    stuck = ResidueNotCompatible("residue action is not nilpotent; the "
+                                 "recursion does not terminate")
+    m0t, half = linalg.transpose(m0), ONE / Scalar(2)
+    solved = []
+    for eps, part in ((1, linalg.mat_add(m0, m0t)),
+                      (-1, linalg.mat_sub(m0, m0t))):
+        if linalg.is_zero_matrix(part):
+            continue  # a real pairing is pure: one solve
+        # M is eps-symmetric: L(Y) = Z + eps Z^T, Z = A_0^T Y, and
+        # Phi_k = X + eps X^T, X = sum_(j=1..k) A_j^T M_(k-j)
 
-    def phi(m: list[Lifted], k: int) -> Lifted:
-        acc = Accumulator(dim, dim)
-        for j in range(1, k + 1):
-            acc.add_product(at_s[j], m[k - j])
-            acc.add_product(m[k - j], a_s[j])
-        return acc.lifted()
+        def lop(y: Lifted, eps: int = eps) -> Lifted:
+            return _plus_transpose([(at[0], y)], eps, dim).lifted()
 
-    return _solve_theta(
-        linalg.copy_matrix(m0), a.order, lop, phi,
-        ResidueNotCompatible("residue action is not nilpotent; the "
-                             "recursion does not terminate"))
+        def phi(m: list[Lifted], k: int, eps: int = eps) -> Lifted:
+            pairs = [(at[j], m[k - j]) for j in range(1, k + 1)]
+            return _plus_transpose(pairs, eps, dim).lifted()
+
+        solved.append(_solve_theta(linalg.mat_scale(part, half), a.order,
+                                   lop, phi, stuck))
+    if not solved:
+        return SeriesMatrix.zeros(dim, dim, a.order)
+    return solved[0] if len(solved) == 1 else solved[0] + solved[1]
 
 
 def _solve_pairing0(a0: Matrix, degrees: Sequence[int],
@@ -714,16 +737,14 @@ def _solve_pairing0(a0: Matrix, degrees: Sequence[int],
                 m[j][i] = sign * v
         return m
 
-    rows: list[Vector] = []
-    a0t = linalg.transpose(a0)
+    # A0^T m + m A0 = X + sign X^T, X = A0^T m: one equation per i <= j
+    a0t, eqs = linalg.transpose(a0), []
     for s in range(len(slots)):
-        unit = [ONE if t == s else ZERO for t in range(len(slots))]
-        m = assemble(unit)
-        res = linalg.mat_add(linalg.mat_mul(a0t, m), linalg.mat_mul(m, a0))
-        rows.append([res[i][j] for i in range(dim) for j in range(dim)])
-    coeff_matrix = [[rows[s][e] for s in range(len(slots))]
-                    for e in range(dim * dim)]
-    kernel = linalg.nullspace(coeff_matrix)
+        x = linalg.mat_mul(a0t, assemble([ONE if t == s else ZERO
+                                          for t in range(len(slots))]))
+        eqs.append([x[i][j] + sign * x[j][i] for i in range(dim)
+                    for j in range(i, dim)])
+    kernel = linalg.nullspace(linalg.transpose(eqs))
     if len(kernel) != 1:
         raise PairingUnderdetermined(
             f"constant pairing solution space has dimension {len(kernel)}, "
@@ -794,9 +815,8 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
     if pairing_supplied:
         transported = (frame.transpose() * g.pairing * frame)\
             .compose_entries(q_of)
-        residual = transported.theta_entries() - \
-            (a_new.transpose() * transported + transported * a_new)
-        failure = _first_failure(residual)
+        # F^T P F is eps-symmetric because P is
+        failure = _pairing_failure(a_new, transported, parity)
         if failure:
             raise InvariantViolation(
                 "transported pairing is not covariantly constant in the "
@@ -824,14 +844,11 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
         if not pairing_supplied:
             m0 = [[x * ratio for x in row] for row in m0]
         else:
-            if vol == partner:
-                lam = sqrt_exact(ratio)
-                if lam is None:
-                    raise InvariantViolation(
-                        "normalization is not attainable over Gaussian "
-                        "rationals")
-            else:
-                lam = ratio
+            lam = sqrt_exact(ratio) if vol == partner else ratio
+            if lam is None:
+                raise InvariantViolation(
+                    "normalization is not attainable over Gaussian "
+                    "rationals")
             d_mat = linalg.diagonal(
                 [lam if i == vol else ONE for i in range(dim)])
             d_inv = linalg.diagonal(
@@ -858,9 +875,9 @@ def from_normal_form(d: DnObject) -> ReesModule:
     """
     p0 = d.pairing0_matrix()
     order = d.order
-    residual = d.a_series.transpose().scalar_right_mul(p0) + \
-        d.a_series.scalar_left_mul(p0)
-    failure = _first_failure(residual)
+    # theta P0 = 0: the equation is A^T P0 + P0 A = 0 at every order
+    failure = _pairing_failure(
+        d.a_series, SeriesMatrix.from_scalar_matrix(p0, order), d.n % 2)
     if failure:
         raise InvariantViolation(
             "A(q) must be self-adjoint for the pairing at every order to "
@@ -882,15 +899,10 @@ def rees_to_geometric(r: ReesModule) -> GeometricVHS:
     rank = r.rank
     if rank == 0 or rank != len(r.degrees):
         raise NotFree("degree list does not present a basis")
-    order = r.order
-    conn = SeriesMatrix.zeros(rank, rank, order)
-    for p, mat in r.conn_u.items():
-        sign = Scalar(-1 if p % 2 else 1)
-        conn = conn + mat * sign
-    pairing = SeriesMatrix.zeros(rank, rank, order)
-    for p, mat in r.pairing_u.items():
-        sign = Scalar(-1 if p % 2 else 1)
-        pairing = pairing + mat * sign
+    conn, pairing = (sum((mat * Scalar(-1 if p % 2 else 1)
+                          for p, mat in comps.items()),
+                         SeriesMatrix.zeros(rank, rank, r.order))
+                     for comps in (r.conn_u, r.pairing_u))
     pairing = pairing.scalar_left_mul(
         linalg.diagonal([Scalar.i_power(-k) for k in r.degrees]))
     levels2 = [-k for k in r.degrees]
@@ -902,13 +914,10 @@ def geometric_to_rees(g: GeometricVHS,
                       degree_choice: Sequence[int] | None = None
                       ) -> ReesModule:
     """Inverse of the collapse: place each entry at its forced u-power."""
-    levels = g.levels2
-    canonical = [-l for l in levels]
-    if degree_choice is not None:
-        if list(degree_choice) != canonical:
-            raise InconsistentLift(
-                "degree choice must invert the stored Hodge levels")
-    degrees = canonical
+    degrees = [-l for l in g.levels2]
+    if degree_choice is not None and list(degree_choice) != degrees:
+        raise InconsistentLift(
+            "degree choice must invert the stored Hodge levels")
     if g.pairing is None:
         raise ValueError("a pairing is required to lift to a Rees module")
     rank = g.rank
@@ -980,19 +989,12 @@ def verify_prevhs(r: ReesModule) -> dict[str, bool]:
                  for p, m in r.conn_u.items()}
     residual: dict[int, SeriesMatrix] = {
         p: m.theta_entries() for p, m in r.pairing_u.items()}
-
-    def accumulate(p: int, mat: SeriesMatrix) -> None:
-        if p in residual:
-            residual[p] = residual[p] - mat
-        else:
-            residual[p] = -mat
-
-    for p1, ct in conn_t.items():
-        for p2, pm in r.pairing_u.items():
-            accumulate(p1 + p2, ct * pm)
-    for p1, pm in r.pairing_u.items():
-        for p2, cs in conn_star.items():
-            accumulate(p1 + p2, pm * cs)
+    terms = [(p1 + p2, ct * pm) for p1, ct in conn_t.items()
+             for p2, pm in r.pairing_u.items()]
+    terms += [(p1 + p2, pm * cs) for p1, pm in r.pairing_u.items()
+              for p2, cs in conn_star.items()]
+    for p, mat in terms:
+        residual[p] = residual[p] - mat if p in residual else -mat
     report["covariant_constancy"] = all(m.is_zero()
                                         for m in residual.values())
 

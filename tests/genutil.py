@@ -234,3 +234,61 @@ def subspace_intersection(a, b):
                 vec = [x + c * y for x, y in zip(vec, a[k])]
         out.append(vec)
     return linalg.row_space_basis(out)
+
+
+def pairing_residual(a: SeriesMatrix, m: SeriesMatrix
+                     ) -> tuple[int, int, int] | None:
+    """(k, i, j) of the first nonzero coefficient of theta M - A^T M - M A,
+    by q-order and then row by row, or None.  Summed Scalar by Scalar, as
+    two products per term: the reference for the integer kernel that
+    vshs checks the pairing equation with."""
+    dim = a.rows
+    for k in range(min(a.order, m.order)):
+        for i in range(dim):
+            for j in range(dim):
+                r = Scalar(k) * m.coeffs[k][i][j]
+                for t in range(k + 1):
+                    a_t, m_t = a.coeffs[t], m.coeffs[k - t]
+                    for l in range(dim):
+                        r = r - a_t[l][i] * m_t[l][j] - m_t[i][l] * a_t[l][j]
+                if not r.is_zero():
+                    return k, i, j
+    return None
+
+
+def extend_pairing_two_products(a: SeriesMatrix, m0) -> SeriesMatrix:
+    """The solution M of theta M = A^T M + M A with M(0) = m0, order by
+    order: k M_k = L(M_k) + Phi_k with L(X) = A_0^T X + X A_0 and
+    Phi_k = sum_(j=1..k) A_j^T M_(k-j) + M_(k-j) A_j, two products per
+    term, by the terminating Neumann sum.  The reference for
+    vshs.extend_pairing in mode "flat", for a compatible seed."""
+    dim = a.rows
+    at = [linalg.transpose(c) for c in a.coeffs]
+
+    def sandwich(j, x):
+        return linalg.mat_add(linalg.mat_mul(at[j], x),
+                              linalg.mat_mul(x, a.coeffs[j]))
+
+    ms = [linalg.copy_matrix(m0)]
+    for k in range(1, a.order):
+        term = linalg.zeros(dim, dim)
+        for j in range(1, k + 1):
+            term = linalg.mat_add(term, sandwich(j, ms[k - j]))
+        m_k, factor = linalg.zeros(dim, dim), ONE / Scalar(k)
+        for _ in range(2 * dim + 3):
+            if linalg.is_zero_matrix(term):
+                break
+            m_k = linalg.mat_add(m_k, linalg.mat_scale(term, factor))
+            term, factor = sandwich(0, term), factor / Scalar(k)
+        else:
+            raise AssertionError("the Neumann sum does not terminate")
+        ms.append(m_k)
+    return SeriesMatrix.from_coefficients(ms, dim, dim)
+
+
+def block_diagonal(x: SeriesMatrix, y: SeriesMatrix) -> SeriesMatrix:
+    """diag(x, y), for square x and y of one order."""
+    n1, n2 = x.rows, y.rows
+    return SeriesMatrix.from_coefficients(
+        [[row + [ZERO] * n2 for row in cx] + [[ZERO] * n1 + row for row in cy]
+         for cx, cy in zip(x.coeffs, y.coeffs)], n1 + n2, n1 + n2)

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -381,6 +382,24 @@ def test_volume_over_the_digit_limit_rejected_before_output(capsys, fmt,
     assert code == 2 and out == ""
     assert err.startswith("error: --volume") and \
         "MAX_VOLUME_DIGITS = 1000" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["volume", "operator"])
+def test_huge_scalar_exponent_exits_two_at_once(where, tmp_path, capsys):
+    # Fraction("1e10000000") spends 15 s building 10**10000000 before
+    # any size check; the exponent is refused before that
+    argv = ["yukawa", "--input", QUINTIC, "--order", "4",
+            "--volume", "1e10000000"]
+    if where == "operator":
+        path = tmp_path / "big.pf.json"
+        path.write_text('{"coeffs": [["0", "1e10000000"], ["1"]]}')
+        argv = ["check", "--input", str(path)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "MAX_SCALAR_EXPONENT = 4300" in err
     assert err.count("\n") == 1
 
 

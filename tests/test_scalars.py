@@ -75,6 +75,21 @@ def test_format_parse_roundtrip():
                                                Fraction(3, 4))
 
 
+def test_parse_imaginary_units_and_exponents():
+    assert [parse_scalar(t) for t in ("i", "+i", "-i", "2-i")] == \
+        [Scalar(0, 1), Scalar(0, 1), Scalar(0, -1), Scalar(2, -1)]
+    assert parse_scalar("1e4300") == Scalar(10 ** 4300)
+    assert parse_scalar("-2.5E-0_2+1e3*i") == Scalar(Fraction(-1, 40), 1000)
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1E+0004301", "1e-4301",
+                                  "1+2e99999*i", "1e" + "9" * 5000])
+def test_parse_refuses_an_exponent_over_the_limit(text):
+    # Fraction would expand 10**exponent before any size check
+    with pytest.raises(ValueError, match="MAX_SCALAR_EXPONENT = 4300"):
+        parse_scalar(text)
+
+
 def test_sqrt_exact():
     assert sqrt_exact(Scalar(Fraction(9, 4))) == Scalar(Fraction(3, 2))
     assert sqrt_exact(Scalar(2)) is None

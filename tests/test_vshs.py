@@ -28,7 +28,9 @@ from vshstools.vshs import (DegreeViolation, DnObject, GeometricVHS,
                             to_canonical_connection, to_normal_form,
                             verify_prevhs, yukawa)
 
-from genutil import mat_vec, random_dn, random_flat_pair, random_rees
+from genutil import (block_diagonal, extend_pairing_two_products, mat_vec,
+                     pairing_residual, rand_scalar, random_dn,
+                     random_flat_pair, random_rees)
 
 ORD = 8
 COORD = Series.coordinate(ORD)
@@ -371,6 +373,128 @@ def test_extend_pairing_dn_mode_rejects():
         extend_pairing(a, seed, mode="dn")
     with pytest.raises(ValueError):
         extend_pairing(a, seed, mode="other")
+
+
+def _invertible(rng, dim):
+    while True:
+        p = [[rand_scalar(rng, 2) for _ in range(dim)] for _ in range(dim)]
+        p_inv = linalg.try_inverse(p)
+        if p_inv is not None:
+            return p, p_inv
+
+
+def _is_pure(m):
+    mt = linalg.transpose(m)
+    return m == mt or m == linalg.mat_neg(mt)
+
+
+def test_extend_pairing_matches_the_two_product_reference():
+    rng = Random(36)
+    pairs = {}
+    while len(pairs) < 2:  # a symmetric and an antisymmetric seed
+        a, m0 = random_flat_pair(rng, order=ORD)
+        pairs.setdefault(m0 == linalg.transpose(m0), (a, m0))
+    for a, m0 in pairs.values():
+        assert extend_pairing(a, m0) == extend_pairing_two_products(a, m0)
+    # mixed: the two side by side, moved by a constant gauge p so that
+    # both parts of the seed fill the matrix
+    (a1, s0), (a2, k0) = pairs[True], pairs[False]
+    dim = a1.rows + a2.rows
+    p, p_inv = _invertible(rng, dim)
+    a = block_diagonal(a1, a2).scalar_left_mul(p_inv).scalar_right_mul(p)
+    m0 = block_diagonal(SeriesMatrix.from_scalar_matrix(s0, 1),
+                        SeriesMatrix.from_scalar_matrix(k0, 1)).at0()
+    m0 = linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(m0, p))
+    assert not _is_pure(m0)
+    assert extend_pairing(a, m0) == extend_pairing_two_products(a, m0)
+    zero = linalg.zeros(dim, dim)
+    assert extend_pairing(a, zero) == SeriesMatrix.zeros(dim, dim, ORD) \
+        == extend_pairing_two_products(a, zero)
+
+
+def test_extend_pairing_dn_mode_on_mixed_parity_matches_the_reference():
+    rng = Random(37)
+    # a mixed-parity threefold object beside a surface's: the flat seed,
+    # diag(P0, P0'), is skew on one block and symmetric on the other
+    d3 = random_dn(rng, 3, order=ORD, max_dim=2, mixed=True)
+    d2 = random_dn(rng, 2, order=ORD, max_dim=2)
+    degrees = d3.degrees + d2.degrees
+    dim = len(degrees)
+    # A(0) is kept, the higher orders are free
+    a = block_diagonal(d3.a_series, d2.a_series) + \
+        SeriesMatrix.from_coefficients(
+            [linalg.zeros(dim, dim)] + [[[rand_scalar(rng, 2, True)
+                                          for _ in range(dim)]
+                                         for _ in range(dim)]
+                                        for _ in range(ORD - 1)], dim, dim)
+    p0 = block_diagonal(SeriesMatrix.from_scalar_matrix(
+        d3.pairing0_matrix(), 1), SeriesMatrix.from_scalar_matrix(
+            d2.pairing0_matrix(), 1)).at0()
+    assert not _is_pure(p0)
+    m0 = [[p0[i][j] * Scalar.i_power(-degrees[j]) for j in range(dim)]
+          for i in range(dim)]
+    untwist = linalg.diagonal([Scalar.i_power(-k) for k in degrees])
+    ext = extend_pairing(a, m0, mode="dn", degrees=degrees)
+    assert ext == extend_pairing_two_products(a, p0).scalar_right_mul(
+        untwist)
+    assert not ext.is_zero()
+
+
+def _eps_symmetric(rng, dim, parity, gaussian):
+    """A random matrix with M^T = (-1)^parity M."""
+    m = linalg.zeros(dim, dim)
+    for i in range(dim):
+        for j in range(i + parity, dim):
+            v = rand_scalar(rng, complex_ok=gaussian)
+            m[i][j], m[j][i] = v, (-v if parity else v)
+    return m
+
+
+def _plant(m, k, i, j, delta, parity):
+    """m plus delta (E_ij + eps E_ji) at q^k, eps = (-1)^parity."""
+    coeffs = [linalg.copy_matrix(c) for c in m.coeffs]
+    coeffs[k][i][j] = coeffs[k][i][j] + delta
+    coeffs[k][j][i] = coeffs[k][j][i] + (-delta if parity else delta)
+    return SeriesMatrix.from_coefficients(coeffs, m.rows, m.cols)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans(),
+       st.sampled_from(("solution", "upper", "lower", "random",
+                        "constant")), st.integers(0, 4))
+def test_pairing_check_matches_the_scalar_residual(seed, gaussian, kind, k):
+    """GeometricVHS checks theta M = A^T M + M A on the integer kernel,
+    one product per term; the Scalar-level residual of genutil must give
+    the same verdict and the same first (k, i, j)."""
+    rng = Random(seed)
+    order = 5
+    a, m0 = random_flat_pair(rng, order=order)
+    dim, parity = a.rows, int(m0 != linalg.transpose(m0))
+    c = Scalar(Fraction(1, 2), Fraction(-3, 5)) if gaussian else Scalar(3)
+    a = a.dilate(c)
+    m = extend_pairing_two_products(a, m0) * c
+    if kind in ("upper", "lower"):
+        i, j = sorted(rng.sample(range(dim), 2), reverse=kind == "lower")
+        m = _plant(m, k, i, j, rand_scalar(rng, complex_ok=gaussian) or ONE,
+                   parity)
+    elif kind == "random":
+        m = SeriesMatrix.from_coefficients(
+            [_eps_symmetric(rng, dim, parity, gaussian)
+             for _ in range(order)], dim, dim)
+    elif kind == "constant":
+        m = SeriesMatrix.from_scalar_matrix(m0, order)
+    hit = pairing_residual(a, m)
+    try:
+        GeometricVHS(conn=a, levels2=[0] * dim, pairing=m, parity=parity)
+        failure = None
+    except InvariantViolation as exc:
+        failure = str(exc)
+    if hit is None:
+        assert failure is None
+    else:
+        assert failure == ("pairing is not covariantly constant: the "
+                           f"residual is nonzero at q^{hit[0]}, entry "
+                           f"({hit[1]},{hit[2]})")
 
 
 # --- pairing construction -------------------------------------------------
