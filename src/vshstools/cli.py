@@ -143,13 +143,8 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_mirror_map(args) -> int:
     op = picard_fuchs.parse_pf(_read_input(args.input))
-    basis = picard_fuchs.frobenius_solve(op, depth=2, order=args.order)
-    q_frob = picard_fuchs.mirror_map_frobenius(basis)
-    geometric = picard_fuchs.companion_vhs(op, args.order)
-    canon = vshs.to_canonical_connection(geometric)
-    q_canon = vshs.canonical_coordinate(canon.a_series, canon.levels2)
-    picard_fuchs.check_mirror_maps(q_canon, q_frob)
-    series = q_frob * Scalar(args.sign)
+    series = picard_fuchs.checked_mirror_map(op, args.order) * \
+        Scalar(args.sign)
     if args.format == "json":
         sys.stdout.write(jsonio.dumps(
             {"kind": "mirror_map", "series": jsonio.series_to_obj(series)}))

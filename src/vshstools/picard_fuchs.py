@@ -21,11 +21,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import comb
+from operator import add, mul
 from typing import Sequence
 
 from . import amodel, vshs
-from .scalars import ONE, ZERO, Scalar, format_scalar, parse_scalar
-from .series import Series, SeriesMatrix
+from .linalg import lift_vector
+from .scalars import ONE, ZERO, Scalar, _norm, format_scalar, parse_scalar
+from .series import LiftedVector, Series, SeriesMatrix, _lower
 
 
 class ParseError(ValueError):
@@ -308,15 +310,33 @@ class PFOperator:
                     f"be theta^{self.order_theta}")
 
     def apply(self, sol: "LogSeries") -> "LogSeries":
-        order = sol.order
-        total = LogSeries.zero(sol.depth, order)
-        current = sol
-        for j in range(self.order_theta + 1):
-            cj = self.coefficient_series(j, order)
-            total = total + current.scale_series(cj)
-            if j < self.order_theta:
-                current = current.theta()
-        return total
+        """L sol on the integer kernel, with no series product: the parts
+        and the nonzero c_(j,m), m < order, are lifted once each, theta
+        acts on the integers as x_i[k] -> k x_i[k] + x_(i+1)[k], each
+        c_(j,m) adds theta^j sol shifted by m and scaled by it, and the
+        sum is lowered once.  O(r (D + 1) n depth) integer multiply-adds
+        for theta-order r, q-degree D and order n."""
+        n, depth = min(p.order for p in sol.parts), sol.depth
+        den, re, im = lift_vector([x for p in sol.parts for x in p.coeffs[:n]])
+        terms = [(j, m, c) for j, cj in enumerate(self.coeffs)
+                 for m, c in enumerate(cj[:n]) if not c.is_zero()]
+        c_den, c_re, c_im = lift_vector([c for _, _, c in terms])
+        # theta^j sol part by part: [real numerators, imaginary ones or None]
+        powers = [[v and [v[i:i + n] for i in range(0, n * depth, n)]
+                   for v in (re, im)]]
+        out = [[[0] * n for _ in range(depth)] for _ in range(2)]
+        for t, (j, m, _) in enumerate(terms):
+            while len(powers) <= j:
+                powers.append([x and [list(map(add, map(mul, range(n), p), y))
+                                      for p, y in zip(x, x[1:] + [[0] * n])]
+                               for x in powers[-1]])
+            a, b = c_re[t], c_im[t] if c_im else 0
+            # (a + b i)(x + y i) = (a x - b y) + (a y + b x) i
+            for o, c, x in ((0, a, 0), (0, -b, 1), (1, a, 1), (1, b, 0)):
+                for acc, p in zip(out[o], (c and powers[j][x]) or ()):
+                    acc[m:] = map(add, acc[m:], [c * v for v in p[:n - m]])
+        return LogSeries([Series._make(_lower((den * c_den, x, y)), n)
+                          for x, y in zip(*out)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PFOperator):
@@ -393,12 +413,17 @@ def parse_pf(text: str) -> PFOperator:
 # ---------------------------------------------------------------------------
 
 
-def _taylor_shift(p: dict[int, Scalar], t0: int, depth: int) -> Series:
-    """p(t0 + eps) mod eps^depth for p(t) = sum_j p[j] t^j, from its
-    Taylor coefficients sum_j C(j, s) p[j] t0^(j - s)."""
-    return Series([sum((c * (comb(j, s) * t0 ** (j - s))
-                        for j, c in p.items() if j >= s), ZERO)
-                   for s in range(depth)], depth)
+def _taylor_shift(p: LiftedVector, t0: int, depth: int) -> Series:
+    """p(t0 + eps) mod eps^depth for the lifted p(t) = sum_j p_j t^j: each
+    Taylor coefficient sum_j C(j, s) t0^(j - s) p_j is summed on the
+    integers and normalized once, O(r depth) multiply-adds for degree r."""
+    den, re, im = p
+    out = []
+    for s in range(depth):
+        w = [comb(j, s) * t0 ** (j - s) for j in range(s, len(re))]
+        out.append(_norm(sum(map(mul, w, re[s:])),
+                         sum(map(mul, w, im[s:])) if im else 0, den))
+    return Series._make(out, depth)
 
 
 class LogSeries:
@@ -414,10 +439,6 @@ class LogSeries:
     def __setattr__(self, name, value):
         raise AttributeError("LogSeries is immutable")
 
-    @staticmethod
-    def zero(depth: int, order: int) -> "LogSeries":
-        return LogSeries([Series.zero(order)] * depth)
-
     @property
     def depth(self) -> int:
         return len(self.parts)
@@ -427,20 +448,8 @@ class LogSeries:
         return self.parts[0].order
 
     def theta(self) -> "LogSeries":
-        new = []
-        for i, part in enumerate(self.parts):
-            nxt = self.parts[i + 1] if i + 1 < len(self.parts) \
-                else Series.zero(self.order)
-            new.append(part.theta() + nxt)
-        return LogSeries(new)
-
-    def scale_series(self, s: Series) -> "LogSeries":
-        return LogSeries([p * s for p in self.parts])
-
-    def __add__(self, other: "LogSeries") -> "LogSeries":
-        if self.depth != other.depth:
-            raise ValueError("depth mismatch")
-        return LogSeries([a + b for a, b in zip(self.parts, other.parts)])
+        return LogSeries([p.theta() + nxt for p, nxt in zip(
+            self.parts, self.parts[1:] + (Series.zero(self.order),))])
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.parts)
@@ -467,8 +476,11 @@ def frobenius_solve(op: PFOperator, depth: int = 2,
 
     Finds u(q, eps) = q^eps sum_D u_D q^D with L u = O(eps^depth),
     u_0 = 1; expanding q^eps = exp(eps log q) packages the
-    eps-coefficients into the returned basis.  Each returned solution
-    is annihilated by L modulo q^order; that residual is asserted.
+    eps-coefficients into the returned basis.  With each P_m lifted
+    once, a step d costs O(r depth) integer multiply-adds per Taylor
+    shift and a few eps-series products of order depth.  L is applied to
+    each returned solution, and a nonzero coefficient mod q^order raises
+    an ArithmeticError naming the solution, log power and q-order.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -484,28 +496,25 @@ def frobenius_solve(op: PFOperator, depth: int = 2,
             f"{op.order_theta}")
     # P_m(t) = sum_j [q^m] c_j t^j, and u_d = -P_0(d + eps)^-1
     # sum_m P_m(d - m + eps) u_(d-m) in the eps-series of order depth
-    p = [{j: op.coefficient(j, m) for j in range(op.order_theta + 1)
-          if not op.coefficient(j, m).is_zero()}
+    p = [lift_vector([op.coefficient(j, m) for j in range(len(op.coeffs))])
          for m in range(op.max_q_degree + 1)]
     u = [Series.one(depth)]
     for d in range(1, order):
-        rhs = Series.zero(depth)
-        for m in range(1, min(d, len(p) - 1) + 1):
-            rhs = rhs + _taylor_shift(p[m], d - m, depth) * u[d - m]
+        rhs = sum((_taylor_shift(p[m], d - m, depth) * u[d - m]
+                   for m in range(1, min(d + 1, len(p)))), Series.zero(depth))
         u.append(-(rhs * _taylor_shift(p[0], d, depth).inverse()))
     u_eps = [Series([u[d].coeffs[s] for d in range(order)], order)
              for s in range(depth)]
     solutions = []
     for j in range(depth):
-        parts = []
-        for i in range(depth):
-            parts.append(u_eps[j - i] if 0 <= j - i else
-                         Series.zero(order))
-        sol = LogSeries(parts)
-        if not op.apply(sol).is_zero():
+        sol = LogSeries([u_eps[j - i] if i <= j else Series.zero(order)
+                         for i in range(depth)])
+        bad = min(((k, i) for i, part in enumerate(op.apply(sol).parts)
+                   if (k := part.valuation()) is not None), default=None)
+        if bad is not None:
             raise ArithmeticError(
-                "Frobenius recursion produced a non-solution; the "
-                "operator data is inconsistent")
+                f"L leaves (log q)^{bad[1]} q^{bad[0]} in Frobenius solution "
+                f"{j}: the recursion or the operator data is inconsistent")
         solutions.append(sol)
     return FrobeniusBasis(y0=u_eps[0], solutions=tuple(solutions),
                           depth=depth)
@@ -516,8 +525,7 @@ def mirror_map_frobenius(basis: FrobeniusBasis) -> Series:
     if basis.depth < 2:
         raise ValueError("a single-log solution requires depth >= 2")
     f = basis.solutions[1].parts[0]
-    ratio = f * basis.y0.inverse()
-    return Series.coordinate(f.order) * ratio.exp()
+    return Series.coordinate(f.order) * (f * basis.y0.inverse()).exp()
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +576,19 @@ def check_mirror_maps(canonical: Series, frobenius: Series) -> None:
         f"different orders: {canonical.order} vs {frobenius.order}")
 
 
+def checked_mirror_map(op: PFOperator, order: int,
+                       canonical: Series | None = None) -> Series:
+    """The Frobenius mirror map mod q^order, checked against the given
+    canonical coordinate or else, after the Frobenius route has made its
+    refusals, against that of the companion connection."""
+    frobenius = mirror_map_frobenius(frobenius_solve(op, 2, order))
+    if canonical is None:
+        canon = vshs.to_canonical_connection(companion_vhs(op, order))
+        canonical = vshs.canonical_coordinate(canon.a_series, canon.levels2)
+    check_mirror_maps(canonical, frobenius)
+    return frobenius
+
+
 def bmodel_normal_form(op: PFOperator, volume: Scalar,
                        order: int = 16) -> vshs.NormalFormReport:
     """Operator -> normal form.
@@ -576,11 +597,9 @@ def bmodel_normal_form(op: PFOperator, volume: Scalar,
     connection, and the Frobenius quotient) and insists they agree
     exactly; disagreement would mean the gauge bookkeeping broke.
     """
-    geometric = companion_vhs(op, order)
-    report = vshs.to_normal_form(geometric, normalization=volume,
-                                 volume_basis=True)
-    basis = frobenius_solve(op, depth=2, order=order)
-    check_mirror_maps(report.mirror_coordinate, mirror_map_frobenius(basis))
+    report = vshs.to_normal_form(companion_vhs(op, order),
+                                 normalization=volume, volume_basis=True)
+    checked_mirror_map(op, order, report.mirror_coordinate)
     return report
 
 

@@ -899,7 +899,7 @@ def rees_to_geometric(r: ReesModule) -> GeometricVHS:
     rank = r.rank
     if rank == 0 or rank != len(r.degrees):
         raise NotFree("degree list does not present a basis")
-    conn, pairing = (sum((mat * Scalar(-1 if p % 2 else 1)
+    conn, pairing = (sum((-mat if p % 2 else mat
                           for p, mat in comps.items()),
                          SeriesMatrix.zeros(rank, rank, r.order))
                      for comps in (r.conn_u, r.pairing_u))

@@ -12,6 +12,7 @@ from fractions import Fraction
 from random import Random
 
 from vshstools import linalg, vshs
+from vshstools.picard_fuchs import LogSeries, PFOperator
 from vshstools.scalars import ONE, ZERO, Scalar
 from vshstools.series import Series, SeriesMatrix
 
@@ -292,3 +293,19 @@ def block_diagonal(x: SeriesMatrix, y: SeriesMatrix) -> SeriesMatrix:
     return SeriesMatrix.from_coefficients(
         [[row + [ZERO] * n2 for row in cx] + [[ZERO] * n1 + row for row in cy]
          for cx, cy in zip(x.coeffs, y.coeffs)], n1 + n2, n1 + n2)
+
+
+def apply_by_series_products(op: PFOperator, sol: LogSeries) -> LogSeries:
+    """L sol written densely: theta^j sol from Series.theta part by part,
+    theta(f (log q)^i / i!) = theta f (log q)^i / i! + f (log q)^(i-1) /
+    (i-1)!, and one full series product per part and term c_j(q) theta^j.
+    The reference for PFOperator.apply on the integer kernel."""
+    n = sol.order
+    total = [Series.zero(n)] * sol.depth
+    parts = list(sol.parts)
+    for j in range(op.order_theta + 1):
+        cj = op.coefficient_series(j, n)
+        total = [t + p * cj for t, p in zip(total, parts)]
+        parts = [p.theta() + nxt
+                 for p, nxt in zip(parts, parts[1:] + [Series.zero(n)])]
+    return LogSeries(total)

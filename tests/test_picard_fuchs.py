@@ -25,6 +25,8 @@ from vshstools.picard_fuchs import (FrobeniusBasis, LogSeries,
 from vshstools.scalars import ONE, ZERO, Scalar
 from vshstools.series import Series
 
+from genutil import apply_by_series_products
+
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 QUINTIC = (DATA / "quintic.pf.txt").read_text()
@@ -107,6 +109,22 @@ def test_all_solutions_annihilated():
         assert len(basis.solutions) == op.order_theta
         for sol in basis.solutions:
             assert op.apply(sol).is_zero()
+
+
+def test_a_wrong_recursion_step_is_named(monkeypatch):
+    # one wrong Taylor shift at t0 = 3 spoils u_3, so L y0 first fails
+    # at q^3 in the log-free part of solution 0
+    op = parse_pf(QUINTIC)
+    shift = picard_fuchs._taylor_shift
+
+    def wrong_at_three(p, t0, depth):
+        out = shift(p, t0, depth)
+        return out + Series.one(depth) if t0 == 3 else out
+
+    monkeypatch.setattr(picard_fuchs, "_taylor_shift", wrong_at_three)
+    with pytest.raises(ArithmeticError,
+                       match=r"\(log q\)\^0 q\^3 in Frobenius solution 0:"):
+        frobenius_solve(op, depth=2, order=6)
 
 
 def test_log_series_theta_rule():
@@ -286,3 +304,47 @@ def test_frobenius_full_depth_restricts_to_depth_two(op):
     for j in range(2):
         assert full.solutions[j].parts[:2] == two.solutions[j].parts
         assert all(p.is_zero() for p in full.solutions[j].parts[2:])
+
+
+@st.composite
+def operator_and_log_series(draw):
+    """(L, u, planted): L maximally unipotent with Gaussian-rational
+    coefficients, theta-order 1-5 and q-degree 0-3; u a LogSeries of
+    depth 1-4 and order 2-10.  planted says L u must not vanish: either
+    a Frobenius solution perturbed at q^(order-1) in its deepest log
+    part, or an L whose only q-dependence is in c_r applied to a u whose
+    deepest part has a nonzero q^1 coefficient."""
+    r, deg = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    depth, n = draw(st.integers(1, 4)), draw(st.integers(2, 10))
+    case = draw(st.sampled_from(("random", "perturbed", "lead-only")))
+    nonzero = SCALARS.filter(lambda c: not c.is_zero())
+    rows = [[ZERO] + draw(st.lists(SCALARS, min_size=deg, max_size=deg))
+            for _ in range(r)]
+    lead = [draw(nonzero)] + draw(st.lists(SCALARS, min_size=deg,
+                                           max_size=deg))
+    if case == "lead-only":
+        rows = [[ZERO]] * r
+        lead = [lead[0], draw(nonzero)] + lead[2:]
+    op = PFOperator(rows + [lead])
+    if case == "perturbed":
+        depth = min(depth, r)
+        sol = frobenius_solve(op, depth=depth, order=n).solutions[-1]
+        plant = Series([ZERO] * (n - 1) + [draw(nonzero)], n)
+        return op, LogSeries(sol.parts[:-1] + (sol.parts[-1] + plant,)), True
+    parts = [Series(draw(st.lists(SCALARS, min_size=n, max_size=n)), n)
+             for _ in range(depth)]
+    if case == "lead-only":
+        parts[-1] += Series([ZERO, draw(nonzero)], n) \
+            if parts[-1].coefficient(1).is_zero() else Series.zero(n)
+    return op, LogSeries(parts), case != "random"
+
+
+@settings(max_examples=80, deadline=None)
+@given(operator_and_log_series())
+def test_apply_matches_the_dense_series_products(case):
+    op, sol, planted = case
+    got = op.apply(sol)
+    assert got == apply_by_series_products(op, sol)
+    assert all(p.order == sol.order for p in got.parts)
+    if planted:
+        assert not got.is_zero()
