@@ -26,10 +26,9 @@ from .vshs import (DegreeViolation, DnObject, GeometricVHS,
                    PairingUnderdetermined, ReesModule, ResidueNotCompatible,
                    ZeroKS, ZeroScalar, canonical_coordinate,
                    extend_pairing, formal_flat_gauge, from_normal_form,
-                   gauge_transform, geometric_to_rees, hodge_tate_split,
-                   rees_to_geometric, rescale_coordinate,
-                   to_canonical_connection, to_normal_form, verify_prevhs,
-                   yukawa)
+                   gauge_transform, geometric_to_rees, rees_to_geometric,
+                   rescale_coordinate, to_canonical_connection,
+                   to_normal_form, verify_prevhs, yukawa)
 
 __version__ = "0.1.0"
 
@@ -48,9 +47,9 @@ __all__ = [
     "canonical_coordinate", "companion_vhs", "extend_pairing",
     "formal_flat_gauge", "format_scalar", "from_normal_form",
     "frobenius_solve", "g_from_instantons", "gauge_transform",
-    "geometric_to_rees", "graded_splitting", "hodge_tate_split",
-    "instantons_from_g", "jordan_partition", "mirror_map_frobenius",
-    "nilpotency_index", "parse_pf", "parse_scalar", "rees_to_geometric",
-    "rescale_coordinate", "sqrt_exact", "to_canonical_connection",
-    "to_normal_form", "verify_prevhs", "weight_filtration", "yukawa",
+    "geometric_to_rees", "graded_splitting", "instantons_from_g",
+    "jordan_partition", "mirror_map_frobenius", "nilpotency_index",
+    "parse_pf", "parse_scalar", "rees_to_geometric", "rescale_coordinate",
+    "sqrt_exact", "to_canonical_connection", "to_normal_form",
+    "verify_prevhs", "weight_filtration", "yukawa",
 ]

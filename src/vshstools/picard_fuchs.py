@@ -298,10 +298,6 @@ class PFOperator:
             return Series.zero(order)
         return Series(list(self.coeffs[j]), order)
 
-    def is_maximally_unipotent(self) -> bool:
-        return all(self.coefficient(j, 0).is_zero()
-                   for j in range(self.order_theta))
-
     def assert_maximally_unipotent(self) -> None:
         for j in range(self.order_theta):
             if not self.coefficient(j, 0).is_zero():

@@ -8,10 +8,12 @@ point anywhere and results are bit-identical across runs.
 Products, inverses, exp, composition and reversion run on the integer
 kernel of linalg in rank 1: each factor is lifted once to Gaussian-integer
 numerators over one common denominator (linalg.lift_vector), each output
-coefficient is a plain int dot product, normalized once.  Reversion is
-Lagrange inversion by the baby-step giant-step method (Brent and Kung,
-JACM 25, 1978; Johansson, Math. Comp. 84, 2015): about 2 sqrt(n) series
-products and n dot products instead of n - 2 products.
+coefficient is a plain int dot product, normalized once.  Reversion and
+composition with the reversed series share one table, Reversion: the
+Lagrange-Buermann formula by the baby-step giant-step method (Brent and
+Kung, JACM 25, 1978; Johansson, Math. Comp. 84, 2015), about 2 sqrt(n)
+series products once, then sqrt(n) products and n dot products per
+composition.  Series.compose with any other inner series is Horner's rule.
 
 SeriesMatrix is a dense rectangular matrix of Series sharing one
 truncation order, stored coefficient-major as one scalar matrix per
@@ -281,46 +283,21 @@ class Series:
     # -- composition -----------------------------------------------------
 
     def compose(self, inner: "Series") -> "Series":
-        """f(g) for g(0) = 0, summed over the powers of g."""
-        return PowerTable(inner.truncate(min(self.order, inner.order)))\
-            .compose(self)
+        """f(g) for g(0) = 0 by Horner's rule, one product per term."""
+        n = min(self.order, inner.order)
+        if n > 0 and not inner.coeffs[0].is_zero():
+            raise NonzeroInnerConstant("inner series must vanish at q = 0")
+        g, acc = inner.truncate(n), Series.zero(n)
+        for c in reversed(self.coeffs[:n]):
+            acc = acc * g + c
+        return acc
 
     def reverse(self) -> "Series":
-        """Compositional inverse g with f(g) = q modulo q^order.
-
-        Lagrange inversion, [q^m] g = (1/m) [q^(m-1)] h^m for h = q/f and
-        m < n, by baby steps and giant steps: with b = isqrt(n - 1), the
-        powers h^0 .. h^(b-1) and (h^b)^0 .. (h^b)^((n-1) div b) are each
-        lifted once, and [q^(m-1)] h^m is the integer dot product of
-        h^(m mod b) with (h^b)^(m div b).  That is b + (n-1) div b - 2
-        series products, about 2 sqrt(n), where one product per m would
-        be n - 2.
-        """
-        n = self.order
-        if n >= 1 and not self.coeffs[0].is_zero():
-            raise NotReversible("reversion requires f(0) = 0")
-        if n >= 2 and self.coeffs[1].is_zero():
-            raise NotReversible("reversion requires f'(0) != 0")
-        if n <= 1:
-            return Series.zero(n)
-        last = n - 1  # g_1 .. g_last are computed
-        h = Series._make(self.coeffs[1:], last).inverse()
-        b = isqrt(last)
-        baby = [Series.one(last), h]
-        for _ in range(b - 1):
-            baby.append(baby[-1] * h)
-        step = baby.pop()  # h^b
-        giant = [Series.one(last), step]
-        for _ in range(last // b - 1):
-            giant.append(giant[-1] * step)
-        baby_l = [lift_vector(s.coeffs) for s in baby]
-        giant_l = [_reversed(lift_vector(s.coeffs)) for s in giant]
-        g = [ZERO]
-        for m in range(1, n):
-            x, y = baby_l[m % b], giant_l[m // b]
-            re, im = _dot(x, slice(0, m), y, slice(last - m, last))
-            g.append(_norm(re, im, x[0] * y[0] * m))
-        return Series._make(g, n)
+        """Compositional inverse g with f(g) = q modulo q^order: the
+        Lagrange sum of Reversion for F = q, whose F' phi^r are the baby
+        steps themselves."""
+        table = Reversion(self)
+        return table._lagrange(ZERO, table.baby, self.order)
 
     # -- exp / log / theta -----------------------------------------------
 
@@ -411,42 +388,68 @@ _set_order = Series.order.__set__
 SeriesLike = Union[Series, Scalar, int]
 
 
-class PowerTable:
-    """The powers 1, g, ..., g^(n-1) of an inner series g with g(0) = 0.
+class Reversion:
+    """The compositional inverse g of f, as a table that composes outer
+    series with g.
 
-    Built once, it composes any number of outer series with g: f(g) is
-    the sum of f_k g^k, where a Horner pass would take n series products
-    per outer series.  Column j of the table, the q^j coefficients of
-    g^0 .. g^j (g^k vanishes below q^k), is lifted once, so coefficient
-    j of f(g) is one integer dot product.
+    Lagrange-Buermann inversion: with phi = q/f and m >= 1,
+        [Q^m] F(g) = (1/m) [q^(m-1)] F' phi^m,
+    where F = q gives g itself.  With b = isqrt(n - 1) and m - 1 = s b +
+    (r - 1), 1 <= r <= b, phi^m = phi^r (phi^b)^s: the baby steps phi^1 ..
+    phi^b and the giant steps (phi^b)^0 .. (phi^b)^((n-2) div b) are built
+    once (about 2 sqrt(n) series products, Brent and Kung, JACM 25, 1978,
+    section 2), the giant steps lifted.  compose(F) then takes b products
+    F' phi^r and, per coefficient, one integer dot product of F' phi^r
+    with (phi^b)^s and one normalization, where summing over the powers
+    of g takes n - 1 series products.
     """
 
-    __slots__ = ("powers", "order", "_columns")
+    __slots__ = ("order", "baby", "_giant")
 
-    def __init__(self, inner: Series):
-        n = inner.order
-        if n > 0 and not inner.coeffs[0].is_zero():
-            raise NonzeroInnerConstant("inner series must vanish at q = 0")
-        powers = [Series.one(n)]
-        for _ in range(1, n):
-            powers.append(powers[-1] * inner)
-        object.__setattr__(self, "powers", tuple(powers))
+    def __init__(self, f: Series):
+        n = f.order
+        if n >= 1 and not f.coeffs[0].is_zero():
+            raise NotReversible("reversion requires f(0) = 0")
+        if n >= 2 and f.coeffs[1].is_zero():
+            raise NotReversible("reversion requires f'(0) != 0")
+        baby, giant = [], []
+        if n >= 2:
+            last = n - 1  # [q^(m-1)] for m < n is read
+            phi = Series._make(f.coeffs[1:], last).inverse()
+            baby = [phi]
+            for _ in range(isqrt(last) - 1):
+                baby.append(baby[-1] * phi)
+            giant = [Series.one(last), baby[-1]]
+            for _ in range((last - 1) // len(baby) - 1):
+                giant.append(giant[-1] * baby[-1])
         object.__setattr__(self, "order", n)
-        object.__setattr__(self, "_columns", [
-            lift_vector([p.coeffs[j] for p in powers[:j + 1]])
-            for j in range(n)])
+        object.__setattr__(self, "baby", tuple(baby))
+        object.__setattr__(self, "_giant", [
+            _reversed(lift_vector(s.coeffs)) for s in giant])
 
     def __setattr__(self, name, value):
-        raise AttributeError("PowerTable is immutable")
+        raise AttributeError("Reversion is immutable")
 
     def compose(self, outer: Series) -> Series:
         """outer(g) modulo q^min(outer.order, g.order)."""
         n = min(outer.order, self.order)
-        f = lift_vector(outer.coeffs[:n])
-        out = []
-        for j, col in enumerate(self._columns[:n]):
-            re, im = _dot(f, slice(0, j + 1), col, slice(0, j + 1))
-            out.append(_norm(re, im, f[0] * col[0]))
+        if n <= 1:
+            return Series._make(outer.coeffs[:n], n)
+        deriv = Series._make((Scalar(k) * c for k, c in
+                              enumerate(outer.coeffs[1:n], 1)), n - 1)
+        return self._lagrange(outer.coeffs[0],
+                              [deriv * p for p in self.baby], n)
+
+    def _lagrange(self, head: Scalar, rows: Sequence[Series],
+                  n: int) -> Series:
+        """head, then (1/m) [q^(m-1)] rows[r - 1] (phi^b)^s for 0 < m < n."""
+        b, last = len(rows), self.order - 1
+        lifted = [lift_vector(s.coeffs) for s in rows]
+        out = [head][:n]
+        for m in range(1, n):
+            x, y = lifted[(m - 1) % b], self._giant[(m - 1) // b]
+            re, im = _dot(x, slice(0, m), y, slice(last - m, last))
+            out.append(_norm(re, im, x[0] * y[0] * m))
         return Series._make(out, n)
 
 
@@ -574,7 +577,7 @@ class SeriesMatrix:
     def __mul__(self, other) -> "SeriesMatrix":
         """Matrix product as the convolution C_k = sum_j A_j B_(k-j),
         each C_k summed over one denominator and normalized once; a
-        Series or scalar factor multiplies every entry."""
+        scalar factor multiplies every entry."""
         if isinstance(other, SeriesMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matrix product")
@@ -586,17 +589,6 @@ class SeriesMatrix:
                     acc.add_product(la[j], lb[k - j])
                 out.append(acc.lower())
             return SeriesMatrix.from_coefficients(out, self.rows, other.cols)
-        if isinstance(other, Series):
-            n = min(self.order, other.order)
-            la = self._lifted()
-            ls = [Lifted.scalar(c, self.rows) for c in other.coeffs[:n]]
-            out = []
-            for k in range(n):
-                acc = Accumulator(self.rows, self.cols)
-                for j in range(k + 1):
-                    acc.add_product(ls[j], la[k - j])
-                out.append(acc.lower())
-            return self._like(out)
         c = _coerce(other)
         return self._like([linalg.mat_scale(m, c) for m in self.coeffs])
 
@@ -655,26 +647,6 @@ class SeriesMatrix:
     def theta_entries(self) -> "SeriesMatrix":
         return self._like([linalg.mat_scale(m, Scalar(k))
                            for k, m in enumerate(self.coeffs)])
-
-    def compose_entries(self, inner: "Series | PowerTable") -> "SeriesMatrix":
-        """Every entry composed with one inner series g.
-
-        Coefficient j of the result is sum_k A_k (g^k)_j over a table of
-        the powers of g, built once (or passed in, to share it between
-        several compositions).
-        """
-        table = inner if isinstance(inner, PowerTable) else PowerTable(inner)
-        n = min(self.order, table.order)
-        la = self._lifted()
-        out = []
-        for j in range(n):
-            acc = Accumulator(self.rows, self.cols)
-            for k in range(j + 1):  # g^k vanishes below q^k
-                acc.add_product(
-                    Lifted.scalar(table.powers[k].coeffs[j], self.rows),
-                    la[k])
-            out.append(acc.lower())
-        return self._like(out)
 
     def dilate(self, c: ScalarLike) -> "SeriesMatrix":
         """Substitute q -> c*q: coefficient k scales by c^k."""

@@ -8,15 +8,17 @@ Two presentations of the same data and the translations between them:
 * GeometricVHS: a filtered flat bundle on the formal disc, the collapse
   of the grading to its parity.
 
-Plus the normal-form machinery: formal flat gauge, Hodge-Tate splitting,
-canonical coordinate, covariant extension of pairings, and the
-equivalence with graded normal-form objects (DnObject).  The flat gauge,
-the canonical connection (see to_canonical_connection) and the pairing
+Plus the normal-form machinery: formal flat gauge, canonical connection
+and coordinate, covariant extension of pairings, and the equivalence
+with graded normal-form objects (DnObject).  The flat gauge, the
+canonical connection (see to_canonical_connection) and the pairing
 extension each solve theta X = L(X) + Phi(X) with L nilpotent, order by
 order on the coefficient matrices of X by one Neumann sum, which keeps
 them in the lifted form of the linalg integer kernel until each q-order
 is done.  A residual that should vanish and does not is reported at its
-first nonzero q-order and entry.
+first nonzero q-order and entry.  The normal form moves to the canonical
+coordinate by one Lagrange-Buermann composition per nonzero entry of
+the connection (series.Reversion) and composes no matrix.
 
 The pairing M solves theta M = A^T M + M A, and every M here has
 M^T = eps M, eps = (-1)^n, so M A = eps (A^T M)^T: one kernel,
@@ -38,7 +40,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from . import linalg, nilpotent
 from .linalg import Accumulator, Lifted, Matrix
 from .scalars import ONE, ZERO, Scalar, sqrt_exact
-from .series import PowerTable, Series, SeriesMatrix
+from .series import Reversion, Series, SeriesMatrix
 
 
 class NotFree(ValueError):
@@ -498,20 +500,6 @@ def formal_flat_gauge(b: SeriesMatrix) -> SeriesMatrix:
 # ---------------------------------------------------------------------------
 
 
-def hodge_tate_split(g: GeometricVHS) -> tuple[SeriesMatrix,
-                                               tuple[int, ...]]:
-    """Frame of the graded splitting, expressed in the flat frame.
-
-    Returns (P, levels2) where column j of P spans the intersection of
-    F^(>= p_j) with the flat extension of the weight filtration, p_j
-    the j-th entry of levels2 (weakly decreasing).  The gauge of the
-    constant residue by P is the canonical connection, and U P is its
-    frame, U the flat gauge of g.conn.
-    """
-    canon = to_canonical_connection(g)
-    return formal_flat_gauge(g.conn).inverse() * canon.frame, canon.levels2
-
-
 def _restrict(x: Lifted, keep: list[list[bool]]) -> Lifted:
     """x with the entries (i, j) where keep[i][j] is false dropped."""
     return Lifted(x.den, [[e for e in row if mask[e[0]]]
@@ -779,12 +767,15 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
     canon = to_canonical_connection(g)
     h = _ks_component(canon.a_series, canon.levels2)
     mirror = _coordinate_of_ks(h)
-    q_of = PowerTable(mirror.reverse())
-    j_factor = q_of.compose(h).inverse()
-    a_new = canon.a_series.compose_entries(q_of) * j_factor
+    # theta_Q = h^-1 theta_q and q = g(Q), so the connection in Q is
+    # (A o g) (h o g)^-1 = (A h^-1) o g: composition is a ring map
+    rev, h_inv = Reversion(mirror), h.inverse()
+    support, levels = _support(canon.a_series), list(canon.levels2)
+    dim, zero = len(levels), Series.zero(h.order)
+    a_new = SeriesMatrix([[rev.compose(canon.a_series.entry(i, j) * h_inv)
+                           if (i, j) in support else zero
+                           for j in range(dim)] for i in range(dim)])
     frame = canon.frame
-    levels = list(canon.levels2)
-    dim = len(levels)
 
     if volume_basis:
         if len(set(levels)) != dim:
@@ -813,15 +804,23 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
 
     pairing_supplied = g.pairing is not None
     if pairing_supplied:
-        transported = (frame.transpose() * g.pairing * frame)\
-            .compose_entries(q_of)
-        # F^T P F is eps-symmetric because P is
-        failure = _pairing_failure(a_new, transported, parity)
+        # Checked in q, on the frame and connection before any rescale:
+        # with R the residual of M = F^T P F for A, the residual in Q of
+        # M o g for a_new is (R h^-1) o g.  As h(0) = 1 and g = Q + O(Q^2),
+        # its first nonzero coefficient is that of R, at the same order,
+        # and the diagonal rescales of frame and a_new keep its zero
+        # pattern: the first failing order and entry are those in Q.  M
+        # is eps-symmetric because P is.
+        failure = _pairing_failure(
+            canon.a_series,
+            canon.frame.transpose() * g.pairing * canon.frame, parity)
         if failure:
             raise InvariantViolation(
                 "transported pairing is not covariantly constant in the "
                 f"canonical frame: {failure}")
-        m0 = transported.at0()
+        f0 = frame.at0()
+        m0 = linalg.mat_mul(linalg.transpose(f0),
+                            linalg.mat_mul(g.pairing.at0(), f0))
     else:
         # m0 would extend (it is skew for the nilpotent A(0)); keep m0 only
         m0 = _solve_pairing0(a_new.at0(), degrees, parity)

@@ -237,6 +237,15 @@ def subspace_intersection(a, b):
     return linalg.row_space_basis(out)
 
 
+def horner(f: Series, g: Series) -> Series:
+    """f(g) by Horner's rule, one product per term."""
+    n = min(f.order, g.order)
+    acc = Series.zero(n)
+    for k in range(n - 1, -1, -1):
+        acc = acc * g.truncate(n) + Series.constant(f.coeffs[k], n)
+    return acc
+
+
 def pairing_residual(a: SeriesMatrix, m: SeriesMatrix
                      ) -> tuple[int, int, int] | None:
     """(k, i, j) of the first nonzero coefficient of theta M - A^T M - M A,

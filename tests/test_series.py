@@ -186,9 +186,6 @@ def test_matrix_compose_dilate():
     rng = Random(9)
     m = SeriesMatrix([[rand_series(rng, order=6) for _ in range(2)]
                       for _ in range(2)])
-    inner = Series([ZERO, ONE, Scalar(3), ZERO, ZERO, ZERO], 6)
-    composed = m.compose_entries(inner)
-    assert composed.entry(0, 1) == m.entry(0, 1).compose(inner)
     c = Scalar(Fraction(2, 3))
     d = m.dilate(c)
     assert d.entry(1, 0) == m.entry(1, 0).dilate(c)

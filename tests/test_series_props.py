@@ -1,5 +1,5 @@
 """Property tests for the series kernels that the normal-form route leans
-on: reversion, composition through a shared power table, exp/log,
+on: reversion, composition through the Lagrange-Buermann table, exp/log,
 inverses, the single flat-gauge computation per normal form, and the
 coefficient-major SeriesMatrix against entrywise Series arithmetic."""
 import operator
@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from vshstools import linalg, picard_fuchs, vshs
 from vshstools.scalars import ZERO, Scalar
-from vshstools.series import PowerTable, Series, SeriesMatrix
+from vshstools.series import Reversion, Series, SeriesMatrix
+
+from genutil import horner
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -42,15 +44,6 @@ def reversible(draw):
     return Series(coeffs, f.order)
 
 
-def horner(f: Series, g: Series) -> Series:
-    """f(g) by Horner's rule, sharing no code with Series.compose."""
-    n = min(f.order, g.order)
-    acc = Series.zero(n)
-    for k in range(n - 1, -1, -1):
-        acc = acc * g.truncate(n) + Series.constant(f.coeffs[k], n)
-    return acc
-
-
 @PROPS
 @given(reversible())
 def test_reverse_is_a_two_sided_compositional_inverse(f):
@@ -67,12 +60,9 @@ def test_compose_entries_matches_entrywise_compose(data):
     inner = data.draw(series(order=n, vanishing=True))
     entries = [[data.draw(series(order=n)) for _ in range(2)]
                for _ in range(2)]
-    composed = SeriesMatrix(entries).compose_entries(inner)
     for i in range(2):
         for j in range(2):
-            expected = horner(entries[i][j], inner)
-            assert entries[i][j].compose(inner) == expected
-            assert composed.entry(i, j) == expected
+            assert entries[i][j].compose(inner) == horner(entries[i][j], inner)
 
 
 @PROPS
@@ -162,11 +152,9 @@ def test_matrix_product_is_the_entrywise_product(data):
 
 
 @PROPS
-@given(series_entries(), st.integers(1, 6), st.data())
-def test_series_and_scalar_factors_act_entrywise(a, order, data):
-    s = data.draw(series(order=order))
+@given(series_entries(), st.data())
+def test_series_and_scalar_factors_act_entrywise(a, data):
     c = data.draw(scalars)
-    assert SeriesMatrix(a) * s == SeriesMatrix(ref_map(a, lambda e: e * s))
     assert SeriesMatrix(a) * c == SeriesMatrix(ref_map(a, lambda e: e * c))
     assert c * SeriesMatrix(a) == SeriesMatrix(a) * c
 
@@ -188,13 +176,10 @@ def test_sum_and_difference_act_entrywise(data):
 def test_transpose_theta_dilate_compose_act_entrywise(a, data):
     m = SeriesMatrix(a)
     c = data.draw(scalars)
-    inner = data.draw(series(order=m.order + 1, vanishing=True))
     assert m.transpose() == SeriesMatrix(
         [[a[i][j] for i in range(m.rows)] for j in range(m.cols)])
     assert m.theta_entries() == SeriesMatrix(ref_map(a, Series.theta))
     assert m.dilate(c) == SeriesMatrix(ref_map(a, lambda e: e.dilate(c)))
-    assert m.compose_entries(inner) == SeriesMatrix(
-        ref_map(a, lambda e: horner(e, inner)))
 
 
 @PROPS
@@ -357,12 +342,25 @@ def test_kernel_reverse_matches_reference(f):
 
 
 @KERNEL
+@given(st.one_of(st.integers(0, 2), kernel_orders), st.data())
+def test_kernel_compose_matches_reference(order, data):
+    """outer(g) by the Lagrange-Buermann table of f, g the reverse of f,
+    for outer series longer than f and as long or shorter."""
+    f = data.draw(kernel_series(order=order, vanishing=True, unit=True))
+    table, g = Reversion(f), ref_reverse(f)
+    for outer_order in (order + data.draw(st.integers(1, 3)),
+                        data.draw(st.integers(0, order))):
+        outer = data.draw(kernel_series(order=outer_order))
+        assert table.compose(outer) == ref_compose(outer, g)
+
+
+@KERNEL
 @given(kernel_series(vanishing=True), st.data())
-def test_kernel_compose_matches_reference(inner, data):
-    table = PowerTable(inner)
+def test_kernel_series_compose_matches_reference(inner, data):
+    """Horner's rule for an inner series that may have inner'(0) = 0."""
     for _ in range(2):
         outer = data.draw(kernel_series(order=data.draw(kernel_orders)))
-        assert table.compose(outer) == ref_compose(outer, inner)
+        assert outer.compose(inner) == ref_compose(outer, inner)
 
 
 @KERNEL
@@ -393,3 +391,26 @@ def test_reverse_makes_about_two_sqrt_n_products(monkeypatch):
     monkeypatch.undo()
     assert len(calls) <= 2 * isqrt(order - 1) + 2
     assert f.compose(g) == Series.coordinate(order)
+
+
+def test_compose_makes_isqrt_n_products(monkeypatch):
+    """Once the table of f is built, composing with the reverse of f takes
+    one product F' phi^r per baby step and none per coefficient."""
+    order = 64
+    f = Series([ZERO] + [Scalar(Fraction((-1) ** k * k, k % 3 + 1))
+                         for k in range(1, order)], order)
+    outer = Series([Scalar(Fraction(k + 1, k % 4 + 1), Fraction(k % 3 - 1))
+                    for k in range(order)], order)
+    table = Reversion(f)
+    calls = []
+    product = Series.__mul__
+
+    def counting(a, b):
+        calls.append(b)
+        return product(a, b)
+
+    monkeypatch.setattr(Series, "__mul__", counting)
+    composed = table.compose(outer)
+    monkeypatch.undo()
+    assert len(calls) == isqrt(order - 1)
+    assert composed == outer.compose(f.reverse())

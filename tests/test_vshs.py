@@ -23,13 +23,12 @@ from vshstools.vshs import (DegreeViolation, DnObject, GeometricVHS,
                             ZeroScalar, canonical_coordinate, extend_pairing,
                             formal_flat_gauge, from_normal_form,
                             gauge_transform, geometric_to_rees,
-                            hodge_tate_split,
                             rees_to_geometric, rescale_coordinate,
                             to_canonical_connection, to_normal_form,
                             verify_prevhs, yukawa)
 
-from genutil import (block_diagonal, extend_pairing_two_products, mat_vec,
-                     pairing_residual, rand_scalar, random_dn,
+from genutil import (block_diagonal, extend_pairing_two_products, horner,
+                     mat_vec, pairing_residual, rand_scalar, random_dn,
                      random_flat_pair, random_rees)
 
 ORD = 8
@@ -180,7 +179,8 @@ def test_not_hodge_tate():
 
 
 def ref_split(g):
-    """hodge_tate_split by the per-column recurrence of Scalar sums that
+    """The Hodge-Tate splitting P, the canonical frame in the flat frame,
+    with its levels, by the per-column recurrence of Scalar sums that
     the level-at-once kernel solve replaced: z_m below the level of
     column j is -S^-1 sum_l (U p0)_l z_(m-l) on the rows below it."""
     dim, order = g.rank, g.order
@@ -229,14 +229,6 @@ def scrambled_dn(seed, n, mixed, gaussian):
         conn = conn.dilate(Scalar(Fraction(1, 2), Fraction(-3, 5)))
     return GeometricVHS(conn=conn, levels2=geo.levels2, pairing=None,
                         parity=geo.parity)
-
-
-@settings(max_examples=12, deadline=None)
-@given(st.integers(0, 2 ** 32), st.sampled_from((3, 4)), st.booleans(),
-       st.booleans())
-def test_split_matches_the_per_column_recurrence(seed, n, mixed, gaussian):
-    scrambled = scrambled_dn(seed, n, mixed, gaussian)
-    assert hodge_tate_split(scrambled) == ref_split(scrambled)
 
 
 @settings(max_examples=12, deadline=None)
@@ -630,6 +622,69 @@ def test_pairing_failure_names_its_q_order():
                        match=r"not covariantly constant.*q\^3, entry"):
         GeometricVHS(conn=geo.conn, levels2=geo.levels2, pairing=spoiled,
                      parity=geo.parity)
+
+
+def pulled_back(d, f):
+    """The D_n object d as a GeometricVHS in the coordinate q of Q = f(q),
+    f a polynomial with f(0) = 0 and f'(0) = 1: the connection A(f(q))
+    times theta log f, the constant pairing unchanged."""
+    order = d.order
+    geo = rees_to_geometric(from_normal_form(d))
+    theta_log = Series(f.theta().coeffs[1:], order) * \
+        Series(f.coeffs[1:], order).inverse()
+    conn = SeriesMatrix([[horner(geo.conn.entry(i, j), f) * theta_log
+                          for j in range(geo.rank)] for i in range(geo.rank)])
+    return GeometricVHS(conn=conn, levels2=geo.levels2, pairing=geo.pairing,
+                        parity=geo.parity)
+
+
+@pytest.mark.parametrize("k, i, j, volume_basis",
+                         [(0, 1, 0, False), (2, 2, 2, False),
+                          (3, 0, 1, True), (6, 3, 2, True)])
+def test_transported_pairing_failure_is_the_one_in_the_mirror_coordinate(
+        k, i, j, volume_basis, monkeypatch):
+    """to_normal_form checks the pairing F^T P F of the canonical frame F
+    against the connection in q.  With entry (i, j) of F perturbed at
+    q^k, the failure it names is the first residual in the canonical
+    coordinate Q, where F^T P F, F rescaled by the volume basis, is
+    composed with q(Q)."""
+    rng = Random(40 + k)
+    d = random_dn(rng, 3, order=ORD, max_dim=1)
+    f = Series([ZERO, ONE, Scalar(2), Scalar(Fraction(-1, 3))], ORD)
+    geo = pulled_back(d, f)
+    report = to_normal_form(geo, volume_basis=volume_basis)
+    assert report.mirror_coordinate == f
+    if not volume_basis:
+        assert report.dn == d
+    canonical = vshs.to_canonical_connection
+    # the rescale c of the volume basis: the reported frame is F c
+    c = linalg.mat_mul(linalg.inverse(canonical(geo).frame.at0()),
+                       report.gauge.at0())
+    bump = rand_scalar(rng, complex_ok=True) or ONE
+
+    def perturbed(g):
+        canon = canonical(g)
+        mats = [canon.frame.coefficient_matrix(m)
+                for m in range(canon.frame.order)]
+        mats[k][i][j] = mats[k][i][j] + bump
+        return canon._replace(frame=SeriesMatrix.from_coefficients(
+            mats, g.rank, g.rank))
+
+    frame = perturbed(geo).frame.scalar_right_mul(c)
+    m = frame.transpose() * geo.pairing * frame
+    inverse_map = f.reverse()
+    transported = SeriesMatrix([[horner(m.entry(a, b), inverse_map)
+                                 for b in range(geo.rank)]
+                                for a in range(geo.rank)])
+    hit = pairing_residual(report.dn.a_series, transported)
+    assert hit is not None
+    monkeypatch.setattr(vshs, "to_canonical_connection", perturbed)
+    with pytest.raises(InvariantViolation) as failure:
+        to_normal_form(geo, volume_basis=volume_basis)
+    assert str(failure.value) == (
+        "transported pairing is not covariantly constant in the canonical "
+        f"frame: the residual is nonzero at q^{hit[0]}, entry "
+        f"({hit[1]},{hit[2]})")
 
 
 def test_self_adjointness_failure_names_its_q_order():
