@@ -105,6 +105,27 @@ class Lifted:
         a, b, d = c._abd
         return Lifted(d, [[(i, a, b)] if a or b else [] for i in range(n)], n)
 
+    @staticmethod
+    def from_entries(entries: Sequence[tuple[int, int, int, int, int]],
+                     n: int) -> "Lifted":
+        """The n x n matrix with entry (i, j) = (a + b i)/d for each
+        (i, j, a, b, d) in entries, zero elsewhere, over the least common
+        denominator (the one Lifted.of takes)."""
+        reduced = []
+        for i, j, a, b, d in entries:
+            g = gcd(a, b, d)
+            reduced.append((i, j, a // g, b // g, d // g))
+        den = lcm(*[d for *_, d in reduced])
+        rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for i, j, a, b, d in reduced:
+            rows[i].append((j, a * (den // d), b * (den // d)))
+        return Lifted(den, rows, n)
+
+    def negated(self) -> "Lifted":
+        """-self, on the same integers."""
+        return Lifted(self.den, [[(j, -a, -b) for j, a, b in row]
+                                 for row in self.rows], self.cols)
+
     def times(self, other: "Lifted") -> Matrix:
         """The product self other, lowered to Scalars."""
         acc = Accumulator(len(self.rows), other.cols)
@@ -199,18 +220,11 @@ class Accumulator:
              if a or b] for ri, ii in zip(self.re, self.im)],
             len(self.re[0]) if self.re else 0)
 
-    def lower(self, keep: Sequence[Sequence[bool]] | None = None) -> Matrix:
-        """The sum so far as Scalars, one normalization per entry; with
-        keep, the entries (i, j) where keep[i][j] is false read ZERO and
-        are not normalized."""
+    def lower(self) -> Matrix:
+        """The sum so far as Scalars, one normalization per entry."""
         d = self.den
-        if keep is None:
-            return [[_norm(a, b, d) if a or b else ZERO
-                     for a, b in zip(ri, ii)]
-                    for ri, ii in zip(self.re, self.im)]
-        return [[_norm(a, b, d) if k and (a or b) else ZERO
-                 for a, b, k in zip(ri, ii, ki)]
-                for ri, ii, ki in zip(self.re, self.im, keep)]
+        return [[_norm(a, b, d) if a or b else ZERO for a, b in zip(ri, ii)]
+                for ri, ii in zip(self.re, self.im)]
 
 
 def is_zero_matrix(a: Matrix) -> bool:

@@ -11,23 +11,24 @@ normal-ordered with theta^i q^b = q^b (theta + b)^i.
 
 The Frobenius method is run with a nilpotent shift: solutions are found
 as q^eps * U(q, eps) with eps^depth = 0, whose eps-coefficients produce
-the logarithmic basis y0, y0 log q + f, ...  The ring of eps modulo
-eps^depth is Series of order depth, so the recursion uses the series
-product and inverse.  The quotient of the first two solutions gives the
+the logarithmic basis y0, y0 log q + f, ...  An element of the ring of
+eps modulo eps^depth is a lifted vector of length depth, multiplied by
+the series kernel's product and divided by _eps_quotient on the
+integers.  The quotient of the first two solutions gives the
 mirror map, the second route to the canonical coordinate.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Sequence
 
 from . import amodel, vshs
 from .linalg import lift_vector
-from .scalars import ONE, ZERO, Scalar, _norm, format_scalar, parse_scalar
-from .series import LiftedVector, Series, SeriesMatrix, _lower
+from .scalars import ONE, ZERO, Scalar, format_scalar, parse_scalar
+from .series import LiftedVector, Series, SeriesMatrix, _lower, _product
 
 
 class ParseError(ValueError):
@@ -409,17 +410,63 @@ def parse_pf(text: str) -> PFOperator:
 # ---------------------------------------------------------------------------
 
 
-def _taylor_shift(p: LiftedVector, t0: int, depth: int) -> Series:
-    """p(t0 + eps) mod eps^depth for the lifted p(t) = sum_j p_j t^j: each
-    Taylor coefficient sum_j C(j, s) t0^(j - s) p_j is summed on the
-    integers and normalized once, O(r depth) multiply-adds for degree r."""
+def _taylor_shift(p: LiftedVector, t0: int, depth: int) -> LiftedVector:
+    """p(t0 + eps) mod eps^depth for the lifted p(t) = sum_j p_j t^j, over
+    p's denominator: each Taylor coefficient sum_j C(j, s) t0^(j - s) p_j
+    is summed on the integers, O(r depth) multiply-adds for degree r."""
     den, re, im = p
-    out = []
+    out_re, out_im = [], []
     for s in range(depth):
         w = [comb(j, s) * t0 ** (j - s) for j in range(s, len(re))]
-        out.append(_norm(sum(map(mul, w, re[s:])),
-                         sum(map(mul, w, im[s:])) if im else 0, den))
-    return Series._make(out, depth)
+        out_re.append(sum(map(mul, w, re[s:])))
+        if im is not None:
+            out_im.append(sum(map(mul, w, im[s:])))
+    return den, out_re, out_im if im is not None else None
+
+
+def _lifted_sum(terms: Sequence[LiftedVector], n: int) -> LiftedVector:
+    """The sum of lifted vectors of length n over the lcm of their
+    denominators; the zero vector over 1 when there are none."""
+    den = lcm(*[t[0] for t in terms])
+    re, im = [0] * n, [0] * n
+    for d, t_re, t_im in terms:
+        f = den // d
+        re = [x + f * y for x, y in zip(re, t_re)]
+        if t_im is not None:
+            im = [x + f * y for x, y in zip(im, t_im)]
+    return den, re, im if any(im) else None
+
+
+def _eps_quotient(rho: LiftedVector, tau: LiftedVector) -> LiftedVector:
+    """-rho / tau in the eps-series of their common length n, tau(0) != 0,
+    over one denominator with the common content divided out.
+
+    With 1/tau_0 = c / n0, c = conj tau_0 and n0 = |tau_0|^2, the
+    quotient v of the numerators has v_s = V_s / n0^(s+1) and
+        V_s = c (n0^s rho_s - sum_(i=1..s) n0^(i-1) tau_i V_(s-i)),
+    all Gaussian integers; the denominators then give -rho / tau =
+    -tau_den V_s n0^(n-1-s) / (rho_den n0^n).
+    """
+    n = len(rho[1])
+    rr, ri = rho[1], rho[2] or [0] * n
+    tr, ti = tau[1], tau[2] or [0] * n
+    n0, cr, ci = tr[0] * tr[0] + ti[0] * ti[0], tr[0], -ti[0]
+    vr: list[int] = []
+    vi: list[int] = []
+    for s in range(n):
+        xr, xi = n0 ** s * rr[s], n0 ** s * ri[s]
+        for i in range(1, s + 1):
+            f = n0 ** (i - 1)
+            xr -= f * (tr[i] * vr[s - i] - ti[i] * vi[s - i])
+            xi -= f * (tr[i] * vi[s - i] + ti[i] * vr[s - i])
+        vr.append(xr * cr - xi * ci)
+        vi.append(xr * ci + xi * cr)
+    re = [-tau[0] * x * n0 ** (n - 1 - s) for s, x in enumerate(vr)]
+    im = [-tau[0] * x * n0 ** (n - 1 - s) for s, x in enumerate(vi)]
+    den = rho[0] * n0 ** n
+    g = gcd(den, *re, *im)
+    return (den // g, [x // g for x in re],
+            [x // g for x in im] if any(im) else None)
 
 
 class LogSeries:
@@ -473,8 +520,10 @@ def frobenius_solve(op: PFOperator, depth: int = 2,
     Finds u(q, eps) = q^eps sum_D u_D q^D with L u = O(eps^depth),
     u_0 = 1; expanding q^eps = exp(eps log q) packages the
     eps-coefficients into the returned basis.  With each P_m lifted
-    once, a step d costs O(r depth) integer multiply-adds per Taylor
-    shift and a few eps-series products of order depth.  L is applied to
+    once and each u_d kept lifted over one denominator, a step d costs
+    O(r depth) integer multiply-adds per Taylor shift, one integer
+    eps-product per q-term of L, one _eps_quotient and one gcd; each u_d
+    is normalized once, when the solutions are formed.  L is applied to
     each returned solution, and a nonzero coefficient mod q^order raises
     an ArithmeticError naming the solution, log power and q-order.
     """
@@ -491,15 +540,18 @@ def frobenius_solve(op: PFOperator, depth: int = 2,
             f"least {depth}; the operator has theta-order "
             f"{op.order_theta}")
     # P_m(t) = sum_j [q^m] c_j t^j, and u_d = -P_0(d + eps)^-1
-    # sum_m P_m(d - m + eps) u_(d-m) in the eps-series of order depth
+    # sum_m P_m(d - m + eps) u_(d-m) in the eps-series of order depth,
+    # each u_d lifted over one denominator and lowered once at the end
     p = [lift_vector([op.coefficient(j, m) for j in range(len(op.coeffs))])
          for m in range(op.max_q_degree + 1)]
-    u = [Series.one(depth)]
+    u = [(1, [1] + [0] * (depth - 1), None)]
     for d in range(1, order):
-        rhs = sum((_taylor_shift(p[m], d - m, depth) * u[d - m]
-                   for m in range(1, min(d + 1, len(p)))), Series.zero(depth))
-        u.append(-(rhs * _taylor_shift(p[0], d, depth).inverse()))
-    u_eps = [Series([u[d].coeffs[s] for d in range(order)], order)
+        rhs = _lifted_sum([_product(_taylor_shift(p[m], d - m, depth),
+                                    u[d - m])
+                           for m in range(1, min(d + 1, len(p)))], depth)
+        u.append(_eps_quotient(rhs, _taylor_shift(p[0], d, depth)))
+    lowered = [_lower(ud) for ud in u]
+    u_eps = [Series._make([x[s] for x in lowered], order)
              for s in range(depth)]
     solutions = []
     for j in range(depth):

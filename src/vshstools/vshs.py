@@ -10,13 +10,15 @@ Two presentations of the same data and the translations between them:
 
 Plus the normal-form machinery: formal flat gauge, canonical connection
 and coordinate, covariant extension of pairings, and the equivalence
-with graded normal-form objects (DnObject).  The flat gauge, the
-canonical connection (see to_canonical_connection) and the pairing
-extension each solve theta X = L(X) + Phi(X) with L nilpotent, order by
-order on the coefficient matrices of X by one Neumann sum, which keeps
-them in the lifted form of the linalg integer kernel until each q-order
-is done.  A residual that should vanish and does not is reported at its
-first nonzero q-order and entry.  The normal form moves to the canonical
+with graded normal-form objects (DnObject).  The flat gauge and the
+pairing extension each solve theta X = L(X) + Phi(X) with L nilpotent,
+order by order on the coefficient matrices of X by one Neumann sum.
+The canonical connection (see to_canonical_connection) solves its
+order-k equation in one pass down the grades of the Hodge level, since
+A(0) lowers the level by exactly 2.  Both keep each q-order in the
+lifted form of the linalg integer kernel until it is done.  A residual
+that should vanish and does not is reported at its first nonzero
+q-order and entry.  The normal form moves to the canonical
 coordinate by one Lagrange-Buermann composition per nonzero entry of
 the connection (series.Reversion) and composes no matrix.
 
@@ -39,7 +41,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import linalg, nilpotent
 from .linalg import Accumulator, Lifted, Matrix
-from .scalars import ONE, ZERO, Scalar, sqrt_exact
+from .scalars import ONE, ZERO, Scalar, _norm, sqrt_exact
 from .series import Reversion, Series, SeriesMatrix
 
 
@@ -476,7 +478,7 @@ def formal_flat_gauge(b: SeriesMatrix) -> SeriesMatrix:
     except nilpotent.NotNilpotent as exc:
         raise NotNilpotentResidue(str(exc)) from exc
     bs = b._lifted()
-    n_neg = Lifted.of(linalg.mat_neg(n_mat))
+    n_neg = bs[0].negated()
 
     def phi(u: list[Lifted], k: int) -> Lifted:
         acc = Accumulator(dim, dim)
@@ -500,12 +502,6 @@ def formal_flat_gauge(b: SeriesMatrix) -> SeriesMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _restrict(x: Lifted, keep: list[list[bool]]) -> Lifted:
-    """x with the entries (i, j) where keep[i][j] is false dropped."""
-    return Lifted(x.den, [[e for e in row if mask[e[0]]]
-                          for row, mask in zip(x.rows, keep)], x.cols)
-
-
 def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
     """Gauge to the frame where the connection is grade-lowering.
 
@@ -519,14 +515,16 @@ def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
     Y(0) = I and A_0 = b'_0, and its q^k coefficient is
         k Y_k - [A_0, Y_k] + A_k = R_k,
         R_k = sum_(j=1..k) b'_j Y_(k-j) - sum_(j=1..k-1) Y_(k-j) A_j.
-    Graded by lev[i] - lev[j], the equation splits three ways:
-    * Y_k lives on the entries with lev[i] >= lev[j] (column j of F lies
-      in F^(>= lev[j])), where it is (k - P ad_(A_0)) Y_k = P R_k, P the
-      projection onto those entries; ad_(A_0) lowers the grade by 2, so
-      this is the Neumann sum of _neumann_sum;
-    * A_k is E_k = R_k + [A_0, Y_k] on the entries with lev[i] = lev[j] - 2;
-    * every other entry of E_k must vanish (Griffiths transversality in
-      the graded frame), else DegreeViolation names q^k and the entry.
+    A_0 has grade -2 in d = lev[i] - lev[j] (Deligne's splitting: N maps
+    I^p into I^(p-2)), so [A_0, X] at grade d reads X at grade d + 2 and
+    the equation is triangular in d; _graded_pass solves it top grade
+    first:
+    * Y_k lives on the grades d >= 0 (column j of F lies in F^(>= lev[j]))
+      and solves k Y_d = R_d + [A_0, Y_(d+2)]_d;
+    * A_k = R_(-2) + [A_0, Y_0]_(-2) is read at grade -2;
+    * grade -1, R_(-1) + [A_0, Y_1]_(-1), and the grades d <= -3, R_d
+      alone, must vanish (Griffiths transversality in the graded frame),
+      else DegreeViolation names q^k and the first such entry.
     The solution is unique, and F = p0 Y takes no inverse of a series.
     """
     dim, order = g.rank, g.order
@@ -542,8 +540,6 @@ def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
     tops = sorted(pieces, reverse=True)
     lev = tuple(level for level in tops for _ in pieces[level])
     p0 = linalg.transpose([v for level in tops for v in pieces[level]])
-    upper = [[lev[i] >= lev[j] for j in range(dim)] for i in range(dim)]
-    lower = [[not x for x in row] for row in upper]
 
     p0_inv, lp0 = Lifted.of(linalg.inverse(p0)), Lifted.of(p0)
     bp = []  # b' = p0^-1 b p0
@@ -553,48 +549,93 @@ def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
         conj = Accumulator(dim, dim)
         conj.add_product(acc.lifted(), lp0)
         bp.append(conj)
-    # A_0 = b'_0 lowers the level by exactly 2: N maps F^(>=p) into
-    # F^(>=p-2) (transversality, checked by GeometricVHS) and W_(<=p) into
-    # W_(<=p-2), so it maps each piece F^(>=p) ∩ W_(<=p) into the next
     a_coeffs = [bp[0].lower()]
     bp = [acc.lifted() for acc in bp]
-    a0, neg_a0 = bp[0], Lifted.of(linalg.mat_neg(a_coeffs[0]))
+    a0 = bp[0]  # grade -2 by Deligne's splitting; checked once here
+    if any(lev[i] != lev[j] - 2 for i, row in enumerate(a0.rows)
+           for j, _, _ in row):
+        raise NotNilpotentResidue("ad of the residue does not terminate")
 
-    def ad_a0(x: Lifted) -> Lifted:
-        acc = Accumulator(dim, dim)
-        acc.add_product(a0, x)
-        acc.add_product(x, neg_a0)
-        return _restrict(acc.lifted(), upper)
-
-    stuck = NotNilpotentResidue("ad of the residue does not terminate")
     ys = [Lifted.of(linalg.identity(dim))]
-    neg_a = [neg_a0]
+    neg_a = [a0.negated()]
     for k in range(1, order):
         r = Accumulator(dim, dim)
         for j in range(1, k + 1):
             r.add_product(bp[j], ys[k - j])
         for j in range(1, k):
             r.add_product(ys[k - j], neg_a[j])
-        y = _neumann_sum(_restrict(r.lifted(), upper), k, ad_a0,
-                         stuck).lifted()
-        r.add_product(a0, y)
-        r.add_product(y, neg_a0)
-        a_k = r.lower(lower)
-        for i, row in enumerate(a_k):
-            for j, x in enumerate(row):
-                if not x.is_zero() and lev[i] != lev[j] - 2:
-                    raise DegreeViolation(
-                        f"canonical connection is nonzero at q^{k}, entry "
-                        f"({i},{j}), which relates levels {lev[j]} -> "
-                        f"{lev[i]}")
-        a_coeffs.append(a_k)
-        neg_a.append(Lifted.of(linalg.mat_neg(a_k)))
+        y, a_k, neg_a_k = _graded_pass(r, k, a0, lev)
         ys.append(y)
+        a_coeffs.append(a_k)
+        neg_a.append(neg_a_k)
     return CanonicalConnection(
         frame=SeriesMatrix.from_coefficients(
             [lp0.times(y) for y in ys], dim, dim),
         a_series=SeriesMatrix.from_coefficients(a_coeffs, dim, dim),
         levels2=lev)
+
+
+def _graded_pass(r: Accumulator, k: int, a0: Lifted, lev: tuple[int, ...]
+                 ) -> tuple[Lifted, Matrix, Lifted]:
+    """Y_k, A_k and -A_k from R_k = r, one grade at a time, top first.
+
+    Only the nonzero entries of R_k and of A_0 are visited.  A grade-d
+    entry is kept as an integer z over D s_d, D = r.den: s_d = 1 where no
+    Y_(d+2) reaches it, else s_d = s_(d+2) k d0, d0 = a0.den, so that
+    z = s_d R + sum a z' stays an integer, z' running over the Y_(d+2)
+    entries it reads and a over those of A_0.  Y_d is z / (D s_d k).
+    """
+    dim, den, kd0 = len(lev), r.den, k * a0.den
+    a0_cols: list[list[tuple[int, int, int]]] = [[] for _ in range(dim)]
+    for i, row in enumerate(a0.rows):
+        for j, a, b in row:
+            a0_cols[j].append((i, a, b))
+    by_grade: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
+    for i, (ri, ii) in enumerate(zip(r.re, r.im)):
+        for j, x in enumerate(ri):
+            if x or ii[j]:
+                by_grade.setdefault(lev[i] - lev[j], {})[i, j] = (x, ii[j])
+    pending: dict[int, dict[tuple[int, int], list[int]]] = {}
+    scale: dict[int, int] = {}
+    y_entries, a_entries, bad = [], [], []
+    for d in range(max(by_grade, default=-1), -3, -1):
+        z = pending.pop(d, None)
+        s = scale[d] = scale[d + 2] * kd0 if z else 1
+        z = z or {}
+        for ij, (x, y) in by_grade.pop(d, {}).items():
+            e = z.setdefault(ij, [0, 0])
+            e[0] += s * x
+            e[1] += s * y
+        solved = [(i, j, zr, zi) for (i, j), (zr, zi) in z.items()
+                  if zr or zi]
+        if d == -1:
+            bad += [(i, j) for i, j, _, _ in solved]
+        elif d == -2:
+            a_entries = [(i, j, zr, zi, den * s) for i, j, zr, zi in solved]
+        else:
+            target = pending.setdefault(d - 2, {})
+            for p, q, zr, zi in solved:
+                y_entries.append((p, q, zr, zi, den * s * k))
+                for i, a, b in a0_cols[p]:  # + A_0 Y
+                    e = target.setdefault((i, q), [0, 0])
+                    e[0] += a * zr - b * zi
+                    e[1] += a * zi + b * zr
+                for j, a, b in a0.rows[q]:  # - Y A_0
+                    e = target.setdefault((p, j), [0, 0])
+                    e[0] -= zr * a - zi * b
+                    e[1] -= zr * b + zi * a
+    bad += [ij for entries in by_grade.values() for ij in entries]
+    if bad:
+        i, j = min(bad)
+        raise DegreeViolation(
+            f"canonical connection is nonzero at q^{k}, entry ({i},{j}), "
+            f"which relates levels {lev[j]} -> {lev[i]}")
+    a_k = linalg.zeros(dim, dim)
+    for i, j, zr, zi, d in a_entries:
+        a_k[i][j] = _norm(zr, zi, d)
+    neg = [(i, j, -zr, -zi, d) for i, j, zr, zi, d in a_entries]
+    return (Lifted.from_entries(y_entries, dim), a_k,
+            Lifted.from_entries(neg, dim))
 
 
 def _ks_component(a: SeriesMatrix, levels2: Sequence[int]) -> Series:

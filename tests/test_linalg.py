@@ -171,9 +171,6 @@ def test_kernel_accumulates_over_mixed_denominators(data):
                 acc.add_product(Lifted.of(x), Lifted.scalar(c, p))
             ref = linalg.mat_add(ref, linalg.mat_scale(x, c))
     assert acc.lower() == ref
-    keep = [[data.draw(st.booleans()) for _ in range(p)] for _ in range(n)]
-    assert acc.lower(keep) == [[x if k else ZERO for x, k in zip(row, ks)]
-                               for row, ks in zip(ref, keep)]
     # the unnormalized form holds the same values
     again = Accumulator(n, p)
     again.add_product(Lifted.scalar(ONE, n), acc.lifted())
@@ -195,3 +192,26 @@ def test_kernel_lowers_to_normal_form(data):
     direct, fresh = acc.lifted(), Lifted.of(lowered)
     assert (direct.den, direct.rows) == (fresh.den, fresh.rows)
     assert (direct.real, direct.zero) == (fresh.real, fresh.zero)
+
+
+@PROPS
+@given(st.data())
+def test_kernel_lifts_entries_over_their_least_denominator(data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(matrices(n, n))
+    # each nonzero entry over a random multiple of its denominator, in a
+    # shuffled order
+    entries = []
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            if not x.is_zero():
+                a, b, d = x._abd
+                f = data.draw(st.integers(-3, 3).filter(bool))
+                entries.append((i, j, a * f, b * f, d * f))
+    entries = data.draw(st.permutations(entries))
+    direct, fresh = Lifted.from_entries(entries, n), Lifted.of(m)
+    assert direct.den == fresh.den
+    assert [sorted(row) for row in direct.rows] == fresh.rows
+    assert (direct.real, direct.zero) == (fresh.real, fresh.zero)
+    negated = linalg.mat_neg(m)
+    assert Lifted.of(m).negated().rows == Lifted.of(negated).rows

@@ -6,13 +6,15 @@ q exp(theta^{-1}(h/h(0) - 1)), and everything downstream of it is
 checked against series built independently from h.
 """
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vshstools import linalg, nilpotent, vshs
+from vshstools import linalg, nilpotent, picard_fuchs, vshs
+from vshstools.linalg import Accumulator, Lifted
 from vshstools.scalars import ONE, ZERO, Scalar
 from vshstools.series import Series, SeriesMatrix
 from vshstools.vshs import (DegreeViolation, DnObject, GeometricVHS,
@@ -232,7 +234,7 @@ def scrambled_dn(seed, n, mixed, gaussian):
 
 
 @settings(max_examples=12, deadline=None)
-@given(st.integers(0, 2 ** 32), st.sampled_from((3, 4)), st.booleans(),
+@given(st.integers(0, 2 ** 32), st.sampled_from((2, 3, 4)), st.booleans(),
        st.booleans())
 def test_canonical_connection_matches_the_gauge_by_the_split(seed, n, mixed,
                                                              gaussian):
@@ -266,6 +268,61 @@ def test_degree_violation_names_its_order_and_entry():
                        match=r"nonzero at q\^2, entry \(1,0\), which relates "
                              r"levels 1 -> 0"):
         to_canonical_connection(g)
+
+
+@pytest.mark.parametrize("a0_entry, y_entry, fed, first",
+                         [((2, 0), (0, 1), (2, 1), (2, 1)),
+                          ((3, 1), (1, 2), (3, 2), (3, 0))])
+def test_degree_violation_names_the_row_major_first_entry(a0_entry, y_entry,
+                                                          fed, first):
+    """Levels 3, 2, 1, 0 and A_0 one grade -2 entry.  R_k holds a grade-1
+    entry, which Y_k keeps and [A_0, Y_k] carries to the grade -1 entry
+    `fed`, and the grade -3 entry (3, 0), which is R alone.  The message
+    names whichever comes first row by row, and `fed` when it is alone."""
+    lev = (3, 2, 1, 0)
+    a0 = linalg.zeros(4, 4)
+    a0[a0_entry[0]][a0_entry[1]] = Scalar(2)
+    for planted, named in (({y_entry: 5, (3, 0): 7}, first),
+                           ({y_entry: 5}, fed)):
+        r_mat = linalg.zeros(4, 4)
+        for (i, j), x in planted.items():
+            r_mat[i][j] = Scalar(Fraction(x, 3))
+        r = Accumulator(4, 4)
+        r.add_product(Lifted.of(r_mat), Lifted.of(linalg.identity(4)))
+        with pytest.raises(DegreeViolation) as failure:
+            vshs._graded_pass(r, 3, Lifted.of(a0), lev)
+        i, j = named
+        assert str(failure.value) == (
+            f"canonical connection is nonzero at q^3, entry ({i},{j}), "
+            f"which relates levels {lev[j]} -> {lev[i]}")
+
+
+def test_a_residue_off_grade_minus_two_is_refused(monkeypatch):
+    """A_0 has grade -2 for every splitting graded_splitting returns; a
+    splitting with the two levels swapped gives it grade +2, which the
+    one-time check refuses."""
+    monkeypatch.setattr(nilpotent, "graded_splitting",
+                        lambda n_mat, levels2: {1: [[ZERO, ONE]],
+                                                -1: [[ONE, ZERO]]})
+    b = smat([[0, 0], [1, 0]])
+    g = GeometricVHS(conn=b, levels2=(1, -1), pairing=None, parity=1)
+    with pytest.raises(NotNilpotentResidue,
+                       match=r"^ad of the residue does not terminate$"):
+        to_canonical_connection(g)
+
+
+def test_the_canonical_connection_takes_no_neumann_sum(monkeypatch):
+    """The quintic normal form at order 16 runs the graded pass only; its
+    mirror map is the Frobenius one."""
+    def refuse(*args):
+        raise AssertionError("the canonical connection took a Neumann sum")
+
+    monkeypatch.setattr(vshs, "_neumann_sum", refuse)
+    data = Path(__file__).resolve().parent.parent / "data"
+    op = picard_fuchs.parse_pf((data / "quintic.pf.txt").read_text())
+    report = to_normal_form(picard_fuchs.companion_vhs(op, 16))
+    assert report.mirror_coordinate == picard_fuchs.mirror_map_frobenius(
+        picard_fuchs.frobenius_solve(op, 2, 16))
 
 
 def test_mirror_invariant_under_q_dependent_gauge():
