@@ -17,8 +17,8 @@ from .picard_fuchs import (FrobeniusBasis, LogSeries, MirrorMapMismatch,
                            bmodel_pipeline, companion_vhs, frobenius_solve,
                            mirror_map_frobenius, parse_pf)
 from .scalars import Scalar, format_scalar, parse_scalar, sqrt_exact
-from .series import (BadConstantTerm, NonzeroConstant, NonzeroInnerConstant,
-                     NotReversible, Series, SeriesMatrix, ZeroConstantTerm)
+from .series import (BadConstantTerm, NonzeroConstant, NotReversible, Series,
+                     SeriesMatrix, ZeroConstantTerm)
 from .vshs import (DegreeViolation, DnObject, GeometricVHS,
                    InconsistentLift, InvariantViolation, NoVolumeForm,
                    NormalFormReport, NotFree, NotHodgeTate,
@@ -26,18 +26,17 @@ from .vshs import (DegreeViolation, DnObject, GeometricVHS,
                    PairingUnderdetermined, ReesModule, ResidueNotCompatible,
                    ZeroKS, ZeroScalar, canonical_coordinate,
                    extend_pairing, formal_flat_gauge, from_normal_form,
-                   gauge_transform, geometric_to_rees, rees_to_geometric,
-                   rescale_coordinate, to_canonical_connection,
-                   to_normal_form, verify_prevhs, yukawa)
+                   geometric_to_rees, rees_to_geometric, rescale_coordinate,
+                   to_canonical_connection, to_normal_form, verify_prevhs,
+                   yukawa)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BadConstantTerm", "CohomologyInput", "DegreeViolation", "DnObject",
     "FrobeniusBasis", "GeometricVHS", "HardLefschetzFailure",
-    "InconsistentLift", "InstantonTable", "InvariantViolation",
-    "LogSeries", "MirrorMapMismatch", "NonzeroConstant",
-    "NonzeroInnerConstant", "NormalFormReport", "NoVolumeForm",
+    "InconsistentLift", "InstantonTable", "InvariantViolation", "LogSeries",
+    "MirrorMapMismatch", "NonzeroConstant", "NormalFormReport", "NoVolumeForm",
     "NotFree", "NotHodgeTate", "NotMaximallyUnipotent", "NotNilpotent",
     "NotNilpotentResidue", "NotProportional", "NotReversible", "NotSplit",
     "PairingUnderdetermined", "ParseError", "PFOperator", "ReesModule",
@@ -46,10 +45,10 @@ __all__ = [
     "ZeroScalar", "ZeroVolume", "bmodel_pipeline", "build_amodel_dn",
     "canonical_coordinate", "companion_vhs", "extend_pairing",
     "formal_flat_gauge", "format_scalar", "from_normal_form",
-    "frobenius_solve", "g_from_instantons", "gauge_transform",
-    "geometric_to_rees", "graded_splitting", "instantons_from_g",
-    "jordan_partition", "mirror_map_frobenius", "nilpotency_index",
-    "parse_pf", "parse_scalar", "rees_to_geometric", "rescale_coordinate",
-    "sqrt_exact", "to_canonical_connection", "to_normal_form",
-    "verify_prevhs", "weight_filtration", "yukawa",
+    "frobenius_solve", "g_from_instantons", "geometric_to_rees",
+    "graded_splitting", "instantons_from_g", "jordan_partition",
+    "mirror_map_frobenius", "nilpotency_index", "parse_pf", "parse_scalar",
+    "rees_to_geometric", "rescale_coordinate", "sqrt_exact",
+    "to_canonical_connection", "to_normal_form", "verify_prevhs",
+    "weight_filtration", "yukawa",
 ]

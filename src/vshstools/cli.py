@@ -11,15 +11,15 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from . import jsonio, picard_fuchs, vshs
 from .amodel import InstantonTable, cover_power, instantons_from_g
+from .jsonio import MAX_ORDER
 from .scalars import Scalar, format_scalar, parse_scalar
 from .series import Series
 
-# the largest --order any command accepts; the benchmark runs order 32
-MAX_ORDER = 256
 # the most digits --decimal prints; CPython refuses to turn an int of more
 # than 4300 digits into a string
 MAX_DECIMAL = 1000
@@ -282,6 +282,7 @@ def _add_common(p: argparse.ArgumentParser, *, volume: bool = True,
                    help="append K-digit decimal approximations in tables")
 
 
+@cache  # built once, on the first call of main, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vshs",
@@ -319,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     order = getattr(args, "order", 16)
     if order < 2:
         print("error: --order must be at least 2", file=sys.stderr)

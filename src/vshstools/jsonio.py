@@ -17,6 +17,10 @@ from .linalg import Matrix
 from .scalars import Scalar, format_scalar, parse_scalar
 from .series import Series, SeriesMatrix
 
+# the largest truncation order: the limit of --order and of every stored
+# order, since a Series pads to its order; the benchmark runs order 32
+MAX_ORDER = 256
+
 
 def scalar_to_str(x: Scalar) -> str:
     return format_scalar(x)
@@ -40,6 +44,15 @@ def _int(value: Any, field: str) -> int:
     return value
 
 
+def _order(value: Any) -> int:
+    """A stored truncation order, in 0 .. MAX_ORDER."""
+    order = _int(value, "order")
+    if not 0 <= order <= MAX_ORDER:
+        raise picard_fuchs.ParseError(
+            f"field 'order' must lie in 0..MAX_ORDER = {MAX_ORDER}")
+    return order
+
+
 def _int_key(key: str, field: str) -> int:
     """An integer stored as a JSON object key, such as "-1"."""
     if not re.fullmatch(r"-?[0-9]{1,18}", key):
@@ -56,7 +69,7 @@ def series_to_obj(s: Series) -> dict[str, Any]:
 
 
 def series_from_obj(obj: dict[str, Any]) -> Series:
-    order = _int(obj["order"], "order")
+    order = _order(obj["order"])
     return Series([scalar_from_str(c) for c in obj["coeffs"]], order)
 
 
@@ -75,7 +88,7 @@ def matrix_to_obj(m: SeriesMatrix) -> dict[str, Any]:
 
 
 def matrix_from_obj(obj: dict[str, Any]) -> SeriesMatrix:
-    order = _int(obj["order"], "order")
+    order = _order(obj["order"])
     entries = [[Series([scalar_from_str(c) for c in cell], order)
                 for cell in row] for row in obj["entries"]]
     return SeriesMatrix(entries)
@@ -129,7 +142,7 @@ def rees_from_obj(obj: dict[str, Any]) -> vshs.ReesModule:
         pairing_u={_int_key(p, "pairing_u"): matrix_from_obj(m)
                    for p, m in obj["pairing_u"].items()},
         parity=_int(obj["parity"], "parity"),
-        order=_int(obj["order"], "order"))
+        order=_order(obj["order"]))
 
 
 def geometric_to_obj(g: vshs.GeometricVHS) -> dict[str, Any]:

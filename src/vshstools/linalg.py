@@ -311,24 +311,6 @@ def try_inverse(m: Matrix) -> Matrix | None:
         return None
 
 
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One solution of a x = b, or None if inconsistent.
-
-    Free variables are set to zero, which makes the answer deterministic.
-    """
-    if not a:
-        return [] if all(x.is_zero() for x in b) else None
-    cols = len(a[0])
-    aug = [row[:] + [bv] for row, bv in zip(a, b)]
-    r, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [ZERO] * cols
-    for row_idx, p in enumerate(pivots):
-        x[p] = r[row_idx][cols]
-    return x
-
-
 def row_space_basis(vectors: list[Vector]) -> list[Vector]:
     """Canonical (reduced echelon) basis of the span of the given vectors."""
     if not vectors:

@@ -183,9 +183,6 @@ class Scalar:
         a, b, _ = self._abd
         return not a and not b
 
-    def is_real(self) -> bool:
-        return not self._abd[1]
-
     def is_integer(self) -> bool:
         _, b, d = self._abd
         return not b and d == 1

@@ -9,19 +9,18 @@ Products, inverses, exp, composition and reversion run on the integer
 kernel of linalg in rank 1: each factor is lifted once to Gaussian-integer
 numerators over one common denominator (linalg.lift_vector), each output
 coefficient is a plain int dot product, normalized once.  Reversion and
-composition with the reversed series share one table, Reversion: the
-Lagrange-Buermann formula by the baby-step giant-step method (Brent and
-Kung, JACM 25, 1978; Johansson, Math. Comp. 84, 2015), about 2 sqrt(n)
-series products once, then sqrt(n) products and n dot products per
-composition.  Series.compose with any other inner series is Horner's rule.
+composition share one table, Reversion: the Lagrange-Buermann formula by
+the baby-step giant-step method (Brent and Kung, JACM 25, 1978; Johansson,
+Math. Comp. 84, 2015), about 2 sqrt(n) series products once, then sqrt(n)
+products and n dot products per composition.  The normal form composes
+only with a reversed series, so there is no other composition.
 
 SeriesMatrix is a dense rectangular matrix of Series sharing one
 truncation order, stored coefficient-major as one scalar matrix per
 q-order: products are convolutions of those matrices, each output
 coefficient summed over one common denominator by the linalg integer
-kernel, and the order-by-order inverse works on them directly.  The
-normal form needs no inverse: vshs.to_canonical_connection solves for
-its frame and connection together, order by order.
+kernel.  There is no matrix inverse: vshs.to_canonical_connection solves
+for its frame and connection together, order by order.
 """
 from __future__ import annotations
 
@@ -44,10 +43,6 @@ class SeriesError(ValueError):
 
 class ZeroConstantTerm(SeriesError):
     """Multiplicative inverse requested for a series vanishing at q = 0."""
-
-
-class NonzeroInnerConstant(SeriesError):
-    """Composition f(g) requires g(0) = 0."""
 
 
 class NotReversible(SeriesError):
@@ -280,17 +275,7 @@ class Series:
             return self * other.inverse()
         return self * _coerce(other).inverse()
 
-    # -- composition -----------------------------------------------------
-
-    def compose(self, inner: "Series") -> "Series":
-        """f(g) for g(0) = 0 by Horner's rule, one product per term."""
-        n = min(self.order, inner.order)
-        if n > 0 and not inner.coeffs[0].is_zero():
-            raise NonzeroInnerConstant("inner series must vanish at q = 0")
-        g, acc = inner.truncate(n), Series.zero(n)
-        for c in reversed(self.coeffs[:n]):
-            acc = acc * g + c
-        return acc
+    # -- reversion -------------------------------------------------------
 
     def reverse(self) -> "Series":
         """Compositional inverse g with f(g) = q modulo q^order: the
@@ -354,11 +339,6 @@ class Series:
 
     def __hash__(self):
         return hash((self.coeffs, self.order))
-
-    def agree_mod(self, other: "Series", order: int) -> bool:
-        if order > min(self.order, other.order):
-            raise ValueError("comparison order exceeds known precision")
-        return self.coeffs[:order] == other.coeffs[:order]
 
     def __str__(self) -> str:
         terms = []
@@ -515,10 +495,6 @@ class SeriesMatrix:
                                                order)
 
     @staticmethod
-    def identity(n: int, order: int) -> "SeriesMatrix":
-        return SeriesMatrix.from_scalar_matrix(linalg.identity(n), order)
-
-    @staticmethod
     def from_scalar_matrix(m: ScalarMatrix, order: int) -> "SeriesMatrix":
         rows, cols = _shape(m)
         if order < 0:
@@ -656,28 +632,6 @@ class SeriesMatrix:
         for m in self.coeffs:
             out.append(linalg.mat_scale(m, power))
             power = power * cc
-        return self._like(out)
-
-    def inverse(self) -> "SeriesMatrix":
-        """Order-by-order inverse; requires the constant term invertible:
-        X_k = -M_0^-1 sum_(j=1..k) M_j X_(k-j)."""
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        if self.order == 0:
-            raise ValueError("cannot invert at order 0")
-        m0_inv = linalg.inverse(self.coeffs[0])
-        neg_inv = Lifted.of(linalg.mat_neg(m0_inv))
-        lm = self._lifted()
-        out = [m0_inv]
-        lout = [Lifted.of(m0_inv)]
-        for k in range(1, self.order):
-            acc = Accumulator(self.rows, self.rows)
-            for j in range(1, k + 1):
-                acc.add_product(lm[j], lout[k - j])
-            x_k = Accumulator(self.rows, self.rows)
-            x_k.add_product(neg_inv, acc.lifted())
-            out.append(x_k.lower())
-            lout.append(x_k.lifted())
         return self._like(out)
 
     # -- comparison ------------------------------------------------------

@@ -237,8 +237,32 @@ def subspace_intersection(a, b):
     return linalg.row_space_basis(out)
 
 
+def matrix_identity(n: int, order: int) -> SeriesMatrix:
+    return SeriesMatrix.from_scalar_matrix(linalg.identity(n), order)
+
+
+def matrix_inverse(m: SeriesMatrix) -> SeriesMatrix:
+    """The inverse of m order by order, for m(0) invertible:
+    X_0 = M_0^-1 and X_k = -M_0^-1 sum_(j=1..k) M_j X_(k-j)."""
+    n = m.rows
+    xs = [linalg.inverse(m.coeffs[0])]
+    neg_inv = linalg.mat_neg(xs[0])
+    for k in range(1, m.order):
+        s = linalg.zeros(n, n)
+        for j in range(1, k + 1):
+            s = linalg.mat_add(s, linalg.mat_mul(m.coeffs[j], xs[k - j]))
+        xs.append(linalg.mat_mul(neg_inv, s))
+    return SeriesMatrix.from_coefficients(xs, n, n)
+
+
+def gauge_transform(b: SeriesMatrix, g: SeriesMatrix) -> SeriesMatrix:
+    """The connection matrix b in the frame g: g^-1 (b g - theta g)."""
+    return matrix_inverse(g) * (b * g - g.theta_entries())
+
+
 def horner(f: Series, g: Series) -> Series:
-    """f(g) by Horner's rule, one product per term."""
+    """f(g) by Horner's rule, one product per term: the reference
+    composition of the tests."""
     n = min(f.order, g.order)
     acc = Series.zero(n)
     for k in range(n - 1, -1, -1):

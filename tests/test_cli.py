@@ -541,6 +541,29 @@ def test_non_integer_stored_field_exit_two(value, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("order", [-3, cli.MAX_ORDER + 1, 200000])
+@pytest.mark.parametrize("name, command", [
+    ("d3-a.dn.json", "check"), ("d3-a.dn.json", "rees-roundtrip"),
+    ("d3-a.rees.json", "check")])
+def test_stored_order_over_the_limit_exit_two(order, name, command, tmp_path,
+                                              capsys):
+    text = (DATA / name).read_text()
+    assert '"order": 8' in text
+    path = tmp_path / name
+    path.write_text(text.replace('"order": 8', f'"order": {order}'))
+    code, out, err = run(capsys, [command, "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "MAX_ORDER = 256" in err
+    assert err.count("\n") == 1
+
+
+def test_stored_order_at_the_limit_loads():
+    text = (DATA / "d3-a.dn.json").read_text()
+    dn = jsonio.load_text(text.replace('"order": 8',
+                                       f'"order": {cli.MAX_ORDER}'))
+    assert dn.order == cli.MAX_ORDER
+
+
 @pytest.mark.parametrize("name, template", [
     ("long.pf.txt", "theta^4 - {}*q"),
     ("long.dn.json", '{{"kind": "dn_object", "n": {}}}'),

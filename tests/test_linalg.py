@@ -55,15 +55,6 @@ def test_inverse_singular_raises():
         linalg.inverse([[ZERO]])
 
 
-def test_solve():
-    a = [[Scalar(2), Scalar(1)], [Scalar(1), Scalar(3)]]
-    b = [Scalar(5), Scalar(10)]
-    x = linalg.solve(a, b)
-    assert x is not None
-    assert mat_vec(a, x) == b
-    assert linalg.solve([[ONE, ONE], [ONE, ONE]], [ONE, Scalar(2)]) is None
-
-
 def test_subspace_operations():
     e0 = [ONE, ZERO, ZERO]
     e1 = [ZERO, ONE, ZERO]

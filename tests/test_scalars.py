@@ -59,7 +59,6 @@ def test_powers():
 def test_predicates():
     assert ZERO.is_zero() and not ONE.is_zero()
     assert Scalar(5).is_integer()
-    assert not Scalar(1, 1).is_real()
     assert not Scalar(Fraction(1, 2)).is_integer()
 
 
@@ -154,7 +153,6 @@ def agrees(s, ref):
     assert (s.re, s.im) == (ref.re, ref.im)
     assert isinstance(s.re, Fraction) and isinstance(s.im, Fraction)
     assert s.is_zero() == (ref.re == 0 and ref.im == 0)
-    assert s.is_real() == (ref.im == 0)
     assert s.is_integer() == (ref.im == 0 and ref.re.denominator == 1)
     assert format_scalar(s) == ref.format()
     assert s == Scalar(ref.re, ref.im)

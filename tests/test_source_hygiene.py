@@ -3,10 +3,13 @@
 Every import of a module in src/vshstools must be used in it (the
 package __init__ re-exports, and `from __future__` is a directive), and
 every module-level private function, class or constant must be named
-somewhere in the package besides its own definition.
+somewhere in the package besides its own definition.  The package's
+__all__ names exactly what __init__ imports.
 """
 import ast
 from pathlib import Path
+
+import vshstools
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vshstools"
 MODULES = {path.name: ast.parse(path.read_text(), str(path))
@@ -52,6 +55,15 @@ def test_no_unused_imports():
                            if (alias.asname or alias.name).split(".")[0]
                            not in read]
     assert unused == []
+
+
+def test_all_is_exactly_what_the_package_imports():
+    imported = [alias.asname or alias.name
+                for node in MODULES["__init__.py"].body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert sorted(vshstools.__all__) == sorted(imported)
+    assert all(hasattr(vshstools, name) for name in vshstools.__all__)
 
 
 def test_no_unreferenced_private_definitions():

@@ -5,6 +5,7 @@ connection with lower-left entry h(q), the canonical coordinate is
 q exp(theta^{-1}(h/h(0) - 1)), and everything downstream of it is
 checked against series built independently from h.
 """
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -24,14 +25,13 @@ from vshstools.vshs import (DegreeViolation, DnObject, GeometricVHS,
                             ReesModule, ResidueNotCompatible, ZeroKS,
                             ZeroScalar, canonical_coordinate, extend_pairing,
                             formal_flat_gauge, from_normal_form,
-                            gauge_transform, geometric_to_rees,
-                            rees_to_geometric, rescale_coordinate,
-                            to_canonical_connection, to_normal_form,
-                            verify_prevhs, yukawa)
+                            geometric_to_rees, rees_to_geometric,
+                            rescale_coordinate, to_canonical_connection,
+                            to_normal_form, verify_prevhs, yukawa)
 
-from genutil import (block_diagonal, extend_pairing_two_products, horner,
-                     mat_vec, pairing_residual, rand_scalar, random_dn,
-                     random_flat_pair, random_rees)
+from genutil import (block_diagonal, extend_pairing_two_products,
+                     gauge_transform, horner, mat_vec, pairing_residual,
+                     rand_scalar, random_dn, random_flat_pair, random_rees)
 
 ORD = 8
 COORD = Series.coordinate(ORD)
@@ -822,6 +822,44 @@ def test_dn_object_rejects_bad_data():
     with pytest.raises(InvariantViolation):
         DnObject(n=1, graded_dims={-1: 1, 1: 1}, pairing0=p0,
                  a_series=not_iso)
+
+
+def test_dn_object_powers_a0_no_further_than_the_rank(monkeypatch):
+    """A(0) raises the degree by 2, so A(0)^rank = 0 and the power check
+    stops multiplying there, however large n is."""
+    calls = []
+    mat_mul = linalg.mat_mul
+
+    def counting(a, b):
+        calls.append(a)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counting)
+    n = 10001
+    p0 = [[ZERO, ONE], [Scalar(-1), ZERO]]
+    with pytest.raises(InvariantViolation) as info:
+        DnObject(n=n, graded_dims={-n: 1, n: 1}, pairing0=p0,
+                 a_series=smat([[0, 0], [0, 0]]))
+    assert str(info.value) == \
+        f"A(0)^{n} is not an isomorphism V_{-n} -> V_{n}"
+    assert len(calls) <= 2
+
+
+def test_dn_object_checks_the_size_before_listing_degrees():
+    """A stored dimension of a million, against a 2 x 2 matrix, is refused
+    before a degree list of a million entries is built."""
+    p0 = [[ZERO, ONE], [Scalar(-1), ZERO]]
+    a = smat([[0, 0], [1, 0]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvariantViolation) as info:
+            DnObject(n=1, graded_dims={-1: 1, 1: 10 ** 6}, pairing0=p0,
+                     a_series=a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "A matrix size disagrees with grading"
+    assert peak < 2 ** 20
 
 
 def test_geometric_vhs_rejects_bad_data():
