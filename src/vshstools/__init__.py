@@ -20,15 +20,14 @@ from .scalars import Scalar, format_scalar, parse_scalar, sqrt_exact
 from .series import (BadConstantTerm, NonzeroConstant, NotReversible, Series,
                      SeriesMatrix, ZeroConstantTerm)
 from .vshs import (DegreeViolation, DnObject, GeometricVHS,
-                   InconsistentLift, InvariantViolation, NoVolumeForm,
-                   NormalFormReport, NotFree, NotHodgeTate,
-                   NotNilpotentResidue, NotProportional,
-                   PairingUnderdetermined, ReesModule, ResidueNotCompatible,
-                   ZeroKS, ZeroScalar, canonical_coordinate,
-                   extend_pairing, formal_flat_gauge, from_normal_form,
-                   geometric_to_rees, rees_to_geometric, rescale_coordinate,
-                   to_canonical_connection, to_normal_form, verify_prevhs,
-                   yukawa)
+                   InconsistentLift, InvariantViolation, NormalFormReport,
+                   NotFree, NotHodgeTate, NotNilpotentResidue,
+                   NotProportional, PairingUnderdetermined, ReesModule,
+                   ResidueNotCompatible, ZeroKS, ZeroScalar,
+                   canonical_coordinate, extend_pairing, formal_flat_gauge,
+                   from_normal_form, geometric_to_rees, rees_to_geometric,
+                   rescale_coordinate, to_canonical_connection,
+                   to_normal_form, verify_prevhs, yukawa)
 
 __version__ = "0.1.0"
 
@@ -36,7 +35,7 @@ __all__ = [
     "BadConstantTerm", "CohomologyInput", "DegreeViolation", "DnObject",
     "FrobeniusBasis", "GeometricVHS", "HardLefschetzFailure",
     "InconsistentLift", "InstantonTable", "InvariantViolation", "LogSeries",
-    "MirrorMapMismatch", "NonzeroConstant", "NormalFormReport", "NoVolumeForm",
+    "MirrorMapMismatch", "NonzeroConstant", "NormalFormReport",
     "NotFree", "NotHodgeTate", "NotMaximallyUnipotent", "NotNilpotent",
     "NotNilpotentResidue", "NotProportional", "NotReversible", "NotSplit",
     "PairingUnderdetermined", "ParseError", "PFOperator", "ReesModule",

@@ -25,7 +25,7 @@ for its frame and connection together, order by order.
 from __future__ import annotations
 
 from math import isqrt, lcm
-from operator import add, mul
+from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
 from . import linalg
@@ -114,13 +114,6 @@ def _lower(a: LiftedVector) -> list[Scalar]:
     if im is None:
         return [_norm(x, 0, den) if x else ZERO for x in re]
     return [_norm(x, y, den) if x or y else ZERO for x, y in zip(re, im)]
-
-
-def _split(a: LiftedVector, n: int) -> list[LiftedVector]:
-    """A lifted concatenation of series of n terms each, cut apart."""
-    den, re, im = a
-    return [(den, re[k:k + n], None if im is None else im[k:k + n])
-            for k in range(0, len(re), n or 1)]
 
 
 def _recurrence(w: LiftedVector, first: Scalar,
@@ -598,27 +591,6 @@ class SeriesMatrix:
     def transpose(self) -> "SeriesMatrix":
         return SeriesMatrix.from_coefficients(
             [linalg.transpose(a) for a in self.coeffs], self.cols, self.rows)
-
-    def apply(self, vec: Sequence[Series]) -> list[Series]:
-        """The column of series sum_j A_ij v_j.  The v_j are lifted over
-        one denominator, the entries of each row over another, so each
-        output coefficient is one integer sum, normalized once."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        n = min(self.order, min(v.order for v in vec))
-        lv = _split(lift_vector([x for v in vec for x in v.coeffs[:n]]), n)
-        out = []
-        for i in range(self.rows):
-            row = _split(lift_vector([m[i][j] for j in range(self.cols)
-                                      for m in self.coeffs[:n]]), n)
-            den, re, im = 1, [0] * n, None
-            for a, v in zip(row, lv):
-                den, p_re, p_im = _product(a, v)
-                re = list(map(add, re, p_re))
-                if p_im is not None:
-                    im = p_im if im is None else list(map(add, im, p_im))
-            out.append(Series._make(_lower((den, re, im)), n))
-        return out
 
     def theta_entries(self) -> "SeriesMatrix":
         return self._like([linalg.mat_scale(m, Scalar(k))

@@ -81,10 +81,6 @@ class ZeroScalar(ValueError):
     """A nonzero scalar was required."""
 
 
-class NoVolumeForm(ValueError):
-    """Top graded piece is not one-dimensional."""
-
-
 class InvariantViolation(ValueError):
     """A structural invariant of the data type fails."""
 
@@ -676,28 +672,12 @@ def _coordinate_of_ks(h: Series) -> Series:
     return Series.coordinate(h.order) * (h - one).theta_inverse().exp()
 
 
-def extend_pairing(a: SeriesMatrix, m0: Matrix, mode: str = "flat",
-                   degrees: Sequence[int] | None = None) -> SeriesMatrix:
-    """Covariantly constant extension of a constant pairing seed.
-
-    mode "flat" solves theta M = A^T M + M A starting from m0, which
-    requires the residue to be skew for m0.  mode "dn" is the graded
-    picture: the precondition is self-adjointness of the residue, the
-    i-power twist by `degrees` converts to the flat problem and back.
+def extend_pairing(a: SeriesMatrix, m0: Matrix,
+                   mode: str = "flat") -> SeriesMatrix:
+    """Covariantly constant extension of a constant pairing seed: solves
+    theta M = A^T M + M A starting from m0, which requires the residue
+    to be skew for m0.  "flat" is the only mode.
     """
-    if mode == "dn":
-        if degrees is None:
-            raise ValueError("mode 'dn' needs the degree list")
-        a0 = a.at0()
-        if not linalg.mat_eq(linalg.mat_mul(linalg.transpose(a0), m0),
-                             linalg.mat_mul(m0, a0)):
-            raise ResidueNotCompatible(
-                "residue is not self-adjoint for the seed pairing")
-        twist = [Scalar.i_power(k) for k in degrees]
-        solved = extend_pairing(a, linalg.mat_mul(m0, linalg.diagonal(twist)),
-                                mode="flat")
-        return solved.scalar_right_mul(
-            linalg.diagonal([t.inverse() for t in twist]))
     if mode != "flat":
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -1055,36 +1035,20 @@ def rescale_coordinate(d: DnObject, c: Scalar) -> DnObject:
                     a_series=d.a_series.dilate(c.inverse()))
 
 
-def yukawa(obj) -> Series:
-    """The n-fold self-pairing (volume, nabla^n volume), normalized so a
-    constant connection returns the plain volume scalar."""
-    if isinstance(obj, DnObject):
-        n = obj.n
-        conn = obj.a_series
-        pairing = SeriesMatrix.from_scalar_matrix(obj.pairing0_matrix(),
-                                                  conn.order)
-        vol = obj.volume_index
-        if obj.graded_dims.get(-n, 0) != 1:
-            raise NoVolumeForm("V_{-n} is not one-dimensional")
-    elif isinstance(obj, GeometricVHS):
-        if obj.pairing is None:
-            raise ValueError("a pairing is required for the Yukawa series")
-        n = max(obj.levels2)
-        conn = obj.conn
-        pairing = obj.pairing
-        tops = [i for i, l in enumerate(obj.levels2) if l == n]
-        if len(tops) != 1:
-            raise NoVolumeForm("top Hodge piece is not one-dimensional")
-        vol = tops[0]
-    else:
-        raise TypeError("expected a DnObject or GeometricVHS")
-    dim = conn.rows
-    vec = [Series.one(conn.order) if i == vol else Series.zero(conn.order)
-           for i in range(dim)]
-    for _ in range(n):
-        applied = conn.apply(vec)
-        vec = [v.theta() + w for v, w in zip(vec, applied)]
-    total = Series.zero(conn.order)
-    for j in range(dim):
-        total = total + pairing.entry(vol, j) * vec[j]
-    return total * _prefactor(n).inverse()
+def yukawa(obj: DnObject) -> Series:
+    """The n-fold self-pairing <vol, nabla^n vol>, normalized so a
+    constant connection returns the plain volume scalar.
+
+    A has pure degree +2 and the pairing degree 0, so pairing with vol
+    (degree -n) keeps only the degree-n part of nabla^n vol.  theta keeps
+    degrees, so every term of nabla^n vol with a theta in it has fewer
+    than n factors A and lies below degree n: <vol, nabla^n vol> =
+    <vol, A^n vol>, the row vol of the pairing times A, n times.
+    """
+    if not isinstance(obj, DnObject):
+        raise TypeError("expected a DnObject")
+    vol = obj.volume_index
+    row = SeriesMatrix.from_scalar_matrix([obj.pairing0[vol]], obj.order)
+    for _ in range(obj.n):
+        row = row * obj.a_series
+    return row.entry(0, vol) * _prefactor(obj.n).inverse()

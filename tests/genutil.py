@@ -320,6 +320,23 @@ def extend_pairing_two_products(a: SeriesMatrix, m0) -> SeriesMatrix:
     return SeriesMatrix.from_coefficients(ms, dim, dim)
 
 
+def yukawa_by_derivatives(d: vshs.DnObject) -> Series:
+    """<vol, nabla^n vol> over (-1)^(n(n+1)/2) i^n, nabla = theta + A
+    applied n times to the volume vector, entry by entry with the theta
+    terms kept.  The reference for vshs.yukawa, which drops theta."""
+    n, order, rank, vol = d.n, d.order, d.rank, d.volume_index
+    a = [[d.a_series.entry(i, j) for j in range(rank)] for i in range(rank)]
+    vec = [Series.one(order) if i == vol else Series.zero(order)
+           for i in range(rank)]
+    for _ in range(n):
+        vec = [sum((a[i][j] * vec[j] for j in range(rank)), vec[i].theta())
+               for i in range(rank)]
+    total = sum((vec[j] * d.pairing0[vol][j] for j in range(rank)),
+                Series.zero(order))
+    sign = Scalar(-1 if (n * (n + 1) // 2) % 2 else 1)
+    return total * (sign * Scalar.i_power(n)).inverse()
+
+
 def block_diagonal(x: SeriesMatrix, y: SeriesMatrix) -> SeriesMatrix:
     """diag(x, y), for square x and y of one order."""
     n1, n2 = x.rows, y.rows

@@ -17,7 +17,6 @@ from vshstools.amodel import (CohomologyInput, HardLefschetzFailure,
 from vshstools.picard_fuchs import bmodel_pipeline, parse_pf
 from vshstools.scalars import ONE, ZERO, Scalar
 from vshstools.series import Series, SeriesMatrix
-from vshstools.vshs import InvariantViolation
 
 ORD = 10
 

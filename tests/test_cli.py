@@ -514,6 +514,34 @@ def test_pipeline_json_bytes_pinned(order, digest, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("operator, yukawa_digest, normal_form_digest", [
+    ("theta^3 - q*(theta+1)^3",
+     "c1fc9bbe852d8f7d989a5ac065708b6de0ebfef42e04eb0c16c3b5559759a417",
+     "482564777f2df67582541c9e9d833e608b6c4f2277426e3c8de66a48cc4e79ba"),
+    ("theta^5 - q*(theta+1)^5",
+     "c1fc9bbe852d8f7d989a5ac065708b6de0ebfef42e04eb0c16c3b5559759a417",
+     "1518968ae8d05f87765412fd92d0e929e86f4e28c02042d0a49e3664842198cf"),
+    ("theta^6 - q*(theta+1)^6",
+     "c1fc9bbe852d8f7d989a5ac065708b6de0ebfef42e04eb0c16c3b5559759a417",
+     "c0810b0733d242bf0d10c02ba6dd00880e9469edc7e861f621764198325c5724"),
+    ("theta^7 - 7*q*(7*theta+1)*(7*theta+2)*(7*theta+3)*(7*theta+4)"
+     "*(7*theta+5)*(7*theta+6)",
+     "8824ef65f77c0a07ae7e1dba8914969860a24d43fed52f3be25f3ed88f3aba6f",
+     "1edf9e52294b46dc0f51aa305b395a457efabcd25695430454cf0e58e86f0437"),
+], ids=["n2", "n4", "n5", "n6-septic"])
+def test_yukawa_and_normal_form_bytes_pinned_by_dimension(
+        operator, yukawa_digest, normal_form_digest, tmp_path, capsys):
+    """The dimensions no fixture in data/ reaches: n = 2, 4, 5 and 6."""
+    path = tmp_path / "op.pf.txt"
+    path.write_text(operator + "\n")
+    for command, digest in (("yukawa", yukawa_digest),
+                            ("normal-form", normal_form_digest)):
+        code, out, _ = run(capsys, [command, "--input", str(path),
+                                    "--order", "12", "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_pipeline_never_extends_the_solved_pairing(capsys, monkeypatch):
     """The normal form keeps only the constant pairing it solves for, so
     the pipeline does not run the pairing extension."""

@@ -7,7 +7,6 @@ W_k = ker N^(k+1) + N W_(k+2) used by the module:
 The graded splitting is checked against a copy of its earlier form,
 which took a flag dictionary and walked both refinements.
 """
-from itertools import product
 from random import Random
 
 import pytest

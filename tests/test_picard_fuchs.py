@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vshstools import picard_fuchs
-from vshstools.picard_fuchs import (FrobeniusBasis, LogSeries,
-                                    MirrorMapMismatch, NotMaximallyUnipotent,
-                                    ParseError, PFOperator, bmodel_pipeline,
+from vshstools.picard_fuchs import (LogSeries, MirrorMapMismatch,
+                                    NotMaximallyUnipotent, ParseError,
+                                    PFOperator, bmodel_pipeline,
                                     check_mirror_maps, companion_vhs,
                                     frobenius_solve, mirror_map_frobenius,
                                     parse_pf)

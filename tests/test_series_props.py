@@ -172,7 +172,7 @@ def test_transpose_theta_dilate_compose_act_entrywise(a, data):
 
 @PROPS
 @given(series_entries(), st.data())
-def test_scalar_products_and_apply_act_entrywise(a, data):
+def test_scalar_products_act_entrywise(a, data):
     m = SeriesMatrix(a)
     left = scalar_matrix(data.draw, data.draw(st.integers(1, 3)), m.rows)
     right = scalar_matrix(data.draw, m.cols, data.draw(st.integers(1, 3)))
@@ -180,10 +180,6 @@ def test_scalar_products_and_apply_act_entrywise(a, data):
         ref_product(lift(left, m.order), a))
     assert m.scalar_right_mul(right) == SeriesMatrix(
         ref_product(a, lift(right, m.order)))
-    vec = [data.draw(series(order=data.draw(st.integers(1, 6))))
-           for _ in range(m.cols)]
-    assert m.apply(vec) == [_sum(e * v for e, v in zip(row, vec))
-                            for row in a]
 
 
 @PROPS
@@ -265,12 +261,6 @@ def ref_reverse(f):
     return Series(g, n)
 
 
-def ref_apply(entries, vec):
-    n = min([entries[0][0].order] + [v.order for v in vec])
-    return [_sum([ref_mul(e.truncate(n), v.truncate(n))
-                  for e, v in zip(row, vec)]) for row in entries]
-
-
 # mixed denominators, Gaussian entries and runs of zero coefficients;
 # orders 0 to 4 are the step-size edge cases of the reversion
 kernel_orders = st.one_of(st.integers(0, 4), st.integers(5, 20))
@@ -350,18 +340,6 @@ def test_kernel_series_compose_matches_reference(inner, data):
     for _ in range(2):
         outer = data.draw(kernel_series(order=data.draw(kernel_orders)))
         assert horner(outer, inner) == ref_compose(outer, inner)
-
-
-@KERNEL
-@given(st.data())
-def test_kernel_apply_matches_reference(data):
-    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-    order = data.draw(kernel_orders)
-    entries = [[data.draw(kernel_series(order=order)) for _ in range(cols)]
-               for _ in range(rows)]
-    vec = [data.draw(kernel_series(order=data.draw(kernel_orders)))
-           for _ in range(cols)]
-    assert SeriesMatrix(entries).apply(vec) == ref_apply(entries, vec)
 
 
 def test_reverse_makes_about_two_sqrt_n_products(monkeypatch):

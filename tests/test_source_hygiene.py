@@ -1,19 +1,22 @@
 """Dead code in the package, found with the stdlib ast module alone.
 
-Every import of a module in src/vshstools must be used in it (the
-package __init__ re-exports, and `from __future__` is a directive), and
-every module-level private function, class or constant must be named
-somewhere in the package besides its own definition.  The package's
-__all__ names exactly what __init__ imports.
+Every import of a module in src/vshstools or tests must be used in it
+(the package __init__ re-exports, and `from __future__` is a
+directive), and every module-level private function, class or constant
+must be named somewhere in the package besides its own definition.  The
+package's __all__ names exactly what __init__ imports.
 """
 import ast
 from pathlib import Path
 
 import vshstools
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "vshstools"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "vshstools"
 MODULES = {path.name: ast.parse(path.read_text(), str(path))
            for path in sorted(SRC.glob("*.py"))}
+TEST_MODULES = {f"tests/{path.name}": ast.parse(path.read_text(), str(path))
+                for path in sorted(TESTS.glob("*.py"))}
 
 
 def quoted_names(annotation: ast.AST) -> set[str]:
@@ -41,7 +44,7 @@ def read_names(tree: ast.AST) -> set[str]:
 
 def test_no_unused_imports():
     unused = []
-    for name, tree in MODULES.items():
+    for name, tree in {**MODULES, **TEST_MODULES}.items():
         if name == "__init__.py":
             continue
         read = read_names(tree)

@@ -19,7 +19,7 @@ from vshstools.linalg import Accumulator, Lifted
 from vshstools.scalars import ONE, ZERO, Scalar
 from vshstools.series import Series, SeriesMatrix
 from vshstools.vshs import (DegreeViolation, DnObject, GeometricVHS,
-                            InconsistentLift, InvariantViolation, NoVolumeForm,
+                            InconsistentLift, InvariantViolation,
                             NotHodgeTate, NotNilpotentResidue,
                             NotProportional, PairingUnderdetermined,
                             ReesModule, ResidueNotCompatible, ZeroKS,
@@ -31,7 +31,8 @@ from vshstools.vshs import (DegreeViolation, DnObject, GeometricVHS,
 
 from genutil import (block_diagonal, extend_pairing_two_products,
                      gauge_transform, horner, mat_vec, pairing_residual,
-                     rand_scalar, random_dn, random_flat_pair, random_rees)
+                     rand_scalar, random_dn, random_flat_pair, random_rees,
+                     yukawa_by_derivatives)
 
 ORD = 8
 COORD = Series.coordinate(ORD)
@@ -401,27 +402,25 @@ def test_extend_pairing_non_nilpotent_residue_does_not_terminate():
 
 
 def test_extend_pairing_dn_mode_fixes_graded_constants():
-    # for a graded object the self-adjoint seed extends without any
+    # the flat solve from the twisted pairing of a graded object, the
+    # call the retired "dn" mode made: the seed extends without any
     # higher-order correction
     rng = Random(27)
     d = random_dn(rng, 3, order=ORD, max_dim=2)
     p0 = d.pairing0_matrix()
-    rank = d.rank
-    m0 = [[p0[i][j] * Scalar.i_power(-d.degrees[j]) for j in range(rank)]
-          for i in range(rank)]
-    ext = extend_pairing(d.a_series, m0, mode="dn", degrees=d.degrees)
-    assert ext == SeriesMatrix.from_scalar_matrix(m0, ORD)
+    ext = extend_pairing(d.a_series, p0, mode="flat")
+    assert ext == SeriesMatrix.from_scalar_matrix(p0, ORD)
 
 
 def test_extend_pairing_dn_mode_rejects():
+    # "dn" is retired: it is an unknown mode like any other
     a = smat([[0, 0], [1, 0]])
     seed = [[ZERO, ZERO], [ZERO, ONE]]
     with pytest.raises(ResidueNotCompatible):
-        extend_pairing(a, seed, mode="dn", degrees=(-1, 1))
-    with pytest.raises(ValueError):
-        extend_pairing(a, seed, mode="dn")
-    with pytest.raises(ValueError):
-        extend_pairing(a, seed, mode="other")
+        extend_pairing(a, seed)
+    for mode in ("dn", "other"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            extend_pairing(a, seed, mode=mode)
 
 
 def _invertible(rng, dim):
@@ -463,12 +462,12 @@ def test_extend_pairing_matches_the_two_product_reference():
 
 def test_extend_pairing_dn_mode_on_mixed_parity_matches_the_reference():
     rng = Random(37)
-    # a mixed-parity threefold object beside a surface's: the flat seed,
-    # diag(P0, P0'), is skew on one block and symmetric on the other
+    # a mixed-parity threefold object beside a surface's: the seed,
+    # diag(P0, P0'), is skew on one block and symmetric on the other,
+    # and the flat solve from it is the call the retired "dn" mode made
     d3 = random_dn(rng, 3, order=ORD, max_dim=2, mixed=True)
     d2 = random_dn(rng, 2, order=ORD, max_dim=2)
-    degrees = d3.degrees + d2.degrees
-    dim = len(degrees)
+    dim = d3.rank + d2.rank
     # A(0) is kept, the higher orders are free
     a = block_diagonal(d3.a_series, d2.a_series) + \
         SeriesMatrix.from_coefficients(
@@ -480,12 +479,8 @@ def test_extend_pairing_dn_mode_on_mixed_parity_matches_the_reference():
         d3.pairing0_matrix(), 1), SeriesMatrix.from_scalar_matrix(
             d2.pairing0_matrix(), 1)).at0()
     assert not _is_pure(p0)
-    m0 = [[p0[i][j] * Scalar.i_power(-degrees[j]) for j in range(dim)]
-          for i in range(dim)]
-    untwist = linalg.diagonal([Scalar.i_power(-k) for k in degrees])
-    ext = extend_pairing(a, m0, mode="dn", degrees=degrees)
-    assert ext == extend_pairing_two_products(a, p0).scalar_right_mul(
-        untwist)
+    ext = extend_pairing(a, p0, mode="flat")
+    assert ext == extend_pairing_two_products(a, p0)
     assert not ext.is_zero()
 
 
@@ -785,20 +780,27 @@ def test_yukawa_constant_connection():
 
 
 def test_yukawa_errors():
-    zero = SeriesMatrix.zeros(2, 2, ORD)
-    no_pairing = GeometricVHS(conn=zero, levels2=(1, -1), pairing=None,
-                              parity=1)
-    with pytest.raises(ValueError):
-        yukawa(no_pairing)
-    wide_top = GeometricVHS(
-        conn=SeriesMatrix.zeros(4, 4, ORD), levels2=(1, 1, -1, -1),
-        pairing=smat([[0, 0, 1, 0], [0, 0, 0, 1],
-                      [-1, 0, 0, 0], [0, -1, 0, 0]]),
-        parity=1)
-    with pytest.raises(NoVolumeForm):
-        yukawa(wide_top)
-    with pytest.raises(TypeError):
-        yukawa("nope")
+    # a GeometricVHS is refused too: the coupling is read off D_n objects
+    for obj in ("nope", anchor(Series.one(ORD))):
+        with pytest.raises(TypeError):
+            yukawa(obj)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 6), st.booleans(),
+       st.booleans())
+def test_yukawa_matches_the_derivative_reference(seed, n, mixed, gaussian):
+    """<vol, A^n vol> against <vol, nabla^n vol> with the theta terms
+    kept; gaussian pulls A back along a non-real dilation and scales
+    the pairing by a non-real constant."""
+    d = random_dn(Random(seed), n, order=6, max_dim=2, mixed=mixed)
+    if gaussian:
+        c = Scalar(Fraction(1, 2), Fraction(-3, 5))
+        d = DnObject(n=n, graded_dims=d.graded_dims,
+                     pairing0=[[c * x for x in row]
+                               for row in d.pairing0_matrix()],
+                     a_series=d.a_series.dilate(c))
+    assert yukawa(d) == yukawa_by_derivatives(d)
 
 
 # --- constructor validation ----------------------------------------------
