@@ -6,9 +6,8 @@ its normal forms, Picard-Fuchs operators with Frobenius bases, and the
 instanton bookkeeping that ties a threefold's quantum connection to its
 genus-zero numbers.
 """
-from .amodel import (CohomologyInput, HardLefschetzFailure, InstantonTable,
-                     UnitNotPreserved, ZeroVolume, build_amodel_dn,
-                     g_from_instantons, instantons_from_g)
+from .amodel import (CohomologyInput, InstantonTable, ZeroVolume,
+                     build_amodel_dn, g_from_instantons, instantons_from_g)
 from .nilpotent import (NotNilpotent, NotSplit, WeightFiltration,
                         graded_splitting, jordan_partition,
                         nilpotency_index, weight_filtration)
@@ -20,14 +19,16 @@ from .scalars import Scalar, format_scalar, parse_scalar, sqrt_exact
 from .series import (BadConstantTerm, NonzeroConstant, NotReversible, Series,
                      SeriesMatrix, ZeroConstantTerm)
 from .vshs import (DegreeViolation, DnObject, GeometricVHS,
-                   InconsistentLift, InvariantViolation, NormalFormReport,
-                   NotFree, NotHodgeTate, NotNilpotentResidue,
-                   NotProportional, PairingUnderdetermined, ReesModule,
-                   ResidueNotCompatible, ZeroKS, ZeroScalar,
-                   canonical_coordinate, extend_pairing, formal_flat_gauge,
-                   from_normal_form, geometric_to_rees, rees_to_geometric,
-                   rescale_coordinate, to_canonical_connection,
-                   to_normal_form, verify_prevhs, yukawa)
+                   HardLefschetzFailure, InconsistentLift,
+                   InvariantViolation, NormalFormReport, NotFree,
+                   NotHodgeTate, NotNilpotentResidue, NotProportional,
+                   PairingUnderdetermined, ReesModule,
+                   ResidueNotCompatible, UnitNotPreserved, ZeroKS,
+                   ZeroScalar, canonical_coordinate, extend_pairing,
+                   formal_flat_gauge, from_normal_form, geometric_to_rees,
+                   rees_to_geometric, rescale_coordinate,
+                   to_canonical_connection, to_normal_form, verify_prevhs,
+                   yukawa)
 
 __version__ = "0.1.0"
 

@@ -1,10 +1,11 @@
 """Quantum cohomology input and instanton bookkeeping.
 
 build_amodel_dn assembles the graded normal-form object of a variety
-from classical topological data plus the divisor quantum multiplication
-matrix.  The other half of the module is the Aspinwall-Morrison
-correspondence between the middle connection entry g(Q) and genus-zero
-instanton numbers of a variety of dimension n:
+from classical topological data plus the divisor quantum
+multiplication matrix, and leaves checking it to vshs.DnObject.  The
+other half of the module is the Aspinwall-Morrison correspondence
+between the middle connection entry g(Q) and genus-zero instanton
+numbers of a variety of dimension n:
 
     g = 1 + (1/volume) * sum_d n_d d^w Q^d / (1 - Q^d)
 
@@ -20,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from . import linalg, vshs
-from .linalg import Matrix
+from . import vshs
 from .scalars import ONE, ZERO, Scalar
 from .series import Series, SeriesMatrix
 
@@ -30,19 +30,9 @@ class ZeroVolume(ValueError):
     """The volume scalar must be nonzero to convert either way."""
 
 
-class HardLefschetzFailure(ValueError):
-    """Cup product with the divisor fails to induce the required
-    isomorphisms."""
-
-
 class UnsupportedDimension(ValueError):
     """Instanton numbers are read from one connection entry only for
     n <= 4."""
-
-
-class UnitNotPreserved(ValueError):
-    """Quantum multiplication does not keep the unit's divisor action
-    classical."""
 
 
 @dataclass(frozen=True)
@@ -57,13 +47,14 @@ class CohomologyInput:
     """
     n: int
     betti: Mapping[int, int]
-    intersection: Matrix
+    intersection: list[list[Scalar]]
     quantum_mult: SeriesMatrix
 
 
 @dataclass(frozen=True)
 class InstantonTable:
-    """Nonzero candidate instanton numbers by degree.
+    """Nonzero candidate instanton numbers by degree, each degree in
+    1..max_degree; vshs.InvariantViolation otherwise.
 
     suspect lists degrees whose entry is not a rational integer; those
     values are reported exactly, never rounded.
@@ -72,6 +63,14 @@ class InstantonTable:
     entries: Mapping[int, Scalar] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.max_degree < 0:
+            raise vshs.InvariantViolation(
+                f"max_degree must be nonnegative; found {self.max_degree}")
+        for d in sorted(map(int, self.entries)):
+            if not 1 <= d <= self.max_degree:
+                raise vshs.InvariantViolation(
+                    f"instanton degrees must lie in 1..{self.max_degree}; "
+                    f"found {d}")
         object.__setattr__(
             self, "entries",
             {int(d): v for d, v in sorted(self.entries.items())
@@ -109,8 +108,6 @@ def g_from_instantons(table: InstantonTable, volume: Scalar,
     coeffs[0] = ONE
     vol_inv = volume.inverse()
     for d, n_d in table.entries.items():
-        if d <= 0:
-            raise ValueError("instanton degrees must be positive")
         weight = n_d * Scalar(d) ** power * vol_inv
         m = d
         while m < order:
@@ -142,62 +139,25 @@ def instantons_from_g(g: Series, volume: Scalar,
 
 
 def build_amodel_dn(data: CohomologyInput) -> vshs.DnObject:
-    """DnObject of a variety: V_k = H^(n+k), pairing the i-twisted
-    Poincare form, connection the divisor quantum multiplication."""
+    """DnObject of a variety: V_k = H^(n+k), pairing the Poincare form
+    times vshs._prefactor(n) i^(k-n) in the degree k of the second
+    argument, connection the divisor quantum multiplication.  Only the
+    Betti numbers and the size of the intersection form are checked
+    here; DnObject checks the rest (vshs.HardLefschetzFailure,
+    vshs.UnitNotPreserved and other vshs.InvariantViolation)."""
     n = data.n
-    degrees: list[int] = []
-    for deg in sorted(data.betti):
-        d = data.betti[deg]
-        if d < 0:
-            raise ValueError("negative Betti number")
-        if deg < 0 or deg > 2 * n:
-            raise ValueError(f"cohomological degree {deg} out of range")
-        degrees.extend([deg - n] * d)
+    if any(d < 0 for d in data.betti.values()):
+        raise ValueError("negative Betti number")
+    degrees = [deg - n for deg in sorted(data.betti)
+               for _ in range(data.betti[deg])]
     rank = len(degrees)
-    if data.quantum_mult.rows != rank or data.quantum_mult.cols != rank:
-        raise ValueError("quantum multiplication size disagrees with "
-                         "Betti numbers")
     if len(data.intersection) != rank or \
             any(len(r) != rank for r in data.intersection):
         raise ValueError("intersection form size disagrees with Betti "
                          "numbers")
-
-    a0 = data.quantum_mult.at0()
-    power = linalg.identity(rank)
-    for k in range(1, n + 1):
-        power = linalg.mat_mul(power, a0)
-        dim_k = sum(1 for d in degrees if d == k)
-        dim_mk = sum(1 for d in degrees if d == -k)
-        if dim_k != dim_mk:
-            raise HardLefschetzFailure(
-                f"Betti numbers at degrees {n - k} and {n + k} differ")
-        if dim_k == 0:
-            continue
-        rows = [i for i, d in enumerate(degrees) if d == k]
-        cols = [j for j, d in enumerate(degrees) if d == -k]
-        block = [[power[i][j] for j in cols] for i in rows]
-        if linalg.rank(block) != dim_k:
-            raise HardLefschetzFailure(
-                f"divisor power {k} is not an isomorphism "
-                f"H^{n - k} -> H^{n + k}")
-
-    if n >= 1:
-        rows = [i for i, d in enumerate(degrees) if d == -n + 2]
-        cols = [j for j, d in enumerate(degrees) if d == -n]
-        for i in rows:
-            for j in cols:
-                e = data.quantum_mult.entry(i, j)
-                if any(not c.is_zero() for c in e.coeffs[1:]):
-                    raise UnitNotPreserved(
-                        "quantum multiplication must act classically "
-                        "on the unit")
-
-    sign = Scalar(-1 if (n * (n + 1) // 2) % 2 else 1)
-    pairing0 = [[sign * Scalar.i_power(degrees[j]) *
-                 data.intersection[i][j]
-                 for j in range(rank)] for i in range(rank)]
-    dims: dict[int, int] = {}
-    for k in degrees:
-        dims[k] = dims.get(k, 0) + 1
-    return vshs.DnObject(n=n, graded_dims=dims, pairing0=pairing0,
-                         a_series=data.quantum_mult)
+    twist = [vshs._prefactor(n) * Scalar.i_power(k - n) for k in degrees]
+    pairing0 = [[t * x for t, x in zip(twist, row)]
+                for row in data.intersection]
+    return vshs.DnObject(
+        n=n, graded_dims={deg - n: d for deg, d in data.betti.items()},
+        pairing0=pairing0, a_series=data.quantum_mult)

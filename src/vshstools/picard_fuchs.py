@@ -13,9 +13,10 @@ The Frobenius method is run with a nilpotent shift: solutions are found
 as q^eps * U(q, eps) with eps^depth = 0, whose eps-coefficients produce
 the logarithmic basis y0, y0 log q + f, ...  An element of the ring of
 eps modulo eps^depth is a lifted vector of length depth, multiplied by
-the series kernel's product and divided by _eps_quotient on the
-integers.  The quotient of the first two solutions gives the
-mirror map, the second route to the canonical coordinate.
+the series kernel's product and divided by the indicial monomial
+P_0(d + eps) = lead (d + eps)^r on the integers.  The quotient of the
+first two solutions gives the mirror map, the second route to the
+canonical coordinate.
 """
 from __future__ import annotations
 
@@ -437,36 +438,22 @@ def _lifted_sum(terms: Sequence[LiftedVector], n: int) -> LiftedVector:
     return den, re, im if any(im) else None
 
 
-def _eps_quotient(rho: LiftedVector, tau: LiftedVector) -> LiftedVector:
-    """-rho / tau in the eps-series of their common length n, tau(0) != 0,
-    over one denominator with the common content divided out.
-
-    With 1/tau_0 = c / n0, c = conj tau_0 and n0 = |tau_0|^2, the
-    quotient v of the numerators has v_s = V_s / n0^(s+1) and
-        V_s = c (n0^s rho_s - sum_(i=1..s) n0^(i-1) tau_i V_(s-i)),
-    all Gaussian integers; the denominators then give -rho / tau =
-    -tau_den V_s n0^(n-1-s) / (rho_den n0^n).
-    """
+def _indicial_quotient(rho: LiftedVector, lead_inv: tuple[int, int, int],
+                       r: int, d: int) -> LiftedVector:
+    """-rho / P_0(d + eps) for P_0(t) = lead t^r, d > 0 and 1/lead =
+    (a + b i)/c, in the eps-series of rho's length n: the product of rho
+    by -(a + b i) (d + eps)^-r / c, where over d^(r+n-1)
+        (d + eps)^-r = sum_s C(r+s-1, s) (-eps)^s / d^(r+s)
+    has integer coefficients, with the common content divided out."""
+    a, b, c = lead_inv
     n = len(rho[1])
-    rr, ri = rho[1], rho[2] or [0] * n
-    tr, ti = tau[1], tau[2] or [0] * n
-    n0, cr, ci = tr[0] * tr[0] + ti[0] * ti[0], tr[0], -ti[0]
-    vr: list[int] = []
-    vi: list[int] = []
-    for s in range(n):
-        xr, xi = n0 ** s * rr[s], n0 ** s * ri[s]
-        for i in range(1, s + 1):
-            f = n0 ** (i - 1)
-            xr -= f * (tr[i] * vr[s - i] - ti[i] * vi[s - i])
-            xi -= f * (tr[i] * vi[s - i] + ti[i] * vr[s - i])
-        vr.append(xr * cr - xi * ci)
-        vi.append(xr * ci + xi * cr)
-    re = [-tau[0] * x * n0 ** (n - 1 - s) for s, x in enumerate(vr)]
-    im = [-tau[0] * x * n0 ** (n - 1 - s) for s, x in enumerate(vi)]
-    den = rho[0] * n0 ** n
+    w = [comb(r + s - 1, s) * (-1) ** (s + 1) * d ** (n - 1 - s)
+         for s in range(n)]
+    den, re, im = _product(rho, (c * d ** (r + n - 1), [a * x for x in w],
+                                 [b * x for x in w] if b else None))
+    im = im if im and any(im) else []
     g = gcd(den, *re, *im)
-    return (den // g, [x // g for x in re],
-            [x // g for x in im] if any(im) else None)
+    return den // g, [x // g for x in re], [x // g for x in im] or None
 
 
 class LogSeries:
@@ -522,8 +509,9 @@ def frobenius_solve(op: PFOperator, depth: int = 2,
     eps-coefficients into the returned basis.  With each P_m lifted
     once and each u_d kept lifted over one denominator, a step d costs
     O(r depth) integer multiply-adds per Taylor shift, one integer
-    eps-product per q-term of L, one _eps_quotient and one gcd; each u_d
-    is normalized once, when the solutions are formed.  L is applied to
+    eps-product per q-term of L, one product by the inverse of the
+    indicial monomial lead (d + eps)^r and one gcd; each u_d is
+    normalized once, when the solutions are formed.  L is applied to
     each returned solution, and a nonzero coefficient mod q^order raises
     an ArithmeticError naming the solution, log power and q-order.
     """
@@ -539,17 +527,20 @@ def frobenius_solve(op: PFOperator, depth: int = 2,
             f"a Frobenius basis of depth {depth} needs theta-order at "
             f"least {depth}; the operator has theta-order "
             f"{op.order_theta}")
-    # P_m(t) = sum_j [q^m] c_j t^j, and u_d = -P_0(d + eps)^-1
-    # sum_m P_m(d - m + eps) u_(d-m) in the eps-series of order depth,
-    # each u_d lifted over one denominator and lowered once at the end
+    # P_m(t) = sum_j [q^m] c_j t^j, P_0(t) = lead t^r, and u_d =
+    # -P_0(d + eps)^-1 sum_m P_m(d - m + eps) u_(d-m) in the eps-series
+    # of order depth, each u_d lifted over one denominator and lowered
+    # once at the end
     p = [lift_vector([op.coefficient(j, m) for j in range(len(op.coeffs))])
          for m in range(op.max_q_degree + 1)]
+    r = op.order_theta
+    lead_inv = op.coefficient(r, 0).inverse()._abd
     u = [(1, [1] + [0] * (depth - 1), None)]
     for d in range(1, order):
         rhs = _lifted_sum([_product(_taylor_shift(p[m], d - m, depth),
                                     u[d - m])
                            for m in range(1, min(d + 1, len(p)))], depth)
-        u.append(_eps_quotient(rhs, _taylor_shift(p[0], d, depth)))
+        u.append(_indicial_quotient(rhs, lead_inv, r, d))
     lowered = [_lower(ud) for ud in u]
     u_eps = [Series._make([x[s] for x in lowered], order)
              for s in range(depth)]

@@ -85,6 +85,14 @@ class InvariantViolation(ValueError):
     """A structural invariant of the data type fails."""
 
 
+class HardLefschetzFailure(InvariantViolation):
+    """A(0)^k fails to be an isomorphism V_-k -> V_k."""
+
+
+class UnitNotPreserved(InvariantViolation):
+    """A acts on the volume direction with a q-dependent component."""
+
+
 class PairingUnderdetermined(ValueError):
     """The constant-pairing constraint system is not one-dimensional."""
 
@@ -281,15 +289,13 @@ class DnObject:
                     raise InvariantViolation(
                         f"pairing symmetry <a,b> = (-1)^n <b,a> fails "
                         f"at ({i},{j})")
-        if linalg.try_inverse(pairing0) is None:
-            raise InvariantViolation("pairing must be nondegenerate")
 
         a0 = a_series.at0()
         # only the degrees present can fail, so the work grows with the
         # rank, not with n; A(0) raises the degree by 2, so A(0)^rank = 0
         for k in sorted({abs(k) for k in dims} - {0}):
             if dims.get(k, 0) != dims.get(-k, 0):
-                raise InvariantViolation(
+                raise HardLefschetzFailure(
                     f"graded dimensions at degrees {k} and {-k} differ")
         power, p = linalg.identity(rank), 0
         for k in sorted(k for k in dims if k > 0):
@@ -300,8 +306,10 @@ class DnObject:
             cols = [j for j in range(rank) if degrees[j] == -k]
             block = [[power[i][j] for j in cols] for i in rows]
             if linalg.rank(block) != dims[k]:
-                raise InvariantViolation(
+                raise HardLefschetzFailure(
                     f"A(0)^{k} is not an isomorphism V_{-k} -> V_{k}")
+        if linalg.try_inverse(pairing0) is None:
+            raise InvariantViolation("pairing must be nondegenerate")
 
         # self-adjointness of A(0) in the sesquilinear sense: with the
         # twisted pairing stored here the matrix condition is skewness
@@ -316,7 +324,7 @@ class DnObject:
             for i in rows:
                 if any(not m[i][col].is_zero()
                        for m in a_series.coeffs[1:]):
-                    raise InvariantViolation(
+                    raise UnitNotPreserved(
                         "the V_{-n} -> V_{-n+2} component of A must be "
                         "constant")
 
@@ -924,14 +932,9 @@ def rees_to_geometric(r: ReesModule) -> GeometricVHS:
                         parity=r.parity)
 
 
-def geometric_to_rees(g: GeometricVHS,
-                      degree_choice: Sequence[int] | None = None
-                      ) -> ReesModule:
+def geometric_to_rees(g: GeometricVHS) -> ReesModule:
     """Inverse of the collapse: place each entry at its forced u-power."""
     degrees = [-l for l in g.levels2]
-    if degree_choice is not None and list(degree_choice) != degrees:
-        raise InconsistentLift(
-            "degree choice must invert the stored Hodge levels")
     if g.pairing is None:
         raise ValueError("a pairing is required to lift to a Rees module")
     rank = g.rank

@@ -9,12 +9,13 @@ need a retry loop.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 from vshstools import linalg, vshs
 from vshstools.picard_fuchs import LogSeries, PFOperator
 from vshstools.scalars import ONE, ZERO, Scalar
-from vshstools.series import Series, SeriesMatrix
+from vshstools.series import LiftedVector, Series, SeriesMatrix
 
 
 def rand_fraction(rng: Random, span: int = 4) -> Fraction:
@@ -343,6 +344,40 @@ def block_diagonal(x: SeriesMatrix, y: SeriesMatrix) -> SeriesMatrix:
     return SeriesMatrix.from_coefficients(
         [[row + [ZERO] * n2 for row in cx] + [[ZERO] * n1 + row for row in cy]
          for cx, cy in zip(x.coeffs, y.coeffs)], n1 + n2, n1 + n2)
+
+
+def eps_quotient(rho: LiftedVector, tau: LiftedVector) -> LiftedVector:
+    """-rho / tau in the eps-series of their common length n, tau(0) != 0,
+    over one denominator with the common content divided out, for any
+    tau.  The reference for the Frobenius step, which divides by the
+    indicial monomial only.
+
+    With 1/tau_0 = c / n0, c = conj tau_0 and n0 = |tau_0|^2, the
+    quotient v of the numerators has v_s = V_s / n0^(s+1) and
+        V_s = c (n0^s rho_s - sum_(i=1..s) n0^(i-1) tau_i V_(s-i)),
+    all Gaussian integers; the denominators then give -rho / tau =
+    -tau_den V_s n0^(n-1-s) / (rho_den n0^n).
+    """
+    n = len(rho[1])
+    rr, ri = rho[1], rho[2] or [0] * n
+    tr, ti = tau[1], tau[2] or [0] * n
+    n0, cr, ci = tr[0] * tr[0] + ti[0] * ti[0], tr[0], -ti[0]
+    vr: list[int] = []
+    vi: list[int] = []
+    for s in range(n):
+        xr, xi = n0 ** s * rr[s], n0 ** s * ri[s]
+        for i in range(1, s + 1):
+            f = n0 ** (i - 1)
+            xr -= f * (tr[i] * vr[s - i] - ti[i] * vi[s - i])
+            xi -= f * (tr[i] * vi[s - i] + ti[i] * vr[s - i])
+        vr.append(xr * cr - xi * ci)
+        vi.append(xr * ci + xi * cr)
+    re = [-tau[0] * x * n0 ** (n - 1 - s) for s, x in enumerate(vr)]
+    im = [-tau[0] * x * n0 ** (n - 1 - s) for s, x in enumerate(vi)]
+    den = rho[0] * n0 ** n
+    g = gcd(den, *re, *im)
+    return (den // g, [x // g for x in re],
+            [x // g for x in im] if any(im) else None)
 
 
 def apply_by_series_products(op: PFOperator, sol: LogSeries) -> LogSeries:

@@ -9,14 +9,15 @@ from random import Random
 
 import pytest
 
-from vshstools.amodel import (CohomologyInput, HardLefschetzFailure,
-                              InstantonTable, UnitNotPreserved,
+from vshstools.amodel import (CohomologyInput, InstantonTable,
                               UnsupportedDimension, ZeroVolume,
                               build_amodel_dn, g_from_instantons,
                               instantons_from_g)
 from vshstools.picard_fuchs import bmodel_pipeline, parse_pf
 from vshstools.scalars import ONE, ZERO, Scalar
 from vshstools.series import Series, SeriesMatrix
+from vshstools.vshs import (DnObject, HardLefschetzFailure,
+                            InvariantViolation, UnitNotPreserved)
 
 ORD = 10
 
@@ -103,7 +104,12 @@ def test_quintic_amodel_matches_bmodel():
     assert built == report.dn
 
 
-def test_hard_lefschetz_failure():
+def _anti_diagonal(rank, value):
+    return [[value if i + j == rank - 1 else ZERO for j in range(rank)]
+            for i in range(rank)]
+
+
+def g_vanishes():
     zero = Series.zero(4)
     one = Series.one(4)
     quantum = SeriesMatrix([
@@ -111,22 +117,19 @@ def test_hard_lefschetz_failure():
         [one, zero, zero, zero],
         [zero, zero, zero, zero],   # g = 0 kills H^2 -> H^4
         [zero, zero, one, zero]])
-    inter = [[ZERO] * 4 for _ in range(4)]
-    for i in range(4):
-        inter[i][3 - i] = ONE
-    data = CohomologyInput(n=3, betti={0: 1, 2: 1, 4: 1, 6: 1},
-                           intersection=inter, quantum_mult=quantum)
-    with pytest.raises(HardLefschetzFailure):
-        build_amodel_dn(data)
-
-    lopsided = CohomologyInput(n=2, betti={0: 1, 2: 2, 4: 1},
-                               intersection=[[ZERO] * 4] * 4,
-                               quantum_mult=SeriesMatrix.zeros(4, 4, 4))
-    with pytest.raises(HardLefschetzFailure):
-        build_amodel_dn(lopsided)
+    return CohomologyInput(n=3, betti={0: 1, 2: 1, 4: 1, 6: 1},
+                           intersection=_anti_diagonal(4, ONE),
+                           quantum_mult=quantum)
 
 
-def test_unit_not_preserved():
+def lopsided():
+    # the intersection form is zero as well: Hard Lefschetz is named
+    return CohomologyInput(n=2, betti={0: 1, 2: 2, 4: 1},
+                           intersection=[[ZERO] * 4] * 4,
+                           quantum_mult=SeriesMatrix.zeros(4, 4, 4))
+
+
+def creeping_unit():
     zero = Series.zero(4)
     one = Series.one(4)
     creeping = one + Series([ZERO, ONE], 4)   # 1 + q on the unit column
@@ -135,14 +138,51 @@ def test_unit_not_preserved():
         [creeping, zero, zero, zero],
         [zero, one, zero, zero],
         [zero, zero, one, zero]])
-    inter = [[ZERO] * 4 for _ in range(4)]
-    five = Scalar(5)
-    for i in range(4):
-        inter[i][3 - i] = five
-    data = CohomologyInput(n=3, betti={0: 1, 2: 1, 4: 1, 6: 1},
-                           intersection=inter, quantum_mult=quantum)
-    with pytest.raises(UnitNotPreserved):
-        build_amodel_dn(data)
+    return CohomologyInput(n=3, betti={0: 1, 2: 1, 4: 1, 6: 1},
+                           intersection=_anti_diagonal(4, Scalar(5)),
+                           quantum_mult=quantum)
+
+
+def test_hard_lefschetz_failure():
+    with pytest.raises(HardLefschetzFailure,
+                       match=r"^A\(0\)\^1 is not an isomorphism V_-1 -> V_1$"):
+        build_amodel_dn(g_vanishes())
+    with pytest.raises(HardLefschetzFailure,
+                       match=r"^A\(0\)\^2 is not an isomorphism V_-2 -> V_2$"):
+        build_amodel_dn(lopsided())
+
+
+def test_unit_not_preserved():
+    with pytest.raises(UnitNotPreserved, match="must be constant$"):
+        build_amodel_dn(creeping_unit())
+
+
+def dn_arguments(data):
+    """The DnObject of A-side data, written out from the convention:
+    the Poincare form times (-1)^(n(n+1)/2) i^k in the column degree k."""
+    n = data.n
+    degrees = [deg - n for deg in sorted(data.betti)
+               for _ in range(data.betti[deg])]
+    sign = Scalar(-1 if (n * (n + 1) // 2) % 2 else 1)
+    pairing0 = [[sign * Scalar.i_power(degrees[j]) * x
+                 for j, x in enumerate(row)] for row in data.intersection]
+    return dict(n=n, graded_dims={deg - n: d for deg, d in data.betti.items()},
+                pairing0=pairing0, a_series=data.quantum_mult)
+
+
+@pytest.mark.parametrize("data, error", [
+    (g_vanishes, HardLefschetzFailure),
+    (lopsided, HardLefschetzFailure),
+    (creeping_unit, UnitNotPreserved),
+], ids=["g-vanishes", "lopsided", "creeping-unit"])
+def test_amodel_and_dn_object_raise_alike(data, error):
+    assert issubclass(error, InvariantViolation)
+    with pytest.raises(error) as built:
+        build_amodel_dn(data())
+    with pytest.raises(error) as direct:
+        DnObject(**dn_arguments(data()))
+    assert type(built.value) is type(direct.value) is error
+    assert str(built.value) == str(direct.value)
 
 
 def test_pairing_sign_convention():
@@ -154,6 +194,9 @@ def test_pairing_sign_convention():
     assert p0[1][2] == Scalar(5) * Scalar.i_power(1)
     assert p0[2][1] == minus_5i
     assert p0[3][0] == Scalar(5) * Scalar.i_power(1)
+    for g in (Series.one(4), Series([ONE, Scalar(3), ZERO, Scalar(-2)], 4)):
+        data = quintic_cohomology(g)
+        assert build_amodel_dn(data) == DnObject(**dn_arguments(data))
 
 
 def test_betti_validation():

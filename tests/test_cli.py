@@ -160,6 +160,56 @@ def test_check_dn_object(capsys):
     assert out.strip().endswith("ok")
 
 
+def _d3_faulty(*faults):
+    """d3-a.dn.json as JSON with the named faults put in.  A pairing of
+    degree 0 pairs V_k with V_-k only, so unequal dimensions there always
+    bring a degenerate pairing with them."""
+    obj = json.loads((DATA / "d3-a.dn.json").read_text())
+    rows = obj["a_series"]["entries"]
+    if "rank" in faults:        # A(0) kills V_-1 -> V_1
+        rows[2][1] = []
+    if "unit" in faults:        # 1 + q on the unit column
+        rows[1][0] = ["-2/3", "1"]
+    if "degenerate" in faults:
+        obj["pairing0"] = [["0"] * 4 for _ in range(4)]
+    if "lopsided" in faults:    # V_1 two-dimensional, V_-1 one
+        obj["graded_dims"]["1"] = 2
+        for row in rows:
+            row.insert(3, [])
+        rows.insert(3, [[], [], [], [], []])
+        rows[3][1] = ["1"]
+        obj["a_series"]["rows"] = obj["a_series"]["cols"] = 5
+        for row in obj["pairing0"]:
+            row.insert(3, "0")
+        obj["pairing0"].insert(3, ["0"] * 5)
+    return obj
+
+
+@pytest.mark.parametrize("faults, message", [
+    (("rank",), "A(0)^1 is not an isomorphism V_-1 -> V_1"),
+    (("unit",), "the V_{-n} -> V_{-n+2} component of A must be constant"),
+    (("degenerate",), "pairing must be nondegenerate"),
+], ids=["rank-deficient", "q-dependent-unit", "degenerate-pairing"])
+def test_check_pins_one_dn_object_fault(faults, message, tmp_path, capsys):
+    path = tmp_path / "faulty.dn.json"
+    path.write_text(json.dumps(_d3_faulty(*faults)))
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    assert (code, out, err) == (1, f"FAIL: {message}\n", "")
+
+
+@pytest.mark.parametrize("faults, message", [
+    (("lopsided",), "graded dimensions at degrees 1 and -1 differ"),
+    (("rank", "degenerate"), "A(0)^1 is not an isomorphism V_-1 -> V_1"),
+], ids=["unequal-dims", "rank-deficient-and-degenerate"])
+def test_check_pins_hard_lefschetz_with_a_degenerate_pairing(
+        faults, message, tmp_path, capsys):
+    """Hard Lefschetz is checked before nondegeneracy of the pairing."""
+    path = tmp_path / "faulty.dn.json"
+    path.write_text(json.dumps(_d3_faulty(*faults)))
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    assert (code, out, err) == (1, f"FAIL: {message}\n", "")
+
+
 def test_check_rees_module(capsys):
     code, out, _ = run(capsys, ["check", "--input",
                                 str(DATA / "d3-a.rees.json")])
@@ -196,6 +246,46 @@ def test_check_instanton_table(tmp_path, capsys):
     code, out, _ = run(capsys, ["check", "--input", str(path)])
     assert code == 0
     assert out.strip().endswith("ok")
+
+
+@pytest.mark.parametrize("max_degree, entries, message", [
+    (3, {"0": "1"}, "instanton degrees must lie in 1..3; found 0"),
+    (3, {"2": "5", "4": "1"}, "instanton degrees must lie in 1..3; found 4"),
+    (-1, {}, "max_degree must be nonnegative; found -1"),
+], ids=["degree-zero", "above-max-degree", "negative-max-degree"])
+def test_check_instanton_table_degree_range(max_degree, entries, message,
+                                            tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"kind": "instanton_table",
+                                "max_degree": max_degree,
+                                "entries": entries}))
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    assert (code, out, err) == (1, f"FAIL: {message}\n", "")
+
+
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                        st.integers(-5, 5), st.floats(allow_nan=False),
+                        st.sampled_from(["1", "-2/3", "1/0", "i", "abc"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(-3, 6), JSON_LEAVES),
+       st.one_of(st.dictionaries(st.one_of(st.integers(-3, 8).map(str),
+                                           st.text(max_size=3)),
+                                 JSON_LEAVES, max_size=4),
+                 st.lists(JSON_LEAVES, max_size=3), JSON_LEAVES))
+def test_check_any_instanton_table_exits_cleanly(tmp_path_factory,
+                                                 max_degree, entries):
+    path = tmp_path_factory.mktemp("table") / "table.json"
+    path.write_text(json.dumps({"kind": "instanton_table",
+                                "max_degree": max_degree,
+                                "entries": entries}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(["check", "--input", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_rees_roundtrip_command(capsys):

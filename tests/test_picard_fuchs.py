@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vshstools import picard_fuchs
+from vshstools.linalg import lift_vector
 from vshstools.picard_fuchs import (LogSeries, MirrorMapMismatch,
                                     NotMaximallyUnipotent, ParseError,
                                     PFOperator, bmodel_pipeline,
@@ -25,7 +26,7 @@ from vshstools.picard_fuchs import (LogSeries, MirrorMapMismatch,
 from vshstools.scalars import ONE, ZERO, Scalar
 from vshstools.series import Series
 
-from genutil import apply_by_series_products
+from genutil import apply_by_series_products, eps_quotient
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -112,16 +113,16 @@ def test_all_solutions_annihilated():
 
 
 def test_a_wrong_recursion_step_is_named(monkeypatch):
-    # one wrong Taylor shift at t0 = 3 spoils u_3, so L y0 first fails
-    # at q^3 in the log-free part of solution 0
+    # one wrong division at d = 3 spoils u_3, so L y0 first fails at q^3
+    # in the log-free part of solution 0
     op = parse_pf(QUINTIC)
-    shift = picard_fuchs._taylor_shift
+    divide = picard_fuchs._indicial_quotient
 
-    def wrong_at_three(p, t0, depth):
-        den, re, im = shift(p, t0, depth)
-        return den, [re[0] + den] + re[1:] if t0 == 3 else re, im
+    def wrong_at_three(rho, lead_inv, r, d):
+        den, re, im = divide(rho, lead_inv, r, d)
+        return den, [re[0] + den] + re[1:] if d == 3 else re, im
 
-    monkeypatch.setattr(picard_fuchs, "_taylor_shift", wrong_at_three)
+    monkeypatch.setattr(picard_fuchs, "_indicial_quotient", wrong_at_three)
     with pytest.raises(ArithmeticError,
                        match=r"\(log q\)\^0 q\^3 in Frobenius solution 0:"):
         frobenius_solve(op, depth=2, order=6)
@@ -255,6 +256,28 @@ def test_op_mul_composes_the_actions_on_monomials(x, y):
     assert all(not c.is_zero() for c in xy.values())
     for k in range(7):
         assert act(xy, {k: ONE}) == act(x, act(y, {k: ONE}))
+
+
+GAUSSIAN = st.builds(lambda re, im, den: Scalar(Fraction(re, den),
+                                                Fraction(im, den)),
+                     st.integers(-40, 40), st.integers(-40, 40),
+                     st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(
+           lambda depth: st.lists(GAUSSIAN, min_size=depth,
+                                  max_size=depth)),
+       GAUSSIAN.filter(lambda c: not c.is_zero()),
+       st.integers(1, 6), st.integers(1, 60))
+def test_indicial_quotient_is_the_general_eps_quotient(rho, lead, r, d):
+    """-rho / P_0(d + eps) for P_0(t) = lead t^r, against the division by
+    the full Taylor shift of P_0, lifted vector for lifted vector."""
+    rho = lift_vector(rho)
+    p0 = lift_vector([ZERO] * r + [lead])
+    tau = picard_fuchs._taylor_shift(p0, d, len(rho[1]))
+    assert picard_fuchs._indicial_quotient(
+        rho, lead.inverse()._abd, r, d) == eps_quotient(rho, tau)
 
 
 @st.composite

@@ -4,9 +4,12 @@ Every import of a module in src/vshstools or tests must be used in it
 (the package __init__ re-exports, and `from __future__` is a
 directive), and every module-level private function, class or constant
 must be named somewhere in the package besides its own definition.  The
-package's __all__ names exactly what __init__ imports.
+package's __all__ names exactly what __init__ imports, and every
+exception class it exports is raised in the package, itself or as the
+base class of one that is.
 """
 import ast
+import importlib
 from pathlib import Path
 
 import vshstools
@@ -98,3 +101,30 @@ def test_no_unreferenced_private_definitions():
                         if d.startswith("_") and not d.startswith("__")
                         and d not in used]
     assert orphans == []
+
+
+def test_every_exported_exception_is_raised():
+    # what `raise X(...)` or `raise module.X(...)` names, resolved in the
+    # module that raises it
+    raised = set()
+    for name, tree in MODULES.items():
+        if name == "__init__.py":
+            continue
+        module = importlib.import_module(f"vshstools.{Path(name).stem}")
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Attribute) and \
+                    isinstance(exc.value, ast.Name):
+                raised.add(getattr(getattr(module, exc.value.id, None),
+                                   exc.attr, None))
+            elif isinstance(exc, ast.Name):
+                raised.add(getattr(module, exc.id, None))
+    raised = {c for c in raised
+              if isinstance(c, type) and issubclass(c, BaseException)}
+    exported = [getattr(vshstools, name) for name in vshstools.__all__]
+    never = [cls.__name__ for cls in exported
+             if isinstance(cls, type) and issubclass(cls, BaseException)
+             and not any(issubclass(r, cls) for r in raised)]
+    assert never == []

@@ -621,10 +621,7 @@ def test_geometric_to_rees_validation():
 
     ok = GeometricVHS(conn=zero, levels2=(1, -1),
                       pairing=smat([[0, 1], [1, 0]]), parity=0)
-    with pytest.raises(InconsistentLift):
-        geometric_to_rees(ok, degree_choice=[1, -1])
-    lifted = geometric_to_rees(ok, degree_choice=[-1, 1])
-    assert lifted.degrees == (-1, 1)
+    assert geometric_to_rees(ok).degrees == (-1, 1)
 
 
 def test_verify_prevhs_flags_broken_covariance():
