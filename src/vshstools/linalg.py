@@ -7,11 +7,13 @@ pulling in a symbolic library.  Vectors are lists of Scalar, matrices
 are lists of rows.  All functions are pure and deterministic; pivots
 are chosen lexicographically (first usable column, first usable row).
 
-Matrix products run in one integer kernel.  A factor is lifted once to
-Gaussian-integer rows over a single common denominator, its zero
-entries dropped (`Lifted`); products accumulate plain ints over one
-denominator (`Accumulator`), and each entry of the result is normalized
-once, when it is lowered back to Scalar (Knuth, TAOCP Vol. 2, 4.5.1).
+Matrix arithmetic runs in one integer kernel.  A factor is lifted once
+to Gaussian-integer rows over a single common denominator, its zero
+entries dropped (`Lifted`); products and sums accumulate plain ints over
+one denominator (`Accumulator`), whose `lifted` divides out the common
+content once, and an entry is normalized only when it is lowered back
+to Scalar (Knuth, TAOCP Vol. 2, 4.5.1).  series.SeriesMatrix keeps one
+canonical Lifted per q-order and lowers it only when it is read.
 `lift_vector` is the rank-1 lift that the series arithmetic builds on.
 """
 from __future__ import annotations
@@ -51,32 +53,24 @@ def transpose(m: Matrix) -> Matrix:
     return [[m[i][j] for i in range(len(m))] for j in range(len(m[0]))]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_neg(a: Matrix) -> Matrix:
-    return [[-x for x in row] for row in a]
-
-
-def mat_scale(a: Matrix, c: Scalar) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return Lifted.of(a).times(Lifted.of(b))
+    la, lb = Lifted.of(a), Lifted.of(b)
+    acc = Accumulator(len(a), lb.cols)
+    acc.add_product(la, lb)
+    return acc.lower()
 
 
 class Lifted:
     """A scalar matrix as Gaussian-integer rows over one denominator.
 
     Row i lists (j, a, b) for each nonzero entry (a + b*i)/den in column
-    j < cols.  `real` says that every b is 0, `zero` that no entry is
-    left.  Instances are not mutated once built.
+    j < cols, by increasing j.  `real` says that every b is 0, `zero`
+    that no entry is left.  Instances are not mutated once built.
+
+    The canonical lift takes den the lcm of the entries' reduced
+    denominators; then gcd(den, every a and b) = 1, so equal matrices
+    have equal lifts.  Lifted.of, from_entries and Accumulator.lifted
+    build it, and negated and transposed keep it.
     """
 
     __slots__ = ("den", "rows", "cols", "real", "zero")
@@ -109,15 +103,15 @@ class Lifted:
     def from_entries(entries: Sequence[tuple[int, int, int, int, int]],
                      n: int) -> "Lifted":
         """The n x n matrix with entry (i, j) = (a + b i)/d for each
-        (i, j, a, b, d) in entries, zero elsewhere, over the least common
-        denominator (the one Lifted.of takes)."""
+        (i, j, a, b, d) in entries, one per slot and none zero, zero
+        elsewhere: the lift Lifted.of takes."""
         reduced = []
         for i, j, a, b, d in entries:
             g = gcd(a, b, d)
             reduced.append((i, j, a // g, b // g, d // g))
         den = lcm(*[d for *_, d in reduced])
         rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for i, j, a, b, d in reduced:
+        for i, j, a, b, d in sorted(reduced):
             rows[i].append((j, a * (den // d), b * (den // d)))
         return Lifted(den, rows, n)
 
@@ -126,11 +120,23 @@ class Lifted:
         return Lifted(self.den, [[(j, -a, -b) for j, a, b in row]
                                  for row in self.rows], self.cols)
 
-    def times(self, other: "Lifted") -> Matrix:
-        """The product self other, lowered to Scalars."""
-        acc = Accumulator(len(self.rows), other.cols)
-        acc.add_product(self, other)
-        return acc.lower()
+    def transposed(self) -> "Lifted":
+        """self^T, on the same integers."""
+        rows: list[list[tuple[int, int, int]]] = [
+            [] for _ in range(self.cols)]
+        for i, row in enumerate(self.rows):
+            for j, a, b in row:
+                rows[j].append((i, a, b))
+        return Lifted(self.den, rows, len(self.rows))
+
+    def lower(self) -> Matrix:
+        """self as Scalars, one normalization per nonzero entry."""
+        d = self.den
+        out = zeros(len(self.rows), self.cols)
+        for row, lifted_row in zip(out, self.rows):
+            for j, a, b in lifted_row:
+                row[j] = _norm(a, b, d)
+        return out
 
 
 def lift_vector(v: Sequence[Scalar]
@@ -213,12 +219,13 @@ class Accumulator:
     def lifted(self) -> Lifted:
         """The sum so far as a Lifted matrix, with no entry normalized:
         only the content common to all entries and den is divided out."""
-        g = gcd(self.den, *(x for part in (self.re, self.im)
-                            for row in part for x in row))
-        return Lifted(self.den // g, [
-            [(j, a // g, b // g) for j, (a, b) in enumerate(zip(ri, ii))
-             if a or b] for ri, ii in zip(self.re, self.im)],
-            len(self.re[0]) if self.re else 0)
+        rows = [[(j, a, b) for j, (a, b) in enumerate(zip(ri, ii)) if a or b]
+                for ri, ii in zip(self.re, self.im)]
+        g = gcd(self.den, *[x for row in rows for _, a, b in row
+                            for x in (a, b)])
+        if g != 1:
+            rows = [[(j, a // g, b // g) for j, a, b in row] for row in rows]
+        return Lifted(self.den // g, rows, len(self.re[0]) if self.re else 0)
 
     def lower(self) -> Matrix:
         """The sum so far as Scalars, one normalization per entry."""

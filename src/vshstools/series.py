@@ -15,12 +15,13 @@ Math. Comp. 84, 2015), about 2 sqrt(n) series products once, then sqrt(n)
 products and n dot products per composition.  The normal form composes
 only with a reversed series, so there is no other composition.
 
-SeriesMatrix is a dense rectangular matrix of Series sharing one
-truncation order, stored coefficient-major as one scalar matrix per
-q-order: products are convolutions of those matrices, each output
-coefficient summed over one common denominator by the linalg integer
-kernel.  There is no matrix inverse: vshs.to_canonical_connection solves
-for its frame and connection together, order by order.
+SeriesMatrix is a rectangular matrix of Series sharing one truncation
+order, stored coefficient-major as one canonical linalg.Lifted per
+q-order.  Products are convolutions of those lifts; products, sums and
+scalings are summed over one common denominator by the linalg integer
+kernel, and no entry is normalized until a coefficient is read.  There
+is no matrix inverse: vshs.to_canonical_connection solves for its frame
+and connection together, order by order.
 """
 from __future__ import annotations
 
@@ -436,34 +437,48 @@ def _shape(entries: Sequence[Sequence]) -> tuple[int, int]:
     return rows, cols
 
 
+def _sum(products: Iterable[tuple[Lifted, Lifted]], rows: int,
+         cols: int) -> Lifted:
+    """The sum of the products a b, on the kernel's integers, with the
+    common content divided out once: the canonical lift."""
+    acc = Accumulator(rows, cols)
+    for a, b in products:
+        acc.add_product(a, b)
+    return acc.lifted()
+
+
 class SeriesMatrix:
     """Rectangular matrix of Series with one shared truncation order.
 
-    Stored coefficient-major: coeffs is a tuple holding, for k < order,
-    the scalar matrix of q^k as a list of rows of Scalar.  Those lists
-    are never mutated once a matrix holds them: every operation builds
-    new ones, and the accessors that hand a matrix out return copies.
-    _lifts caches them as linalg.Lifted, built by the first product that
-    needs them (see _lifted).
+    Stored coefficient-major as one canonical linalg.Lifted per q-order,
+    the only stored form: Gaussian integers over the lcm of the entries'
+    reduced denominators, so equal matrices have equal lifts.  A
+    product, sum or scaling accumulates integers over one denominator
+    and divides out their content once; a transpose, negation or
+    truncation rearranges them.  A scalar by itself is the product with
+    a scalar multiple of the identity (Lifted.scalar).  The Scalar view
+    (coeffs, entry, at0, coefficient_matrix) is lowered one q-order at a
+    time on first read and cached; the lists it holds are never mutated,
+    and coefficient_matrix hands out copies.
     """
 
-    __slots__ = ("rows", "cols", "order", "coeffs", "_lifts")
+    __slots__ = ("rows", "cols", "order", "_lifts", "_mats")
 
     def __init__(self, entries: Sequence[Sequence[Series]]):
         rows, cols = _shape(entries)
         order = entries[0][0].order
         if any(e.order != order for row in entries for e in row):
             raise ValueError("entries must share one truncation order")
-        self._set([[[e.coeffs[k] for e in row] for row in entries]
-                   for k in range(order)], rows, cols)
+        self._set([Lifted.of([[e.coeffs[k] for e in row]
+                              for row in entries]) for k in range(order)],
+                  rows, cols)
 
-    def _set(self, mats: Sequence[ScalarMatrix], rows: int,
-             cols: int) -> None:
+    def _set(self, lifts: Sequence[Lifted], rows: int, cols: int) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "order", len(mats))
-        object.__setattr__(self, "coeffs", tuple(mats))
-        object.__setattr__(self, "_lifts", None)
+        object.__setattr__(self, "order", len(lifts))
+        object.__setattr__(self, "_lifts", tuple(lifts))
+        object.__setattr__(self, "_mats", [None] * len(lifts))
 
     def __setattr__(self, name, value):
         raise AttributeError("SeriesMatrix is immutable")
@@ -471,16 +486,20 @@ class SeriesMatrix:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
+    def from_lifts(lifts: Sequence[Lifted], rows: int,
+                   cols: int) -> "SeriesMatrix":
+        """The matrix whose q^k coefficient is lifts[k], each a canonical
+        lift (see linalg.Lifted)."""
+        m = object.__new__(SeriesMatrix)
+        m._set(lifts, rows, cols)
+        return m
+
+    @staticmethod
     def from_coefficients(mats: Sequence[ScalarMatrix], rows: int,
                           cols: int) -> "SeriesMatrix":
-        """The matrix whose q^k coefficient is mats[k].
-
-        Takes the lists over without copying: the caller must not
-        mutate them afterwards.
-        """
-        m = object.__new__(SeriesMatrix)
-        m._set(mats, rows, cols)
-        return m
+        """The matrix whose q^k coefficient is mats[k]."""
+        return SeriesMatrix.from_lifts([Lifted.of(m) for m in mats], rows,
+                                       cols)
 
     @staticmethod
     def zeros(rows: int, cols: int, order: int) -> "SeriesMatrix":
@@ -492,131 +511,143 @@ class SeriesMatrix:
         rows, cols = _shape(m)
         if order < 0:
             raise ValueError("order must be nonnegative")
-        mats = [[[_coerce(x) for x in row] for row in m]]
-        mats.extend(linalg.zeros(rows, cols) for _ in range(1, order))
-        return SeriesMatrix.from_coefficients(mats[:order], rows, cols)
+        zero = Lifted(1, [[] for _ in range(rows)], cols)
+        lifts = [Lifted.of([[_coerce(x) for x in row] for row in m])]
+        lifts.extend([zero] * (order - 1))
+        return SeriesMatrix.from_lifts(lifts[:order], rows, cols)
 
     # -- inspection ------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[ScalarMatrix, ...]:
+        """The scalar matrix of each q^k, as a list of rows of Scalar."""
+        return tuple(self._mat(k) for k in range(self.order))
+
+    def _mat(self, k: int) -> ScalarMatrix:
+        """The q^k coefficient as Scalars, lowered on first read."""
+        m = self._mats[k]
+        if m is None:
+            m = self._mats[k] = self._lifts[k].lower()
+        return m
+
     def entry(self, i: int, j: int) -> Series:
-        return Series([m[i][j] for m in self.coeffs], self.order)
+        return Series._make([self._mat(k)[i][j] for k in range(self.order)],
+                            self.order)
 
     def coefficient_matrix(self, k: int) -> ScalarMatrix:
         if k < 0 or k >= self.order:
             raise IndexError(f"coefficient {k} not known at order "
                              f"{self.order}")
-        return linalg.copy_matrix(self.coeffs[k])
+        return linalg.copy_matrix(self._mat(k))
 
     def at0(self) -> ScalarMatrix:
         return self.coefficient_matrix(0)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for m in self.coeffs for row in m
-                   for x in row)
+        return all(m.zero for m in self._lifts)
 
     def truncate(self, order: int) -> "SeriesMatrix":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         if order < 0:
             raise ValueError("order must be nonnegative")
-        return self._like(self.coeffs[:order])
+        return self._like(self._lifts[:order])
 
-    def _like(self, mats: Sequence[ScalarMatrix]) -> "SeriesMatrix":
-        return SeriesMatrix.from_coefficients(mats, self.rows, self.cols)
+    def _like(self, lifts: Sequence[Lifted]) -> "SeriesMatrix":
+        return SeriesMatrix.from_lifts(lifts, self.rows, self.cols)
+
+    def _scaled(self, factors: Iterable[Scalar]) -> "SeriesMatrix":
+        """The q^k coefficient times factors[k]."""
+        return self._like([_sum([(Lifted.scalar(c, self.rows), m)],
+                                self.rows, self.cols)
+                           for c, m in zip(factors, self._lifts)])
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        self._check_shape(other)
-        return self._like([linalg.mat_add(a, b)
-                           for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus(other, ONE)
 
     def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        self._check_shape(other)
-        return self._like([linalg.mat_sub(a, b)
-                           for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus(other, Scalar(-1))
 
-    def __neg__(self) -> "SeriesMatrix":
-        return self._like([linalg.mat_neg(a) for a in self.coeffs])
-
-    def _check_shape(self, other: "SeriesMatrix") -> None:
+    def _plus(self, other: "SeriesMatrix", c: Scalar) -> "SeriesMatrix":
+        """self + c other."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+        one, lc = Lifted.scalar(ONE, self.rows), Lifted.scalar(c, self.rows)
+        return self._like([_sum([(one, a), (lc, b)], self.rows, self.cols)
+                           for a, b in zip(self._lifts, other._lifts)])
+
+    def __neg__(self) -> "SeriesMatrix":
+        return self._like([m.negated() for m in self._lifts])
 
     def __mul__(self, other) -> "SeriesMatrix":
         """Matrix product as the convolution C_k = sum_j A_j B_(k-j),
-        each C_k summed over one denominator and normalized once; a
-        scalar factor multiplies every entry."""
+        each C_k summed over one denominator; a scalar factor multiplies
+        every entry."""
         if isinstance(other, SeriesMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matrix product")
-            la, lb = self._lifted(), other._lifted()
-            out = []
-            for k in range(min(self.order, other.order)):
-                acc = Accumulator(self.rows, other.cols)
-                for j in range(k + 1):
-                    acc.add_product(la[j], lb[k - j])
-                out.append(acc.lower())
-            return SeriesMatrix.from_coefficients(out, self.rows, other.cols)
+            la, lb = self._lifts, other._lifts
+            return SeriesMatrix.from_lifts(
+                [_sum([(la[j], lb[k - j]) for j in range(k + 1)],
+                      self.rows, other.cols)
+                 for k in range(min(self.order, other.order))],
+                self.rows, other.cols)
         c = _coerce(other)
-        return self._like([linalg.mat_scale(m, c) for m in self.coeffs])
+        return self._scaled([c] * self.order)
 
     def __rmul__(self, other) -> "SeriesMatrix":
         if isinstance(other, SeriesMatrix):
             return NotImplemented
         return self.__mul__(other)
 
-    def _lifted(self) -> list[Lifted]:
-        """The coefficient matrices as Lifted, built on first use."""
-        if self._lifts is None:
-            object.__setattr__(self, "_lifts",
-                               [Lifted.of(m) for m in self.coeffs])
-        return self._lifts
-
     def scalar_left_mul(self, m: ScalarMatrix) -> "SeriesMatrix":
         """Constant matrix times this matrix, one product per q-order."""
         if len(m[0]) != self.rows:
             raise ValueError("shape mismatch")
         lm = Lifted.of(m)
-        return SeriesMatrix.from_coefficients(
-            [lm.times(a) for a in self._lifted()], len(m), self.cols)
+        return SeriesMatrix.from_lifts(
+            [_sum([(lm, a)], len(m), self.cols) for a in self._lifts],
+            len(m), self.cols)
 
     def scalar_right_mul(self, m: ScalarMatrix) -> "SeriesMatrix":
         if len(m) != self.cols:
             raise ValueError("shape mismatch")
         lm = Lifted.of(m)
-        return SeriesMatrix.from_coefficients(
-            [a.times(lm) for a in self._lifted()], self.rows, len(m[0]))
+        return SeriesMatrix.from_lifts(
+            [_sum([(a, lm)], self.rows, lm.cols) for a in self._lifts],
+            self.rows, lm.cols)
 
     def transpose(self) -> "SeriesMatrix":
-        return SeriesMatrix.from_coefficients(
-            [linalg.transpose(a) for a in self.coeffs], self.cols, self.rows)
+        return SeriesMatrix.from_lifts(
+            [m.transposed() for m in self._lifts], self.cols, self.rows)
 
     def theta_entries(self) -> "SeriesMatrix":
-        return self._like([linalg.mat_scale(m, Scalar(k))
-                           for k, m in enumerate(self.coeffs)])
+        return self._scaled(Scalar(k) for k in range(self.order))
 
     def dilate(self, c: ScalarLike) -> "SeriesMatrix":
         """Substitute q -> c*q: coefficient k scales by c^k."""
         cc = _coerce(c)
-        out = []
-        power = ONE
-        for m in self.coeffs:
-            out.append(linalg.mat_scale(m, power))
-            power = power * cc
-        return self._like(out)
+        powers = [ONE]
+        for _ in range(1, self.order):
+            powers.append(powers[-1] * cc)
+        return self._scaled(powers)
 
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.order, self.coeffs) == \
-            (other.rows, other.cols, other.order, other.coeffs)
+        return (self.rows, self.cols, self.order) == \
+            (other.rows, other.cols, other.order) and \
+            all(a.den == b.den and a.rows == b.rows
+                for a, b in zip(self._lifts, other._lifts))
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.order,
-                     tuple(tuple(row) for m in self.coeffs for row in m)))
+                     tuple((m.den, tuple(map(tuple, m.rows)))
+                           for m in self._lifts)))
 
     def __repr__(self) -> str:
         return f"SeriesMatrix({self.rows}x{self.cols}, order={self.order})"

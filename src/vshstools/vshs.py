@@ -41,7 +41,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import linalg, nilpotent
 from .linalg import Accumulator, Lifted, Matrix
-from .scalars import ONE, ZERO, Scalar, _norm, sqrt_exact
+from .scalars import ONE, ZERO, Scalar, sqrt_exact
 from .series import Reversion, Series, SeriesMatrix
 
 
@@ -198,13 +198,16 @@ class GeometricVHS:
                 raise ValueError("pairing shape mismatch")
             if pairing.order != conn.order:
                 raise ValueError("pairing and connection order mismatch")
-            # a failure at (i, j) is one at (j, i): the first has i <= j
-            for i in range(conn.rows):
-                for j in range(i, conn.cols):
-                    if any(m[i][j] != (-m[j][i] if parity else m[j][i])
-                           for m in pairing.coeffs):
-                        raise InvariantViolation(
-                            f"pairing symmetry fails at ({i},{j})")
+            # (i, j) and (j, i) lie in one lift, over one denominator; a
+            # failure at (i, j) is one at (j, i): the first has i <= j
+            sign = -1 if parity else 1
+            bad = [(min(i, j), max(i, j)) for m in pairing._lifts
+                   for i, row in enumerate(m.rows) for j, a, b in row
+                   if (i, sign * a, sign * b) not in m.rows[j]]
+            if bad:
+                i, j = min(bad)
+                raise InvariantViolation(
+                    f"pairing symmetry fails at ({i},{j})")
             failure = _pairing_failure(conn, pairing, parity)
             if failure:
                 raise InvariantViolation(
@@ -322,8 +325,8 @@ class DnObject:
             rows = [i for i in range(rank) if degrees[i] == -n + 2]
             col = degrees.index(-n)
             for i in rows:
-                if any(not m[i][col].is_zero()
-                       for m in a_series.coeffs[1:]):
+                if any(j == col for m in a_series._lifts[1:]
+                       for j, _, _ in m.rows[i]):
                     raise UnitNotPreserved(
                         "the V_{-n} -> V_{-n+2} component of A must be "
                         "constant")
@@ -384,8 +387,8 @@ class NormalFormReport:
 
 def _support(m: SeriesMatrix) -> set[tuple[int, int]]:
     """The entries (i, j) of m that are nonzero at some q-order."""
-    return {(i, j) for c in m.coeffs for i, row in enumerate(c)
-            for j, x in enumerate(row) if not x.is_zero()}
+    return {(i, j) for c in m._lifts for i, row in enumerate(c.rows)
+            for j, _, _ in row}
 
 
 def _plus_transpose(pairs: list[tuple[Lifted, Lifted]], eps: int,
@@ -410,7 +413,7 @@ def _pairing_failure(a: SeriesMatrix, m: SeriesMatrix,
     sum_(j=0..k) A_j^T M_(k-j) - (k/2) M_k: eps-symmetric, so its first
     nonzero entry, row by row, has i <= j."""
     dim, eps = a.rows, -1 if parity else 1
-    at, ms = a.transpose()._lifted(), m._lifted()
+    at, ms = [x.transposed() for x in a._lifts], m._lifts
     for k in range(min(a.order, m.order)):
         half_k = Lifted.scalar(Scalar(-k) / Scalar(2), dim)
         y = _plus_transpose([(at[j], ms[k - j]) for j in range(k + 1)]
@@ -443,24 +446,21 @@ def _neumann_sum(term: Lifted, k: int, lop: Callable[[Lifted], Lifted],
     return acc
 
 
-def _solve_theta(x0: Matrix, order: int, lop: Callable[[Lifted], Lifted],
+def _solve_theta(x0: Lifted, order: int, lop: Callable[[Lifted], Lifted],
                  phi: Callable[[list[Lifted], int], Lifted],
                  stuck: Exception) -> SeriesMatrix:
     """The solution X of theta X = L(X) + Phi(X) with X(0) = x0.
 
     L is linear and nilpotent, and Phi_k reads only X_0 .. X_(k-1).
     The order-k equation k X_k = L(X_k) + Phi_k is then solved by the
-    Neumann sum.  Phi, L and the sum work on Lifted matrices; each X_k is
-    lowered to Scalars once.
+    Neumann sum.  Phi, L and the sum work on Lifted matrices, and X
+    keeps them.
     """
-    dim = len(x0)
-    xs = [x0]
-    lifted = [Lifted.of(x0)]
+    dim = len(x0.rows)
+    lifted = [x0]
     for k in range(1, order):
-        acc = _neumann_sum(phi(lifted, k), k, lop, stuck)
-        xs.append(acc.lower())
-        lifted.append(acc.lifted())
-    return SeriesMatrix.from_coefficients(xs, dim, dim)
+        lifted.append(_neumann_sum(phi(lifted, k), k, lop, stuck).lifted())
+    return SeriesMatrix.from_lifts(lifted, dim, dim)
 
 
 def formal_flat_gauge(b: SeriesMatrix) -> SeriesMatrix:
@@ -475,7 +475,7 @@ def formal_flat_gauge(b: SeriesMatrix) -> SeriesMatrix:
         nilpotent.nilpotency_index(n_mat)
     except nilpotent.NotNilpotent as exc:
         raise NotNilpotentResidue(str(exc)) from exc
-    bs = b._lifted()
+    bs = b._lifts
     n_neg = bs[0].negated()
 
     def phi(u: list[Lifted], k: int) -> Lifted:
@@ -491,7 +491,7 @@ def formal_flat_gauge(b: SeriesMatrix) -> SeriesMatrix:
         return acc.lifted()
 
     return _solve_theta(
-        linalg.identity(dim), b.order, ad_n, phi,
+        Lifted.scalar(ONE, dim), b.order, ad_n, phi,
         NotNilpotentResidue("ad of the residue does not terminate"))
 
 
@@ -539,22 +539,14 @@ def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
     lev = tuple(level for level in tops for _ in pieces[level])
     p0 = linalg.transpose([v for level in tops for v in pieces[level]])
 
-    p0_inv, lp0 = Lifted.of(linalg.inverse(p0)), Lifted.of(p0)
-    bp = []  # b' = p0^-1 b p0
-    for bk in g.conn._lifted():
-        acc = Accumulator(dim, dim)
-        acc.add_product(p0_inv, bk)
-        conj = Accumulator(dim, dim)
-        conj.add_product(acc.lifted(), lp0)
-        bp.append(conj)
-    a_coeffs = [bp[0].lower()]
-    bp = [acc.lifted() for acc in bp]
+    # b' = p0^-1 b p0
+    bp = g.conn.scalar_left_mul(linalg.inverse(p0)).scalar_right_mul(p0)._lifts
     a0 = bp[0]  # grade -2 by Deligne's splitting; checked once here
     if any(lev[i] != lev[j] - 2 for i, row in enumerate(a0.rows)
            for j, _, _ in row):
         raise NotNilpotentResidue("ad of the residue does not terminate")
 
-    ys = [Lifted.of(linalg.identity(dim))]
+    ys, a_ks = [Lifted.scalar(ONE, dim)], [a0]
     neg_a = [a0.negated()]
     for k in range(1, order):
         r = Accumulator(dim, dim)
@@ -562,20 +554,19 @@ def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
             r.add_product(bp[j], ys[k - j])
         for j in range(1, k):
             r.add_product(ys[k - j], neg_a[j])
-        y, a_k, neg_a_k = _graded_pass(r, k, a0, lev)
+        y, a_k = _graded_pass(r, k, a0, lev)
         ys.append(y)
-        a_coeffs.append(a_k)
-        neg_a.append(neg_a_k)
+        a_ks.append(a_k)
+        neg_a.append(a_k.negated())
     return CanonicalConnection(
-        frame=SeriesMatrix.from_coefficients(
-            [lp0.times(y) for y in ys], dim, dim),
-        a_series=SeriesMatrix.from_coefficients(a_coeffs, dim, dim),
+        frame=SeriesMatrix.from_lifts(ys, dim, dim).scalar_left_mul(p0),
+        a_series=SeriesMatrix.from_lifts(a_ks, dim, dim),
         levels2=lev)
 
 
 def _graded_pass(r: Accumulator, k: int, a0: Lifted, lev: tuple[int, ...]
-                 ) -> tuple[Lifted, Matrix, Lifted]:
-    """Y_k, A_k and -A_k from R_k = r, one grade at a time, top first.
+                 ) -> tuple[Lifted, Lifted]:
+    """Y_k and A_k from R_k = r, one grade at a time, top first.
 
     Only the nonzero entries of R_k and of A_0 are visited.  A grade-d
     entry is kept as an integer z over D s_d, D = r.den: s_d = 1 where no
@@ -628,12 +619,8 @@ def _graded_pass(r: Accumulator, k: int, a0: Lifted, lev: tuple[int, ...]
         raise DegreeViolation(
             f"canonical connection is nonzero at q^{k}, entry ({i},{j}), "
             f"which relates levels {lev[j]} -> {lev[i]}")
-    a_k = linalg.zeros(dim, dim)
-    for i, j, zr, zi, d in a_entries:
-        a_k[i][j] = _norm(zr, zi, d)
-    neg = [(i, j, -zr, -zi, d) for i, j, zr, zi, d in a_entries]
-    return (Lifted.from_entries(y_entries, dim), a_k,
-            Lifted.from_entries(neg, dim))
+    return (Lifted.from_entries(y_entries, dim),
+            Lifted.from_entries(a_entries, dim))
 
 
 def _ks_component(a: SeriesMatrix, levels2: Sequence[int]) -> Series:
@@ -689,22 +676,21 @@ def extend_pairing(a: SeriesMatrix, m0: Matrix,
     if mode != "flat":
         raise ValueError(f"unknown mode {mode!r}")
 
-    dim = a.rows
-    at = a.transpose()._lifted()
+    dim, lm0 = a.rows, Lifted.of(m0)
+    at = [x.transposed() for x in a._lifts]
     seed = Accumulator(dim, dim)
-    seed.add_product(at[0], Lifted.of(m0))
-    seed.add_product(Lifted.of(m0), Lifted.of(a.at0()))
+    seed.add_product(at[0], lm0)
+    seed.add_product(lm0, a._lifts[0])
     if not seed.lifted().zero:
         raise ResidueNotCompatible(
             "A(0)^T M0 + M0 A(0) != 0; the constant term cannot start a "
             "covariantly constant pairing")
     stuck = ResidueNotCompatible("residue action is not nilpotent; the "
                                  "recursion does not terminate")
-    m0t, half = linalg.transpose(m0), ONE / Scalar(2)
-    solved = []
-    for eps, part in ((1, linalg.mat_add(m0, m0t)),
-                      (-1, linalg.mat_sub(m0, m0t))):
-        if linalg.is_zero_matrix(part):
+    half, solved = Lifted.scalar(ONE / Scalar(2), dim), []
+    for eps in (1, -1):
+        part = _plus_transpose([(half, lm0)], eps, dim).lifted()
+        if part.zero:
             continue  # a real pairing is pure: one solve
         # M is eps-symmetric: L(Y) = Z + eps Z^T, Z = A_0^T Y, and
         # Phi_k = X + eps X^T, X = sum_(j=1..k) A_j^T M_(k-j)
@@ -716,8 +702,7 @@ def extend_pairing(a: SeriesMatrix, m0: Matrix,
             pairs = [(at[j], m[k - j]) for j in range(1, k + 1)]
             return _plus_transpose(pairs, eps, dim).lifted()
 
-        solved.append(_solve_theta(linalg.mat_scale(part, half), a.order,
-                                   lop, phi, stuck))
+        solved.append(_solve_theta(part, a.order, lop, phi, stuck))
     if not solved:
         return SeriesMatrix.zeros(dim, dim, a.order)
     return solved[0] if len(solved) == 1 else solved[0] + solved[1]
@@ -937,17 +922,8 @@ def geometric_to_rees(g: GeometricVHS) -> ReesModule:
     degrees = [-l for l in g.levels2]
     if g.pairing is None:
         raise ValueError("a pairing is required to lift to a Rees module")
-    rank = g.rank
-    conn_comp: dict[int, list[Matrix]] = {}
-    pair_comp: dict[int, list[Matrix]] = {}
-
-    def put(target: dict[int, list[Matrix]], p: int, i: int, j: int,
-            source: SeriesMatrix, factor: Scalar) -> None:
-        if p not in target:
-            target[p] = [linalg.zeros(rank, rank) for _ in range(g.order)]
-        for out, m in zip(target[p], source.coeffs):
-            out[i][j] = factor * m[i][j]
-
+    conn_slots: dict[tuple[int, int], tuple[int, Scalar]] = {}
+    pair_slots: dict[tuple[int, int], tuple[int, Scalar]] = {}
     for i, j in sorted(_support(g.conn)):
         diff = degrees[j] - degrees[i]
         if diff % 2 != 0:
@@ -957,7 +933,7 @@ def geometric_to_rees(g: GeometricVHS) -> ReesModule:
         if p < -1:
             raise InconsistentLift(
                 f"connection entry ({i},{j}) needs u^{p}")
-        put(conn_comp, p, i, j, g.conn, Scalar(-1 if p % 2 else 1))
+        conn_slots[i, j] = (p, Scalar(-1 if p % 2 else 1))
     for i, j in sorted(_support(g.pairing)):
         s = degrees[i] + degrees[j]
         if s % 2 != 0:
@@ -967,13 +943,32 @@ def geometric_to_rees(g: GeometricVHS) -> ReesModule:
         if p < 0:
             raise InconsistentLift(
                 f"pairing entry ({i},{j}) needs u^{p}")
-        put(pair_comp, p, i, j, g.pairing,
-            Scalar(-1 if p % 2 else 1) * Scalar.i_power(degrees[i]))
-    conn_u = {p: SeriesMatrix.from_coefficients(m, rank, rank)
-              for p, m in conn_comp.items()}
-    pairing_u = {p: SeriesMatrix.from_coefficients(m, rank, rank)
-                 for p, m in pair_comp.items()}
-    return ReesModule(degrees, conn_u, pairing_u, g.parity, order=g.order)
+        pair_slots[i, j] = (p, Scalar(-1 if p % 2 else 1) *
+                            Scalar.i_power(degrees[i]))
+    return ReesModule(degrees, _u_components(g.conn, conn_slots),
+                      _u_components(g.pairing, pair_slots), g.parity,
+                      order=g.order)
+
+
+def _u_components(m: SeriesMatrix,
+                  slots: Mapping[tuple[int, int], tuple[int, Scalar]]
+                  ) -> dict[int, SeriesMatrix]:
+    """The square m split by u-power: entry (i, j) times c goes to the
+    component of u^p, for slots[i, j] = (p, c) with c != 0, on the
+    integers of m."""
+    lifts: dict[int, list[Lifted]] = {p: [] for p, _ in slots.values()}
+    for lift in m._lifts:
+        entries: dict[int, list] = {p: [] for p in lifts}
+        for i, row in enumerate(lift.rows):
+            for j, a, b in row:
+                p, c = slots[i, j]
+                x, y, d = c._abd
+                entries[p].append((i, j, a * x - b * y, a * y + b * x,
+                                   lift.den * d))
+        for p, found in entries.items():
+            lifts[p].append(Lifted.from_entries(found, m.rows))
+    return {p: SeriesMatrix.from_lifts(ls, m.rows, m.cols)
+            for p, ls in lifts.items()}
 
 
 def verify_prevhs(r: ReesModule) -> dict[str, bool]:

@@ -9,6 +9,7 @@ need a retry loop.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 from random import Random
 
@@ -183,6 +184,63 @@ def random_nilpotent_conjugate(rng: Random, mat, span: int = 2,
             return linalg.mat_mul(p, linalg.mat_mul(mat, p_inv)), p
 
 
+def mat_add(a, b):
+    """a + b, entry by entry in Scalars."""
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_neg(a):
+    """-a, entry by entry in Scalars."""
+    return [[-x for x in row] for row in a]
+
+
+def mat_scale(a, c):
+    """c a, entry by entry in Scalars."""
+    return [[c * x for x in row] for row in a]
+
+
+def scalar_product(a, b):
+    """a b, one Scalar product and one Scalar sum per term: the reference
+    for the integer kernel's products."""
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(len(b[0])):
+            s = ZERO
+            for x, brow in zip(row, b):
+                s = s + x * brow[j]
+            out[-1].append(s)
+    return out
+
+
+# References for SeriesMatrix on its coefficient lists (the scalar
+# matrix of each q^k), in Scalars, one q-order at a time.
+
+def coefficients_product(a, b):
+    """C_k = sum_(j=0..k) A_j B_(k-j), to the shorter order."""
+    return [reduce(mat_add, (scalar_product(a[j], b[k - j])
+                             for j in range(k + 1)))
+            for k in range(min(len(a), len(b)))]
+
+
+def coefficients_transpose(a):
+    return [[list(col) for col in zip(*m)] for m in a]
+
+
+def coefficients_theta(a):
+    """theta applied to every entry: A_k times k."""
+    return [mat_scale(m, Scalar(k)) for k, m in enumerate(a)]
+
+
+def coefficients_dilate(a, c):
+    """q -> c q in every entry: A_k times c^k."""
+    out, power = [], ONE
+    for m in a:
+        out.append(mat_scale(m, power))
+        power = power * c
+    return out
+
+
 def mat_vec(a, v):
     """The matrix a applied to the vector v."""
     out = []
@@ -247,11 +305,11 @@ def matrix_inverse(m: SeriesMatrix) -> SeriesMatrix:
     X_0 = M_0^-1 and X_k = -M_0^-1 sum_(j=1..k) M_j X_(k-j)."""
     n = m.rows
     xs = [linalg.inverse(m.coeffs[0])]
-    neg_inv = linalg.mat_neg(xs[0])
+    neg_inv = mat_neg(xs[0])
     for k in range(1, m.order):
         s = linalg.zeros(n, n)
         for j in range(1, k + 1):
-            s = linalg.mat_add(s, linalg.mat_mul(m.coeffs[j], xs[k - j]))
+            s = mat_add(s, linalg.mat_mul(m.coeffs[j], xs[k - j]))
         xs.append(linalg.mat_mul(neg_inv, s))
     return SeriesMatrix.from_coefficients(xs, n, n)
 
@@ -291,6 +349,18 @@ def pairing_residual(a: SeriesMatrix, m: SeriesMatrix
     return None
 
 
+def first_asymmetry(m: SeriesMatrix, parity: int) -> tuple[int, int] | None:
+    """The first (i, j), row by row with i <= j, where M^T = (-1)^parity M
+    fails at some q-order, or None, compared Scalar by Scalar: the
+    reference for the integer check of GeometricVHS."""
+    for i in range(m.rows):
+        for j in range(i, m.cols):
+            if any(c[i][j] != (-c[j][i] if parity else c[j][i])
+                   for c in m.coeffs):
+                return i, j
+    return None
+
+
 def extend_pairing_two_products(a: SeriesMatrix, m0) -> SeriesMatrix:
     """The solution M of theta M = A^T M + M A with M(0) = m0, order by
     order: k M_k = L(M_k) + Phi_k with L(X) = A_0^T X + X A_0 and
@@ -301,19 +371,19 @@ def extend_pairing_two_products(a: SeriesMatrix, m0) -> SeriesMatrix:
     at = [linalg.transpose(c) for c in a.coeffs]
 
     def sandwich(j, x):
-        return linalg.mat_add(linalg.mat_mul(at[j], x),
-                              linalg.mat_mul(x, a.coeffs[j]))
+        return mat_add(linalg.mat_mul(at[j], x),
+                       linalg.mat_mul(x, a.coeffs[j]))
 
     ms = [linalg.copy_matrix(m0)]
     for k in range(1, a.order):
         term = linalg.zeros(dim, dim)
         for j in range(1, k + 1):
-            term = linalg.mat_add(term, sandwich(j, ms[k - j]))
+            term = mat_add(term, sandwich(j, ms[k - j]))
         m_k, factor = linalg.zeros(dim, dim), ONE / Scalar(k)
         for _ in range(2 * dim + 3):
             if linalg.is_zero_matrix(term):
                 break
-            m_k = linalg.mat_add(m_k, linalg.mat_scale(term, factor))
+            m_k = mat_add(m_k, mat_scale(term, factor))
             term, factor = sandwich(0, term), factor / Scalar(k)
         else:
             raise AssertionError("the Neumann sum does not terminate")

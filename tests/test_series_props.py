@@ -1,7 +1,8 @@
 """Property tests for the series kernels that the normal-form route leans
 on: reversion, composition through the Lagrange-Buermann table, exp/log,
 inverses, the single flat-gauge computation per normal form, and the
-coefficient-major SeriesMatrix against entrywise Series arithmetic."""
+coefficient-major SeriesMatrix against entrywise Series arithmetic and
+against Scalar references, with its stored lifts kept canonical."""
 import operator
 from fractions import Fraction
 from functools import reduce
@@ -12,10 +13,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vshstools import linalg, picard_fuchs, vshs
+from vshstools.linalg import Accumulator, Lifted
 from vshstools.scalars import ZERO, Scalar
 from vshstools.series import Reversion, Series, SeriesMatrix
 
-from genutil import horner, matrix_identity, matrix_inverse
+from genutil import (coefficients_dilate, coefficients_product,
+                     coefficients_theta, coefficients_transpose, horner,
+                     mat_add, mat_neg, mat_scale, matrix_identity,
+                     matrix_inverse, scalar_product)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -200,6 +205,85 @@ def test_entries_survive_the_coefficient_storage(a):
     assert m == rebuilt and m.at0() == rebuilt.at0()
     assert all(m.entry(i, j) == a[i][j]
                for i in range(m.rows) for j in range(m.cols))
+
+
+# --- the stored lifts: one canonical Lifted per q-order -------------------
+#
+# A SeriesMatrix stores only its lifts and lowers them when read, so each
+# operation must leave the canonical lift, the one Lifted.of builds from
+# the lowered coefficients, and must lower to the Scalar reference.
+
+LIFT_PROPS = settings(max_examples=40, deadline=None)
+# Gaussian rationals with small parts and mixed denominators, zero first
+# so that examples shrink to sparse matrices
+GAUSSIANS = sorted({Scalar(Fraction(a, d), Fraction(b, e))
+                    for a in range(-3, 4) for b in range(-3, 4)
+                    for d in (1, 2, 3, 4, 6) for e in (1, 2, 4)},
+                   key=lambda x: (not x.is_zero(), x.im != 0, x._abd))
+gaussians = st.sampled_from(GAUSSIANS)
+
+
+@st.composite
+def coefficient_lists(draw, rows, cols, order):
+    return [[[draw(gaussians) for _ in range(cols)] for _ in range(rows)]
+            for _ in range(order)]
+
+
+def assert_canonical(m: SeriesMatrix, name: str) -> None:
+    for k, lift in enumerate(m._lifts):
+        fresh = Lifted.of(m.coeffs[k])
+        assert (lift.den, lift.rows, lift.real, lift.zero) == \
+            (fresh.den, fresh.rows, fresh.real, fresh.zero), (name, k)
+
+
+@LIFT_PROPS
+@given(st.data())
+def test_accumulated_lift_is_the_lift_of_the_sum(data):
+    n, m, p = (data.draw(st.integers(1, 6)) for _ in range(3))
+    acc, ref = Accumulator(n, p), linalg.zeros(n, p)
+    for _ in range(data.draw(st.integers(0, 4))):
+        a, b = data.draw(coefficient_lists(n, m, 1))[0], \
+            data.draw(coefficient_lists(m, p, 1))[0]
+        acc.add_product(Lifted.of(a), Lifted.of(b))
+        ref = mat_add(ref, scalar_product(a, b))
+    direct, fresh = acc.lifted(), Lifted.of(ref)
+    assert (direct.den, direct.rows, direct.real, direct.zero) == \
+        (fresh.den, fresh.rows, fresh.real, fresh.zero)
+
+
+@LIFT_PROPS
+@given(st.data())
+def test_each_operation_keeps_the_canonical_lift(data):
+    dim = st.integers(1, 6)
+    r, c, s, t = (data.draw(dim) for _ in range(4))
+    order = data.draw(st.integers(0, 6))
+    a = data.draw(coefficient_lists(r, c, order))
+    b = data.draw(coefficient_lists(r, c, order))
+    p = data.draw(coefficient_lists(c, s, data.draw(st.integers(0, 6))))
+    left = data.draw(coefficient_lists(t, r, 1))[0]
+    right = data.draw(coefficient_lists(c, t, 1))[0]
+    x, k = data.draw(gaussians), data.draw(st.integers(0, order))
+    ma, mb, mp = (SeriesMatrix.from_coefficients(a, r, c),
+                  SeriesMatrix.from_coefficients(b, r, c),
+                  SeriesMatrix.from_coefficients(p, c, s))
+    cases = {
+        "product": (ma * mp, coefficients_product(a, p)),
+        "scalar_left_mul": (ma.scalar_left_mul(left),
+                            [scalar_product(left, m) for m in a]),
+        "scalar_right_mul": (ma.scalar_right_mul(right),
+                             [scalar_product(m, right) for m in a]),
+        "+": (ma + mb, [mat_add(u, v) for u, v in zip(a, b)]),
+        "-": (ma - mb, [mat_add(u, mat_neg(v)) for u, v in zip(a, b)]),
+        "unary -": (-ma, [mat_neg(m) for m in a]),
+        "scalar *": (ma * x, [mat_scale(m, x) for m in a]),
+        "transpose": (ma.transpose(), coefficients_transpose(a)),
+        "truncate": (ma.truncate(k), a[:k]),
+        "dilate": (ma.dilate(x), coefficients_dilate(a, x)),
+        "theta_entries": (ma.theta_entries(), coefficients_theta(a)),
+    }
+    for name, (got, want) in cases.items():
+        assert list(got.coeffs) == want, name
+        assert_canonical(got, name)
 
 
 # --- the integer kernel of Series against per-term Scalar references ------

@@ -6,7 +6,9 @@ directive), and every module-level private function, class or constant
 must be named somewhere in the package besides its own definition.  The
 package's __all__ names exactly what __init__ imports, and every
 exception class it exports is raised in the package, itself or as the
-base class of one that is.
+base class of one that is.  series.SeriesMatrix does its arithmetic on
+its lifted integers alone: the series module calls no Scalar matrix
+arithmetic of linalg.
 """
 import ast
 import importlib
@@ -128,3 +130,24 @@ def test_every_exported_exception_is_raised():
              if isinstance(cls, type) and issubclass(cls, BaseException)
              and not any(issubclass(r, cls) for r in raised)]
     assert never == []
+
+
+def test_series_matrix_has_one_arithmetic_path():
+    # Scalar matrix arithmetic beside the lifted arithmetic would be a
+    # second code path; the whole module is checked, so a helper of
+    # SeriesMatrix cannot hold one either
+    scalar_ops = {"mat_neg", "mat_add", "mat_sub", "mat_scale", "transpose"}
+    tree = MODULES["series.py"]
+    assert any(isinstance(node, ast.ClassDef) and node.name == "SeriesMatrix"
+               for node in tree.body)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                and f.value.id == "linalg" and f.attr in scalar_ops:
+            calls.append(f"linalg.{f.attr}, line {node.lineno}")
+        elif isinstance(f, ast.Name) and f.id in scalar_ops:
+            calls.append(f"{f.id}, line {node.lineno}")
+    assert calls == []

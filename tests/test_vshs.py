@@ -30,9 +30,9 @@ from vshstools.vshs import (DegreeViolation, DnObject, GeometricVHS,
                             to_normal_form, verify_prevhs, yukawa)
 
 from genutil import (block_diagonal, extend_pairing_two_products,
-                     gauge_transform, horner, mat_vec, pairing_residual,
-                     rand_scalar, random_dn, random_flat_pair, random_rees,
-                     yukawa_by_derivatives)
+                     first_asymmetry, gauge_transform, horner, mat_neg,
+                     mat_vec, pairing_residual, rand_scalar, random_dn,
+                     random_flat_pair, random_rees, yukawa_by_derivatives)
 
 ORD = 8
 COORD = Series.coordinate(ORD)
@@ -433,7 +433,7 @@ def _invertible(rng, dim):
 
 def _is_pure(m):
     mt = linalg.transpose(m)
-    return m == mt or m == linalg.mat_neg(mt)
+    return m == mt or m == mat_neg(mt)
 
 
 def test_extend_pairing_matches_the_two_product_reference():
@@ -539,6 +539,33 @@ def test_pairing_check_matches_the_scalar_residual(seed, gaussian, kind, k):
         assert failure == ("pairing is not covariantly constant: the "
                            f"residual is nonzero at q^{hit[0]}, entry "
                            f"({hit[1]},{hit[2]})")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 5), st.integers(1, 4),
+       st.integers(0, 1), st.integers(0, 3))
+def test_pairing_symmetry_names_the_first_asymmetric_entry(
+        seed, dim, order, parity, spoiled):
+    """GeometricVHS compares each pair (i, j), (j, i) on the integers of
+    one lift; the Scalar loop of genutil must name the same first (i, j),
+    i <= j, or none."""
+    rng = Random(seed)
+    coeffs = [_eps_symmetric(rng, dim, parity, True) for _ in range(order)]
+    for _ in range(spoiled):
+        k, i, j = (rng.randrange(n) for n in (order, dim, dim))
+        coeffs[k][i][j] = rand_scalar(rng, complex_ok=True)
+    m = SeriesMatrix.from_coefficients(coeffs, dim, dim)
+    hit = first_asymmetry(m, parity)
+    try:
+        GeometricVHS(conn=SeriesMatrix.zeros(dim, dim, order),
+                     levels2=[0] * dim, pairing=m, parity=parity)
+        failure = None
+    except InvariantViolation as exc:
+        failure = str(exc)
+    if hit is None:
+        assert failure is None or "symmetry" not in failure
+    else:
+        assert failure == f"pairing symmetry fails at ({hit[0]},{hit[1]})"
 
 
 # --- pairing construction -------------------------------------------------
