@@ -238,12 +238,6 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(ra == rb for ra, rb in zip(a, b))
-
-
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     r = copy_matrix(m)
@@ -273,12 +267,6 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return r, pivots
 
 
-def rank(m: Matrix) -> int:
-    if not m:
-        return 0
-    return len(rref(m)[1])
-
-
 def nullspace(m: Matrix) -> list[Vector]:
     """Canonical basis of the right kernel.
 
@@ -304,7 +292,7 @@ def nullspace(m: Matrix) -> list[Vector]:
 
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
-    aug = [m[i][:] + identity(n)[i] for i in range(n)]
+    aug = [row + unit for row, unit in zip(m, identity(n))]
     r, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

@@ -1,16 +1,10 @@
 """Nilpotent endomorphisms: index, Jordan data, monodromy weight
 filtration, and its splitting against a coordinate Hodge flag.
 
-The first three read one list of powers [I, N, ..., N^n], n the nilpotency
-index.  The weight filtration (Deligne, Weil II, 1.6) is built top-down:
-W_n = V, W_k = ker N^(k+1) + N W_(k+2) for n > k >= 0 (W_(n+1) = V) and
-W_(-k) = N^k W_k.  On one Jordan block both sides of each step are
-spanned by the same tail of the block's basis, and kernels, images and
-sums respect a sum of blocks.  Subspaces are kept in reduced echelon
-form throughout so equality is a literal comparison.  The splitting
-cuts each weight step down to the coordinate flag step of the same index
-and checks only that the pieces are a direct sum, which implies that
-they refine both filtrations.
+The last three read one Jordan chain basis of N, one nullspace per power
+of N.  N^i t, t a top of size s, has weight s - 1 - 2i, and W_k (Deligne,
+Weil II, 1.6) is spanned by the chain vectors of weight <= k.  Subspaces
+are returned in reduced echelon form so equality is a literal comparison.
 """
 from __future__ import annotations
 
@@ -31,14 +25,58 @@ class NotSplit(ValueError):
 
 def _powers(n_mat: Matrix) -> list[Matrix]:
     """[I, N, ..., N^n] with N^(n+1) = 0."""
-    dim = len(n_mat)
-    powers = [linalg.identity(dim)]
-    for _ in range(dim):
+    powers = [linalg.identity(len(n_mat))]
+    for _ in n_mat:
         power = linalg.mat_mul(powers[-1], n_mat)
         if linalg.is_zero_matrix(power):
             return powers
         powers.append(power)
-    raise NotNilpotent(f"N^{dim} != 0")
+    raise NotNilpotent(f"N^{len(n_mat)} != 0")
+
+
+def _adapted(vectors: list[Vector], order: Sequence[int]) -> list[int]:
+    """One pass along order, in place: coordinate i pivots on the first
+    unpivoted vector nonzero there and is cleared from the later ones.
+    Returns each vector's pivot; it is zero before it in order."""
+    pivots = [-1] * len(vectors)
+    for i in order:
+        hit = [j for j, p in enumerate(pivots)
+               if p < 0 and not vectors[j][i].is_zero()]
+        if hit:
+            pivot, inv = vectors[hit[0]], vectors[hit[0]][i].inverse()
+            pivots[hit[0]] = i
+            for k in hit[1:]:
+                c = vectors[k][i] * inv
+                vectors[k] = [x - c * y for x, y in zip(vectors[k], pivot)]
+    return pivots
+
+
+def _chain_basis(n_mat: Matrix) -> tuple[list[int], list[tuple[int, Vector]]]:
+    """Block sizes, decreasing, and (weight, chain vector) pairs by
+    weight.  K_s = ker N^s is keyed by free column, the last nonzero
+    entry of its basis vectors; K_(s-1) pivots at its own, clearing them
+    from the longer chains at level s, and the tops of size s are the
+    vectors of K_s at the other free columns where those do not pivot."""
+    powers = _powers(n_mat)
+    kernels = [{}] + [
+        {max(i for i, x in enumerate(v) if not x.is_zero()): v for v in k}
+        for k in [linalg.nullspace(p) for p in powers[1:]]
+        + [linalg.identity(len(n_mat))]]
+    n_t = linalg.transpose(n_mat)
+    sizes, chain, level = [], [], []  # level: the longer chains at s
+    for s in range(len(powers), 0, -1):
+        low = kernels[s - 1]
+        new = [g for g in kernels[s] if g not in low]
+        if level:  # no tops if the longer chains fill the new columns
+            pivots = new if len(level) == len(new) else _adapted(
+                list(low.values()) + level, list(low) + new)
+            new = [g for g in new if g not in pivots]
+        level += [kernels[s][g] for g in new]
+        sizes += [s] * len(new)
+        chain += [(2 * s - t - 1, v) for t, v in zip(sizes, level)]
+        if s > 1:
+            level = linalg.mat_mul(level, n_t)
+    return sizes, sorted(chain, key=lambda pair: pair[0])
 
 
 def nilpotency_index(n_mat: Matrix) -> int:
@@ -47,14 +85,8 @@ def nilpotency_index(n_mat: Matrix) -> int:
 
 
 def jordan_partition(n_mat: Matrix) -> list[int]:
-    """Jordan block sizes in decreasing order, via rank differences."""
-    ranks = [linalg.rank(p) for p in _powers(n_mat)] + [0, 0]
-    # blocks of size exactly s: r_{s-1} - 2 r_s + r_{s+1}
-    sizes = []
-    for s in range(1, len(ranks) - 1):
-        count = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
-        sizes.extend([s] * count)
-    return sorted(sizes, reverse=True)
+    """Jordan block sizes in decreasing order, those of the chain tops."""
+    return _chain_basis(n_mat)[0]
 
 
 @dataclass(frozen=True, eq=True)
@@ -74,9 +106,7 @@ class WeightFiltration:
         n = self.center_shift
         if k < -n:
             return []
-        if k > n:
-            k = n
-        return [list(v) for v in self.subspaces[k]]
+        return [list(v) for v in self.subspaces[min(k, n)]]
 
     def dimension_le(self, k: int) -> int:
         return len(self.le(k))
@@ -85,57 +115,38 @@ class WeightFiltration:
         return self.dimension_le(k) - self.dimension_le(k - 1)
 
 
-def _image(m: Matrix, basis: list[Vector]) -> list[Vector]:
-    """Canonical basis of m span(basis); basis nonempty."""
-    return linalg.row_space_basis(
-        linalg.transpose(linalg.mat_mul(m, linalg.transpose(basis))))
-
-
 def weight_filtration(n_mat: Matrix) -> WeightFiltration:
     """The unique filtration with N MW_{<=k} in MW_{<=k-2} and
     N^k : Gr_k -> Gr_{-k} an isomorphism for every k >= 0."""
-    dim = len(n_mat)
-    if dim == 0:
+    if not n_mat:
         return WeightFiltration(center_shift=0, dim=0, subspaces={0: []})
-    powers = _powers(n_mat)
-    n = len(powers) - 1
-    full = powers[0]
-    w = {n: full}
-    for k in range(n - 1, -1, -1):
-        w[k] = linalg.row_space_basis(
-            linalg.nullspace(powers[k + 1])
-            + _image(n_mat, w.get(k + 2, full)))
-    for k in range(1, n + 1):
-        w[-k] = _image(powers[k], w[k])
-    return WeightFiltration(center_shift=n, dim=dim,
-                            subspaces=dict(sorted(w.items())))
+    sizes, chain = _chain_basis(n_mat)
+    n, span, w = sizes[0] - 1, [], {}
+    for k in range(-n, n + 1):
+        new = [v for weight, v in chain if weight == k]
+        w[k] = span = linalg.row_space_basis(span + new) if new else span
+    return WeightFiltration(center_shift=n, dim=len(n_mat), subspaces=w)
 
 
 def graded_splitting(n_mat: Matrix,
                      levels2: Sequence[int]) -> dict[int, list[Vector]]:
     """Pieces I^p = F^(>=p) ∩ MW_(<=p), checked to be a direct sum of V.
 
-    F^(>=p) is the span of the e_j with levels2[j] >= p.  A direct sum
-    gives both refinements, MW_(<=p) = sum_(j<=p) I^j and F^(>=p+1) =
-    sum_(j>p) I^j (Deligne, Hodge II, 1.2): their intersection lies in
-    I^p ∩ I^(p+1) = 0, the two sums lie in them and together fill V, so
-    by dimension both inclusions are equalities.  Raises NotSplit when
-    the pieces are not dim independent vectors.
+    F^(>=p) is the span of the e_j with levels2[j] >= p; a direct sum
+    gives both refinements (Deligne, Hodge II, 1.2).  One pass over the
+    chain vectors by weight, along the coordinates by level, keeps W_p
+    spanned by those of weight <= p and F^(>=p) by those of pivot level
+    >= p, so I^p by those with both.  The sum is direct exactly when each
+    weight is its pivot level (else a vector is in two pieces or in none).
     """
-    dim = len(n_mat)
-    mw = weight_filtration(n_mat)
-    pieces: dict[int, list[Vector]] = {}
-    assembled: list[Vector] = []
-    for p in range(-mw.center_shift, max(levels2, default=0) + 1):
-        # the combinations of W_p's basis vanishing off F^(>=p)
-        w = mw.le(p)
-        low = [[v[i] for v in w] for i in range(dim) if levels2[i] < p]
-        if low and w:
-            w = linalg.mat_mul(linalg.nullspace(low), w)
-        piece = linalg.row_space_basis(w)
-        if piece:
-            pieces[p] = piece
-            assembled.extend(piece)
-    if len(assembled) != dim or linalg.rank(assembled) != dim:
+    if not n_mat:
+        return {}
+    _, chain = _chain_basis(n_mat)
+    vectors = [v for _, v in chain]
+    pivots = _adapted(vectors, sorted(range(len(vectors)),
+                                      key=levels2.__getitem__))
+    if any(w != levels2[i] for (w, _), i in zip(chain, pivots)):
         raise NotSplit("graded pieces do not give a direct sum")
-    return pieces
+    return {p: linalg.row_space_basis(
+        [v for (w, _), v in zip(chain, vectors) if w == p])
+        for p in sorted({w for w, _ in chain})}

@@ -308,7 +308,7 @@ class DnObject:
             rows = [i for i in range(rank) if degrees[i] == k]
             cols = [j for j in range(rank) if degrees[j] == -k]
             block = [[power[i][j] for j in cols] for i in rows]
-            if linalg.rank(block) != dims[k]:
+            if linalg.try_inverse(block) is None:
                 raise HardLefschetzFailure(
                     f"A(0)^{k} is not an isomorphism V_{-k} -> V_{k}")
         if linalg.try_inverse(pairing0) is None:

@@ -14,6 +14,7 @@ from math import gcd
 from random import Random
 
 from vshstools import linalg, vshs
+from vshstools.nilpotent import NotNilpotent, NotSplit, WeightFiltration
 from vshstools.picard_fuchs import LogSeries, PFOperator
 from vshstools.scalars import ONE, ZERO, Scalar
 from vshstools.series import LiftedVector, Series, SeriesMatrix
@@ -42,32 +43,35 @@ def rand_series(rng: Random, order: int, span: int = 3,
 
 def _degrees_profile(rng: Random, n: int, max_dim: int,
                      mixed: bool) -> list[int]:
+    """Graded degrees whose dimensions Hard Lefschetz allows: each part
+    (weight n, and n - 1 when mixed) grows toward the middle degree, and
+    on the mixed part the form <v, A(0)^k w> of V_-k is skew (A(0) is
+    skew for the pairing, which is (-1)^n symmetric), so each of its
+    dimensions is even.  One draw per free degree either way."""
     dims: dict[int, int] = {}
+    prev = 1
     for k in range(n, 0, -2):
-        d = 1 if k == n else rng.randint(1, max_dim)
-        dims[k] = d
-        dims[-k] = d
+        d = 1 if k == n else max(prev, rng.randint(1, max_dim))
+        dims[k] = dims[-k] = prev = d
     if n % 2 == 0:
-        dims[0] = rng.randint(1, max_dim)
+        dims[0] = max(prev, rng.randint(1, max_dim))
     if mixed and n >= 1:
-        m = n - 1
+        m, prev = n - 1, 2
         for k in range(m, 0, -2):
-            # self-paired skew blocks (K at degree -1 for even n) force
-            # an even dimension there
             d = 2 if (k == 1 and n % 2 == 0) else rng.randint(1, max_dim)
-            dims[k] = d
-            dims[-k] = d
+            dims[k] = dims[-k] = prev = max(prev, d - d % 2 or 2)
         if m % 2 == 0:
-            # same parity issue for the pairing block at degree 0
-            dims[0] = 2 if n % 2 else rng.randint(1, max_dim)
+            dims[0] = prev
     degrees: list[int] = []
     for k in sorted(dims):
         degrees.extend([k] * dims[k])
     return degrees
 
 
-def _random_pairing0(rng: Random, degrees: list[int],
-                     n: int) -> list[list[Scalar]] | None:
+def _random_pairing0(rng: Random, degrees: list[int], n: int
+                     ) -> tuple[list[list[Scalar]], list[list[Scalar]]] | None:
+    """A random pairing of degree 0 and its inverse, or None if it is
+    singular."""
     rank = len(degrees)
     sign = Scalar(-1 if n % 2 else 1)
     p0 = linalg.zeros(rank, rank)
@@ -82,9 +86,8 @@ def _random_pairing0(rng: Random, degrees: list[int],
             v = rand_scalar(rng)
             p0[i][j] = v
             p0[j][i] = sign * v
-    if linalg.try_inverse(p0) is None:
-        return None
-    return p0
+    p0_inv = linalg.try_inverse(p0)
+    return None if p0_inv is None else (p0, p0_inv)
 
 
 def random_dn(rng: Random, n: int, *, order: int = 8, max_dim: int = 2,
@@ -93,10 +96,10 @@ def random_dn(rng: Random, n: int, *, order: int = 8, max_dim: int = 2,
     for _ in range(tries):
         degrees = _degrees_profile(rng, n, max_dim, mixed)
         rank = len(degrees)
-        p0 = _random_pairing0(rng, degrees, n)
-        if p0 is None:
+        pair = _random_pairing0(rng, degrees, n)
+        if pair is None:
             continue
-        p0_inv = linalg.inverse(p0)
+        p0, p0_inv = pair
         ksym = Scalar(1 if n % 2 else -1)  # K = (-1)^(n+1) K^T
         zero = Series.zero(order)
         k_entries = [[zero for _ in range(rank)] for _ in range(rank)]
@@ -135,10 +138,10 @@ def random_flat_pair(rng: Random, *, order: int = 16
         n = rng.choice((2, 3, 4))
         degrees = _degrees_profile(rng, n, 2, mixed=False)
         rank = len(degrees)
-        m0 = _random_pairing0(rng, degrees, n)
-        if m0 is not None:
+        pair = _random_pairing0(rng, degrees, n)
+        if pair is not None:
             break
-    m0_inv = linalg.inverse(m0)
+    m0, m0_inv = pair
     ksym = Scalar(1 if n % 2 else -1)
     k0 = linalg.zeros(rank, rank)
     for i in range(rank):
@@ -260,6 +263,11 @@ def mat_pow(a, k):
     return out
 
 
+def rank(m):
+    """Dimension of the row space of m."""
+    return len(linalg.row_space_basis(m))
+
+
 def subspace_equal(a, b):
     return linalg.row_space_basis(a) == linalg.row_space_basis(b)
 
@@ -268,7 +276,7 @@ def subspace_leq(sub, sup):
     """span(sub) ⊆ span(sup)."""
     if not sub:
         return True
-    return linalg.rank(list(sup) + list(sub)) == linalg.rank(sup)
+    return rank(list(sup) + list(sub)) == rank(sup)
 
 
 def subspace_sum(a, b):
@@ -294,6 +302,68 @@ def subspace_intersection(a, b):
                 vec = [x + c * y for x, y in zip(vec, a[k])]
         out.append(vec)
     return linalg.row_space_basis(out)
+
+
+# References for the nilpotent module: the weight filtration by the
+# kernel/image recursion and the splitting by one cut per level, as the
+# module built them before it read both off a Jordan chain basis.
+
+def _image(m, basis):
+    """Canonical basis of m span(basis); basis nonempty."""
+    return linalg.row_space_basis(
+        linalg.transpose(linalg.mat_mul(m, linalg.transpose(basis))))
+
+
+def ref_weight_filtration(n_mat) -> WeightFiltration:
+    """Top-down: W_n = V, W_k = ker N^(k+1) + N W_(k+2) for n > k >= 0
+    (W_(n+1) = V) and W_(-k) = N^k W_k, n the nilpotency index.  On one
+    Jordan block both sides of each step are spanned by the same tail of
+    the block's basis, and kernels, images and sums respect a sum of
+    blocks.  Raises NotNilpotent as the module does."""
+    dim = len(n_mat)
+    if dim == 0:
+        return WeightFiltration(center_shift=0, dim=0, subspaces={0: []})
+    powers = [linalg.identity(dim)]
+    for _ in range(dim):
+        power = linalg.mat_mul(powers[-1], n_mat)
+        if linalg.is_zero_matrix(power):
+            break
+        powers.append(power)
+    else:
+        raise NotNilpotent(f"N^{dim} != 0")
+    n = len(powers) - 1
+    full = powers[0]
+    w = {n: full}
+    for k in range(n - 1, -1, -1):
+        w[k] = linalg.row_space_basis(
+            linalg.nullspace(powers[k + 1])
+            + _image(n_mat, w.get(k + 2, full)))
+    for k in range(1, n + 1):
+        w[-k] = _image(powers[k], w[k])
+    return WeightFiltration(center_shift=n, dim=dim,
+                            subspaces=dict(sorted(w.items())))
+
+
+def ref_cut_splitting(n_mat, levels2):
+    """I^p = F^(>=p) ∩ W_p, one cut per level: the combinations of W_p's
+    basis that vanish off F^(>=p), then one rank for the direct sum.
+    Raises NotSplit and NotNilpotent as the module does."""
+    dim = len(n_mat)
+    mw = ref_weight_filtration(n_mat)
+    pieces = {}
+    assembled = []
+    for p in range(-mw.center_shift, max(levels2, default=0) + 1):
+        w = mw.le(p)
+        low = [[v[i] for v in w] for i in range(dim) if levels2[i] < p]
+        if low and w:
+            w = linalg.mat_mul(linalg.nullspace(low), w)
+        piece = linalg.row_space_basis(w)
+        if piece:
+            pieces[p] = piece
+            assembled.extend(piece)
+    if len(assembled) != dim or rank(assembled) != dim:
+        raise NotSplit("graded pieces do not give a direct sum")
+    return pieces
 
 
 def matrix_identity(n: int, order: int) -> SeriesMatrix:

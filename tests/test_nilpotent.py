@@ -1,11 +1,13 @@
 """Weight filtrations checked against the closed-form kernel/image
-description, which shares no code with the top-down recursion
-W_k = ker N^(k+1) + N W_(k+2) used by the module:
+description, which shares no code with the Jordan chain basis the module
+reads them from:
 
     MW_{<=k} = sum over j >= max(0, -k) of  ker(N^{j+k+1}) ∩ im(N^j)
 
-The graded splitting is checked against a copy of its earlier form,
-which took a flag dictionary and walked both refinements.
+and against the top-down recursion W_k = ker N^(k+1) + N W_(k+2) of
+genutil.ref_weight_filtration.  The graded splitting is checked against
+genutil.ref_cut_splitting, one cut per level, and against a copy of its
+earlier form, which took a flag dictionary and walked both refinements.
 """
 from random import Random
 
@@ -20,7 +22,8 @@ from vshstools.nilpotent import (NotNilpotent, NotSplit, WeightFiltration,
 from vshstools.scalars import ONE, ZERO, Scalar
 
 from genutil import (mat_pow, mat_vec, rand_scalar, random_dn,
-                     random_nilpotent_conjugate, subspace_equal,
+                     random_nilpotent_conjugate, rank, ref_cut_splitting,
+                     ref_weight_filtration, subspace_equal,
                      subspace_intersection, subspace_leq, subspace_sum)
 
 
@@ -209,7 +212,7 @@ def ref_graded_splitting(n_mat, flag):
     below against the weight filtration and from above against the
     flag, as the module did before it took a level list."""
     dim = len(n_mat)
-    mw = weight_filtration(n_mat)
+    mw = ref_weight_filtration(n_mat)
     keys = sorted(flag)
     canonical = {p: linalg.row_space_basis(flag[p]) for p in keys}
     for lower, upper in zip(keys, keys[1:]):
@@ -236,7 +239,7 @@ def ref_graded_splitting(n_mat, flag):
         below = subspace_sum(below, piece)
         if not subspace_equal(below, mw.le(p)):
             raise NotSplit(f"partial sums up to {p} miss the weights")
-    if len(assembled) != dim or linalg.rank(assembled) != dim:
+    if len(assembled) != dim or rank(assembled) != dim:
         raise NotSplit("graded pieces do not span")
     above = []
     for p in range(hi, lo - 1, -1):
@@ -282,31 +285,62 @@ def flag_conjugate(rng, mat, levels2, complex_ok):
 
 
 SMALL_TYPES = [part for dim in range(1, 7) for part in partitions(dim)]
+MODES = ("flag", "conjugate", "levels")
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32), st.sampled_from(SMALL_TYPES),
-       st.sampled_from(("flag", "conjugate", "levels")), st.booleans())
-def test_graded_splitting_matches_two_walk_reference(seed, part, mode,
-                                                     gaussian):
+def random_input(seed, part, mode, gaussian):
+    """(N, levels2) of one of three kinds: a flag-preserving conjugate
+    with shuffled coordinates (it splits), a random conjugate, or random
+    levels on the Jordan form or a random conjugate."""
     rng = Random(seed)
     mat = jordan_matrix(list(part))
     levels2 = weight_levels(part)
     dim = len(levels2)
     if mode == "flag":
-        # a flag-preserving conjugate, coordinates shuffled: splits
         mat = flag_conjugate(rng, mat, levels2, gaussian)
         perm = rng.sample(range(dim), dim)
         mat = [[mat[perm[i]][perm[j]] for j in range(dim)]
                for i in range(dim)]
-        levels2 = [levels2[perm[i]] for i in range(dim)]
-        assert same_splitting(mat, levels2)
-        return
+        return mat, [levels2[perm[i]] for i in range(dim)]
     if mode == "conjugate" or rng.random() < 0.5:
         mat, _ = random_nilpotent_conjugate(rng, mat, complex_ok=gaussian)
     if mode == "levels":
         levels2 = [rng.randint(-dim, dim) for _ in range(dim)]
-    same_splitting(mat, levels2)
+    return mat, levels2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(SMALL_TYPES),
+       st.sampled_from(MODES), st.booleans())
+def test_graded_splitting_matches_two_walk_reference(seed, part, mode,
+                                                     gaussian):
+    mat, levels2 = random_input(seed, part, mode, gaussian)
+    assert same_splitting(mat, levels2) or mode != "flag"
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(SMALL_TYPES),
+       st.sampled_from(MODES), st.booleans())
+def test_chain_basis_matches_the_kernel_image_references(seed, part, mode,
+                                                         perturb):
+    # Gaussian entries; a perturbed entry mostly makes N not nilpotent
+    mat, levels2 = random_input(seed, part, mode, True)
+    if perturb:
+        rng = Random(~seed)
+        i, j = rng.randrange(len(mat)), rng.randrange(len(mat))
+        mat[i][j] = mat[i][j] + rand_scalar(rng, 2, True)
+    assert outcome(graded_splitting, mat, levels2) == \
+        outcome(ref_cut_splitting, mat, levels2)
+    assert outcome(weight_filtration, mat) == \
+        outcome(ref_weight_filtration, mat)
 
 
 @settings(max_examples=10, deadline=None)
@@ -325,3 +359,29 @@ def test_graded_splitting_of_companion_residues(n):
     op = picard_fuchs.parse_pf(f"theta^{n} - q*(theta+1)^{n}")
     geo = picard_fuchs.companion_vhs(op, 2)
     assert same_splitting(geo.conn.at0(), geo.levels2)
+
+
+def rref_calls(monkeypatch, n_mat, levels2):
+    """linalg.rref calls made by one graded_splitting."""
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda m: calls.append(m) or rref(m))
+    graded_splitting(n_mat, levels2)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_graded_splitting_rref_count(monkeypatch):
+    # one nullspace per power of N and one echelon form per piece: the
+    # quintic's single block of size 4 takes 3 + 4, and a mixed-parity
+    # n = 3 residue of the shape nf-roundtrip draws, blocks (4, 3, 3),
+    # 3 + 7 (its tops of size 3 are chosen by the pivot pass, not rref)
+    quintic = picard_fuchs.companion_vhs(picard_fuchs.parse_pf(
+        "theta^4 - 5 q (5 theta + 1)(5 theta + 2)(5 theta + 3)"
+        "(5 theta + 4)"), 2)
+    d = random_dn(Random(3), 3, order=2, max_dim=2, mixed=True)
+    geo = vshs.rees_to_geometric(vshs.from_normal_form(d))
+    assert jordan_partition(geo.conn.at0()) == [4, 3, 3]
+    assert [rref_calls(monkeypatch, g.conn.at0(), g.levels2)
+            for g in (quintic, geo)] == [7, 10]

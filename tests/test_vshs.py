@@ -827,6 +827,16 @@ def test_yukawa_matches_the_derivative_reference(seed, n, mixed, gaussian):
     assert yukawa(d) == yukawa_by_derivatives(d)
 
 
+def test_random_dn_draws_every_mixed_object_the_yukawa_test_asks_for():
+    # the mixed draws of the test above at n = 5 and 6, seeds 0-299:
+    # every graded profile the recipe draws satisfies Hard Lefschetz,
+    # so no seed runs out of tries
+    for n in (5, 6):
+        for seed in range(300):
+            d = random_dn(Random(seed), n, order=6, max_dim=2, mixed=True)
+            assert d.n == n
+
+
 # --- constructor validation ----------------------------------------------
 
 def test_dn_object_rejects_bad_data():
