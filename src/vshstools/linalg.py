@@ -14,6 +14,8 @@ one denominator (`Accumulator`), whose `lifted` divides out the common
 content once, and an entry is normalized only when it is lowered back
 to Scalar (Knuth, TAOCP Vol. 2, 4.5.1).  series.SeriesMatrix keeps one
 canonical Lifted per q-order and lowers it only when it is read.
+`slot_map` is Y -> P Y + Y Q as an integer table on the entries of Y,
+for the Neumann sums of vshs.
 `lift_vector` is the rank-1 lift that the series arithmetic builds on.
 """
 from __future__ import annotations
@@ -232,6 +234,43 @@ class Accumulator:
         d = self.den
         return [[_norm(a, b, d) if a or b else ZERO for a, b in zip(ri, ii)]
                 for ri, ii in zip(self.re, self.im)]
+
+
+def slot_map(p: Lifted, q: Lifted, eps: int | None = None
+             ) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]],
+                        int, bool]:
+    """Y -> den (P Y + Y Q) on the integers of the slots (i, j) of Y, read
+    off the nonzero entries of P and Q: (slots, rows, den, real).
+
+    P and Q are lifted over one denominator den, and the (i, j) slot of
+    the image is den (sum_l p_il Y_lj + Y_il q_lj).  For z the integers
+    of the slots of Y, real parts first, entry o of the image of z is the
+    sum of a z[t] over the (t, a) in rows[o]; real says that its real
+    parts read no imaginary part.  With eps = +-1, Y is eps-symmetric,
+    and so is the image when Q = P^T: the slots are those with i <= j,
+    Y_ji = eps Y_ij standing in for the others.
+    """
+    dim = len(p.rows)
+    slots = [(i, j) for i in range(dim) for j in range(i if eps else 0, dim)]
+    index = {ij: (t, 1) for t, ij in enumerate(slots)}
+    if eps:
+        index.update({(j, i): (t, eps) for t, (i, j) in enumerate(slots)
+                      if i != j})
+    n, q_cols, terms = len(slots), q.transposed().rows, []
+    for i, j in slots:
+        row: dict[int, tuple[int, int]] = {}
+        for ij, a, b in ([((l, j), a, b) for l, a, b in p.rows[i]]
+                         + [((i, l), a, b) for l, a, b in q_cols[j]]):
+            t, sign = index[ij]
+            x, y = row.get(t, (0, 0))
+            row[t] = (x + sign * a, y + sign * b)
+        terms.append(row.items())
+    # (a + b i)(x + y i) = (a x - b y) + (b x + a y) i
+    rows = [[(t, a) for t, (a, _) in row if a]
+            + [(n + t, -b) for t, (_, b) in row if b] for row in terms]
+    rows += [[(t, b) for t, (_, b) in row if b]
+             + [(n + t, a) for t, (a, _) in row if a] for row in terms]
+    return slots, rows, p.den, p.real and q.real
 
 
 def is_zero_matrix(a: Matrix) -> bool:

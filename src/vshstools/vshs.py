@@ -11,20 +11,23 @@ Two presentations of the same data and the translations between them:
 Plus the normal-form machinery: formal flat gauge, canonical connection
 and coordinate, covariant extension of pairings, and the equivalence
 with graded normal-form objects (DnObject).  The flat gauge and the
-pairing extension each solve theta X = L(X) + Phi(X) with L nilpotent,
-order by order on the coefficient matrices of X by one Neumann sum.
-The canonical connection (see to_canonical_connection) solves its
-order-k equation in one pass down the grades of the Hodge level, since
-A(0) lowers the level by exactly 2.  Both keep each q-order in the
-lifted form of the linalg integer kernel until it is done.  A residual
-that should vanish and does not is reported at its first nonzero
-q-order and entry.  The normal form moves to the canonical
-coordinate by one Lagrange-Buermann composition per nonzero entry of
-the connection (series.Reversion) and composes no matrix.
+pairing extension each solve theta X = P X + X Q order by order: at q^k,
+k X_k = L(X_k) + Phi_k with L nilpotent, by one Neumann sum in Horner
+form on the integers of Phi_k (_neumann_sum), whose step linalg.slot_map
+reads off the nonzero entries of the residue and, for the pairing,
+forms only the i <= j half.  The canonical connection (see
+to_canonical_connection) solves its order-k equation in one pass down
+the grades of the Hodge level, since A(0) lowers the level by exactly 2.
+Both keep each q-order in the lifted form of the linalg integer kernel
+until it is done.  A residual that should vanish and does not is
+reported at its first nonzero q-order and entry.  The normal form moves
+to the canonical coordinate by one Lagrange-Buermann composition per
+nonzero entry of the connection (series.Reversion) and composes no
+matrix.
 
 The pairing M solves theta M = A^T M + M A, and every M here has
 M^T = eps M, eps = (-1)^n, so M A = eps (A^T M)^T: one kernel,
-_plus_transpose, forms X + eps X^T on the integers, and the equation
+_sum_products, forms X + eps X^T on the integers, and the equation
 takes one product per term where it is checked or solved.
 
 Sign conventions are load-bearing and centralized here.  The grading
@@ -37,7 +40,7 @@ get reconciled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg, nilpotent
 from .linalg import Accumulator, Lifted, Matrix
@@ -391,14 +394,14 @@ def _support(m: SeriesMatrix) -> set[tuple[int, int]]:
             for j, _, _ in row}
 
 
-def _plus_transpose(pairs: list[tuple[Lifted, Lifted]], eps: int,
-                    dim: int) -> Accumulator:
-    """X + eps X^T, eps = +-1, for X the sum of the products a b over the
-    pairs (a, b) of dim x dim matrices, formed on the kernel's integers."""
+def _sum_products(pairs: list[tuple[Lifted, Lifted]], dim: int,
+                  eps: int | None = None) -> Accumulator:
+    """X, or X + eps X^T for eps = +-1, for X the sum of the products a b
+    over the pairs (a, b) of dim x dim matrices, on the kernel's integers."""
     acc = Accumulator(dim, dim)
     for a, b in pairs:
         acc.add_product(a, b)
-    for part in (acc.re, acc.im):
+    for part in (acc.re, acc.im) if eps else ():
         for i, row in enumerate(part):
             for j in range(i, dim):
                 row[j] += eps * part[j][i]
@@ -416,8 +419,8 @@ def _pairing_failure(a: SeriesMatrix, m: SeriesMatrix,
     at, ms = [x.transposed() for x in a._lifts], m._lifts
     for k in range(min(a.order, m.order)):
         half_k = Lifted.scalar(Scalar(-k) / Scalar(2), dim)
-        y = _plus_transpose([(at[j], ms[k - j]) for j in range(k + 1)]
-                            + [(half_k, ms[k])], eps, dim)
+        y = _sum_products([(at[j], ms[k - j]) for j in range(k + 1)]
+                          + [(half_k, ms[k])], dim, eps)
         for i, (re, im) in enumerate(zip(y.re, y.im)):
             for j in range(i, dim):
                 if re[j] or im[j]:
@@ -426,41 +429,64 @@ def _pairing_failure(a: SeriesMatrix, m: SeriesMatrix,
     return None
 
 
-def _neumann_sum(term: Lifted, k: int, lop: Callable[[Lifted], Lifted],
-                 stuck: Exception) -> Accumulator:
-    """The solution X of k X = L(X) + term, L linear and nilpotent, as
-    the terminating Neumann sum X = sum_m L^m(term) / k^(m+1).  A sum
-    longer than 2 dim + 2 terms means L is not nilpotent: raise stuck."""
-    dim = len(term.rows)
-    inv_k = ONE / Scalar(k)
-    acc = Accumulator(dim, term.cols)
-    factor = inv_k
-    steps = 0
-    while not term.zero:
-        acc.add_product(Lifted.scalar(factor, dim), term)
-        term = lop(term)
-        factor = factor * inv_k
-        steps += 1
-        if steps > 2 * dim + 2:
-            raise stuck
-    return acc
+def _neumann_sum(r: Accumulator, k: int, step: tuple, eps: int | None,
+                 stuck: Exception) -> Lifted:
+    """The solution X of k X = L(X) + R, L nilpotent, as the terminating
+    Neumann sum X = sum_m L^m(R) / k^(m+1); step is linalg.slot_map of
+    l = d0 L, on the slots of X, eps as there.
 
-
-def _solve_theta(x0: Lifted, order: int, lop: Callable[[Lifted], Lifted],
-                 phi: Callable[[list[Lifted], int], Lifted],
-                 stuck: Exception) -> SeriesMatrix:
-    """The solution X of theta X = L(X) + Phi(X) with X(0) = x0.
-
-    L is linear and nilpotent, and Phi_k reads only X_0 .. X_(k-1).
-    The order-k equation k X_k = L(X_k) + Phi_k is then solved by the
-    Neumann sum.  Phi, L and the sum work on Lifted matrices, and X
-    keeps them.
+    The sum runs on the integers of R = r / D, D = r.den: z_m = l^m(r)
+    stays an integer vector, and the forward Horner sum acc <- s acc +
+    z_(m+1), s = k d0, ends at X = acc / (D k s^M), z_M the last nonzero
+    term.  Two vectors are held, the imaginary parts only when something
+    is not real, and r.lifted takes the one content gcd of the canonical
+    lift.  A nonzero z_m with m >= 2 dim + 2 means that L is not
+    nilpotent: raise stuck.
     """
-    dim = len(x0.rows)
-    lifted = [x0]
-    for k in range(1, order):
-        lifted.append(_neumann_sum(phi(lifted, k), k, lop, stuck).lifted())
-    return SeriesMatrix.from_lifts(lifted, dim, dim)
+    (slots, rows, d0, real), dim, re, im = step, len(r.re), r.re, r.im
+    n, s = len(slots), k * d0
+    z = [re[i][j] for i, j in slots]
+    zi = [im[i][j] for i, j in slots]
+    if real and not any(zi):
+        rows = rows[:n]
+    else:
+        z += zi
+    acc, m = z, 0
+    while True:
+        z = [sum([a * z[t] for t, a in row]) for row in rows]
+        if not any(z):
+            break
+        m += 1
+        if m >= 2 * dim + 2:
+            raise stuck
+        acc = [s * x + y for x, y in zip(acc, z)]
+    acc += [0] * (2 * n - len(acc))
+    for (i, j), x, y in zip(slots, acc, acc[n:]):
+        if eps:
+            re[j][i], im[j][i] = eps * x, eps * y
+        re[i][j], im[i][j] = x, y
+    r.den *= k * s ** m
+    return r.lifted()
+
+
+def _solve_theta(x0: Lifted, p: Sequence[Lifted], q0: Lifted,
+                 eps: int | None, stuck: Exception) -> SeriesMatrix:
+    """The solution X of theta X = P X + X Q with X(0) = x0, P given by
+    its q-coefficients p.  Q is the constant q0 if eps is None; else Q =
+    P^T and X is eps-symmetric, eps = +-1, so X Q = eps (P X)^T.
+
+    At q^k this is k X_k = L(X_k) + Phi_k with L(Y) = P_0 Y + Y Q_0 and
+    Phi_k = sum_(j=1..k) P_j X_(k-j) (+ eps its transpose), which reads
+    only X_0 .. X_(k-1); _neumann_sum solves it from the integers of
+    Phi_k, and X keeps the canonical lift of each X_k.
+    """
+    dim, step = len(x0.rows), linalg.slot_map(p[0], q0, eps)
+    xs = [x0]
+    for k in range(1, len(p)):
+        phi = _sum_products([(p[j], xs[k - j]) for j in range(1, k + 1)],
+                            dim, eps)
+        xs.append(_neumann_sum(phi, k, step, eps, stuck))
+    return SeriesMatrix.from_lifts(xs, dim, dim)
 
 
 def formal_flat_gauge(b: SeriesMatrix) -> SeriesMatrix:
@@ -469,29 +495,16 @@ def formal_flat_gauge(b: SeriesMatrix) -> SeriesMatrix:
     The order-k step inverts (k - ad_N); ad_N is nilpotent because N is,
     so the inverse is a terminating Neumann sum.
     """
-    n_mat = b.at0()
-    dim = b.rows
+    if b.rows != b.cols:
+        raise ValueError(f"the connection must be square, not "
+                         f"{b.rows} x {b.cols}")
     try:
-        nilpotent.nilpotency_index(n_mat)
+        nilpotent.nilpotency_index(b.at0())
     except nilpotent.NotNilpotent as exc:
         raise NotNilpotentResidue(str(exc)) from exc
     bs = b._lifts
-    n_neg = bs[0].negated()
-
-    def phi(u: list[Lifted], k: int) -> Lifted:
-        acc = Accumulator(dim, dim)
-        for j in range(1, k + 1):
-            acc.add_product(bs[j], u[k - j])
-        return acc.lifted()
-
-    def ad_n(x: Lifted) -> Lifted:
-        acc = Accumulator(dim, dim)
-        acc.add_product(bs[0], x)
-        acc.add_product(x, n_neg)
-        return acc.lifted()
-
     return _solve_theta(
-        Lifted.scalar(ONE, dim), b.order, ad_n, phi,
+        Lifted.scalar(ONE, b.rows), bs, bs[0].negated(), None,
         NotNilpotentResidue("ad of the residue does not terminate"))
 
 
@@ -676,11 +689,13 @@ def extend_pairing(a: SeriesMatrix, m0: Matrix,
     if mode != "flat":
         raise ValueError(f"unknown mode {mode!r}")
 
-    dim, lm0 = a.rows, Lifted.of(m0)
-    at = [x.transposed() for x in a._lifts]
-    seed = Accumulator(dim, dim)
-    seed.add_product(at[0], lm0)
-    seed.add_product(lm0, a._lifts[0])
+    dim = a.rows
+    if a.cols != dim or [len(row) for row in m0] != [dim] * dim:
+        raise ValueError(
+            f"pairing shape mismatch: the seed is {len(m0)} x "
+            f"{len(m0[0]) if m0 else 0}, A is {dim} x {a.cols}")
+    lm0, at = Lifted.of(m0), [x.transposed() for x in a._lifts]
+    seed = _sum_products([(at[0], lm0), (lm0, a._lifts[0])], dim)
     if not seed.lifted().zero:
         raise ResidueNotCompatible(
             "A(0)^T M0 + M0 A(0) != 0; the constant term cannot start a "
@@ -689,20 +704,10 @@ def extend_pairing(a: SeriesMatrix, m0: Matrix,
                                  "recursion does not terminate")
     half, solved = Lifted.scalar(ONE / Scalar(2), dim), []
     for eps in (1, -1):
-        part = _plus_transpose([(half, lm0)], eps, dim).lifted()
-        if part.zero:
-            continue  # a real pairing is pure: one solve
-        # M is eps-symmetric: L(Y) = Z + eps Z^T, Z = A_0^T Y, and
-        # Phi_k = X + eps X^T, X = sum_(j=1..k) A_j^T M_(k-j)
-
-        def lop(y: Lifted, eps: int = eps) -> Lifted:
-            return _plus_transpose([(at[0], y)], eps, dim).lifted()
-
-        def phi(m: list[Lifted], k: int, eps: int = eps) -> Lifted:
-            pairs = [(at[j], m[k - j]) for j in range(1, k + 1)]
-            return _plus_transpose(pairs, eps, dim).lifted()
-
-        solved.append(_solve_theta(part, a.order, lop, phi, stuck))
+        # the eps-symmetric part of M solves theta X = A^T X + X A alone
+        part = _sum_products([(half, lm0)], dim, eps).lifted()
+        if not part.zero:  # a real pairing is pure: one solve
+            solved.append(_solve_theta(part, at, a._lifts[0], eps, stuck))
     if not solved:
         return SeriesMatrix.zeros(dim, dim, a.order)
     return solved[0] if len(solved) == 1 else solved[0] + solved[1]

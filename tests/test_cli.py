@@ -618,10 +618,19 @@ def test_pipeline_json_bytes_pinned(order, digest, capsys):
      "*(7*theta+5)*(7*theta+6)",
      "8824ef65f77c0a07ae7e1dba8914969860a24d43fed52f3be25f3ed88f3aba6f",
      "1edf9e52294b46dc0f51aa305b395a457efabcd25695430454cf0e58e86f0437"),
-], ids=["n2", "n4", "n5", "n6-septic"])
+    ("theta^6 - 7*q*(7*theta+1)*(7*theta+2)*(7*theta+3)*(7*theta+4)"
+     "*(7*theta+5)*(7*theta+6)",
+     "f6a015af10854ecd70e63bcd019bbd8094e923d5532e466ec5f85bad98e50b07",
+     "2355c6492561067e02ab33ccd150606c87b679e08f854431912eb80d86e4fc84"),
+], ids=["n2", "n4", "n5", "n6-theta7-with-septic-factors", "n5-septic"])
 def test_yukawa_and_normal_form_bytes_pinned_by_dimension(
         operator, yukawa_digest, normal_form_digest, tmp_path, capsys):
-    """The dimensions no fixture in data/ reaches: n = 2, 4, 5 and 6."""
+    """The dimensions no fixture in data/ reaches: n = 2, 4, 5 and 6.
+
+    The septic's operator is theta^6 - 7q(7 theta + 1)...(7 theta + 6),
+    n = 5.  The n = 6 case puts theta^7 in front of the same factors; it
+    is not the septic's operator, and its normal form is polarized only
+    at q^0."""
     path = tmp_path / "op.pf.txt"
     path.write_text(operator + "\n")
     for command, digest in (("yukawa", yukawa_digest),

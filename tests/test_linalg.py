@@ -195,3 +195,36 @@ def test_kernel_lifts_entries_over_their_least_denominator(data):
     assert (direct.real, direct.zero) == (fresh.real, fresh.zero)
     negated = mat_neg(m)
     assert Lifted.of(m).negated().rows == Lifted.of(negated).rows
+
+
+@PROPS
+@given(st.data())
+def test_slot_map_is_the_sandwich_on_the_integers(data):
+    """slot_map(P, Q) takes the integer slots of Y to those of den (P Y +
+    Y Q): the bracket [P, Y] for Q = -P, and with eps = +-1 and Q = P^T
+    the i <= j half of an eps-symmetric image."""
+    n = data.draw(st.integers(1, 4))
+    eps = data.draw(st.sampled_from((None, 1, -1)))
+    p = data.draw(matrices(n, n))
+    q = linalg.transpose(p) if eps else mat_neg(p)
+    gaussian = st.builds(Scalar, _num, _num)
+    y = [[data.draw(gaussian) for _ in range(n)] for _ in range(n)]
+    if eps:
+        y = [[y[min(i, j)][max(i, j)] * (eps if i > j else 1)
+              for j in range(n)] for i in range(n)]
+        for i in range(n):
+            y[i][i] = y[i][i] if eps == 1 else ZERO
+    slots, rows, den, real = linalg.slot_map(Lifted.of(p), Lifted.of(q), eps)
+    assert slots == [(i, j) for i in range(n)
+                     for j in range(i if eps else 0, n)]
+    assert den == Lifted.of(p).den == Lifted.of(q).den
+    z = [int(y[i][j].re) for i, j in slots] + \
+        [int(y[i][j].im) for i, j in slots]
+    image = [sum(a * z[t] for t, a in row) for row in rows]
+    want = mat_scale(mat_add(scalar_product(p, y), scalar_product(y, q)),
+                     Scalar(den))
+    k = len(slots)
+    assert [Scalar(image[o], image[k + o]) for o in range(k)] == \
+        [want[i][j] for i, j in slots]
+    if real:
+        assert all(t < k for row in rows[:k] for t, _ in row)

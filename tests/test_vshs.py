@@ -11,7 +11,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vshstools import linalg, nilpotent, picard_fuchs, vshs
@@ -31,8 +31,9 @@ from vshstools.vshs import (DegreeViolation, DnObject, GeometricVHS,
 
 from genutil import (block_diagonal, extend_pairing_two_products,
                      first_asymmetry, gauge_transform, horner, mat_neg,
-                     mat_vec, pairing_residual, rand_scalar, random_dn,
-                     random_flat_pair, random_rees, yukawa_by_derivatives)
+                     mat_vec, pairing_residual, rand_fraction, rand_scalar,
+                     random_dn, random_flat_pair, random_rees,
+                     yukawa_by_derivatives)
 
 ORD = 8
 COORD = Series.coordinate(ORD)
@@ -482,6 +483,129 @@ def test_extend_pairing_dn_mode_on_mixed_parity_matches_the_reference():
     ext = extend_pairing(a, p0, mode="flat")
     assert ext == extend_pairing_two_products(a, p0)
     assert not ext.is_zero()
+
+
+def test_extend_pairing_checks_the_seed_shape():
+    a = SeriesMatrix.zeros(3, 3, ORD)
+    for seed in (linalg.zeros(2, 2), linalg.zeros(4, 4), [],
+                 linalg.zeros(3, 2)):
+        with pytest.raises(ValueError, match="^pairing shape mismatch: "
+                                             r"the seed is \d x \d, A is "
+                                             r"3 x 3$"):
+            extend_pairing(a, seed)
+
+
+def test_formal_flat_gauge_refuses_a_non_square_connection():
+    with pytest.raises(ValueError, match="must be square, not 2 x 3") \
+            as caught:
+        formal_flat_gauge(smat([[0, 0, 0], [1, 0, 0]]))
+    assert type(caught.value) is ValueError
+
+
+def _unimodular(rng, dim):
+    """A random integer matrix of determinant 1, a unit lower triangular
+    times a unit upper triangular one, and its inverse."""
+    def unit():
+        return [[Scalar(rng.randint(-2, 2)) if j < i else
+                 ONE if i == j else ZERO for j in range(dim)]
+                for i in range(dim)]
+
+    u = linalg.mat_mul(unit(), linalg.transpose(unit()))
+    return u, linalg.inverse(u)
+
+
+def _triangular_in_some_order(m):
+    """Whether some order of the indices makes m triangular: whether the
+    graph of its off-diagonal entries has no cycle."""
+    left = set(range(len(m)))
+    while left:
+        sinks = {i for i in left if all(m[i][j].is_zero()
+                                        for j in left - {i})}
+        if not sinks:
+            return False
+        left -= sinks
+    return True
+
+
+def _gaussian(rng):
+    return Scalar(rand_fraction(rng, 3) or 1, rand_fraction(rng, 3) or -1)
+
+
+def _frame_moved_pair(rng, order, gaussian, mixed):
+    """A compatible (A, M0) from random_flat_pair, beside one of the other
+    parity if mixed, times non-real scalars and with non-real q^k terms
+    added if gaussian, then moved by a unimodular constant gauge."""
+    a, m0 = random_flat_pair(rng, order=order)
+    if mixed:
+        parity = m0 != linalg.transpose(m0)
+        while True:
+            b, n0 = random_flat_pair(rng, order=order)
+            if (n0 != linalg.transpose(n0)) != parity:
+                break
+        a = block_diagonal(a, b)
+        m0 = block_diagonal(SeriesMatrix.from_scalar_matrix(m0, 1),
+                            SeriesMatrix.from_scalar_matrix(n0, 1)).at0()
+    dim = a.rows
+    if gaussian:
+        a = a * _gaussian(rng) + SeriesMatrix.from_coefficients(
+            [linalg.zeros(dim, dim)] + [[[_gaussian(rng) for _ in range(dim)]
+                                         for _ in range(dim)]
+                                        for _ in range(order - 1)], dim, dim)
+        c = _gaussian(rng)
+        m0 = [[x * c for x in row] for row in m0]
+    u, u_inv = _unimodular(rng, dim)
+    a = a.scalar_left_mul(u_inv).scalar_right_mul(u)
+    m0 = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(m0, u))
+    return a, m0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans(), st.booleans())
+def test_neumann_kernel_matches_the_references(seed, gaussian, mixed):
+    """Both callers of the integer Neumann kernel, on A(0) with a support
+    that is triangular in no index order: extend_pairing equals the
+    two-product reference, and formal_flat_gauge solves its equation."""
+    order = 5
+    a, m0 = _frame_moved_pair(Random(seed), order, gaussian, mixed)
+    assume(not _triangular_in_some_order(a.at0()))
+    if mixed:
+        assert not _is_pure(m0)
+    assert extend_pairing(a, m0) == extend_pairing_two_products(a, m0)
+    u = formal_flat_gauge(a)
+    assert u.at0() == linalg.identity(a.rows)
+    assert u.theta_entries() == \
+        a * u - u * SeriesMatrix.from_scalar_matrix(a.at0(), order)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_a_non_nilpotent_residue_does_not_terminate(seed, gaussian):
+    """A(0) = diag(c, -c) moved by a unimodular gauge, with a compatible
+    symmetric seed: the (0, 1) entry of A_1 feeds the (1, 1) slot, which
+    L scales by -2c, so the Neumann sum never ends."""
+    rng = Random(seed)
+    c = _gaussian(rng) if gaussian else rand_fraction(rng, 3) or ONE
+    a0 = [[Scalar.of(c), ZERO], [ZERO, -Scalar.of(c)]]
+    a1 = [[rand_scalar(rng), ONE], [rand_scalar(rng), rand_scalar(rng)]]
+    u, u_inv = _unimodular(rng, 2)
+    a = SeriesMatrix.from_coefficients([a0, a1], 2, 2) \
+        .scalar_left_mul(u_inv).scalar_right_mul(u)
+    m0 = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(
+        [[ZERO, ONE], [ONE, ZERO]], u))
+    with pytest.raises(ResidueNotCompatible,
+                       match="^residue action is not nilpotent; the "
+                             "recursion does not terminate$"):
+        extend_pairing(a, m0)
+
+
+def test_the_flat_gauge_sum_gives_up_on_a_non_nilpotent_ad(monkeypatch):
+    """With the nilpotency check of the residue skipped, ad_N for N =
+    diag(1, -1) doubles the (0, 1) entry of b_1 at every step, so the
+    Neumann sum of the flat gauge never ends: its step bound raises."""
+    monkeypatch.setattr(nilpotent, "nilpotency_index", lambda n_mat: 1)
+    with pytest.raises(NotNilpotentResidue,
+                       match="^ad of the residue does not terminate$"):
+        formal_flat_gauge(smat([[1, [0, 1]], [0, -1]]))
 
 
 def _eps_symmetric(rng, dim, parity, gaussian):
