@@ -247,9 +247,12 @@ class DnObject:
 
     Basis vectors are grouped by degree in ascending order, so index 0
     is the volume direction (degree -n).  The stored pairing carries the
-    i-power twist already; concretely that makes A(0) skew for it, which
+    i-power twist already; concretely that makes A(q) skew for it, which
     is what self-adjointness in the sesquilinear sense amounts to after
-    the twist.
+    the twist.  The constructor checks that at every q-order (the
+    constant pairing is covariantly constant exactly then), after the
+    pointwise invariants and the unit, and names the first failing q^k
+    and entry.
     """
 
     __slots__ = ("n", "graded_dims", "degrees", "pairing0", "a_series")
@@ -317,13 +320,6 @@ class DnObject:
         if linalg.try_inverse(pairing0) is None:
             raise InvariantViolation("pairing must be nondegenerate")
 
-        # self-adjointness of A(0) in the sesquilinear sense: with the
-        # twisted pairing stored here the matrix condition is skewness
-        p0 = SeriesMatrix.from_scalar_matrix(pairing0, 1)
-        if _pairing_failure(a_series.truncate(1), p0, n % 2):
-            raise InvariantViolation(
-                "A(0) is not self-adjoint with respect to the pairing")
-
         if n >= 1:
             rows = [i for i in range(rank) if degrees[i] == -n + 2]
             col = degrees.index(-n)
@@ -333,6 +329,14 @@ class DnObject:
                     raise UnitNotPreserved(
                         "the V_{-n} -> V_{-n+2} component of A must be "
                         "constant")
+
+        # theta P0 = 0: A is self-adjoint (with the twist, skew for P0)
+        # at every q-order exactly when P0 is covariantly constant
+        p0 = SeriesMatrix.from_scalar_matrix(pairing0, a_series.order)
+        failure = _pairing_failure(a_series, p0, n % 2)
+        if failure:
+            raise InvariantViolation(
+                f"A(q) is not self-adjoint for the pairing: {failure}")
 
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "graded_dims", dims)
@@ -878,22 +882,9 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
 
 
 def from_normal_form(d: DnObject) -> ReesModule:
-    """The Rees-module incarnation of a graded normal-form object.
-
-    Beyond the constructor's pointwise invariants this demands the
-    pairing compatibility at every q-order (the compatible pairing on
-    the module is u-independent exactly then); objects failing it do
-    not produce a covariantly constant pairing and are rejected.
-    """
+    """The Rees-module incarnation of a graded normal-form object."""
     p0 = d.pairing0_matrix()
     order = d.order
-    # theta P0 = 0: the equation is A^T P0 + P0 A = 0 at every order
-    failure = _pairing_failure(
-        d.a_series, SeriesMatrix.from_scalar_matrix(p0, order), d.n % 2)
-    if failure:
-        raise InvariantViolation(
-            "A(q) must be self-adjoint for the pairing at every order to "
-            f"define a module pairing: {failure}")
     conn = {-1: -d.a_series}
     rank = d.rank
     m_untw = [[p0[i][j] * Scalar.i_power(-d.degrees[j])

@@ -615,9 +615,7 @@ def test_pipeline_json_bytes_pinned(order, digest, capsys):
      "c1fc9bbe852d8f7d989a5ac065708b6de0ebfef42e04eb0c16c3b5559759a417",
      "c0810b0733d242bf0d10c02ba6dd00880e9469edc7e861f621764198325c5724"),
     ("theta^7 - 7*q*(7*theta+1)*(7*theta+2)*(7*theta+3)*(7*theta+4)"
-     "*(7*theta+5)*(7*theta+6)",
-     "8824ef65f77c0a07ae7e1dba8914969860a24d43fed52f3be25f3ed88f3aba6f",
-     "1edf9e52294b46dc0f51aa305b395a457efabcd25695430454cf0e58e86f0437"),
+     "*(7*theta+5)*(7*theta+6)", None, None),
     ("theta^6 - 7*q*(7*theta+1)*(7*theta+2)*(7*theta+3)*(7*theta+4)"
      "*(7*theta+5)*(7*theta+6)",
      "f6a015af10854ecd70e63bcd019bbd8094e923d5532e466ec5f85bad98e50b07",
@@ -630,15 +628,58 @@ def test_yukawa_and_normal_form_bytes_pinned_by_dimension(
     The septic's operator is theta^6 - 7q(7 theta + 1)...(7 theta + 6),
     n = 5.  The n = 6 case puts theta^7 in front of the same factors; it
     is not the septic's operator, and its normal form is polarized only
-    at q^0."""
+    at q^0, so the DnObject it builds refuses it (no digest): both
+    commands exit 1 with one error line and print nothing."""
     path = tmp_path / "op.pf.txt"
     path.write_text(operator + "\n")
     for command, digest in (("yukawa", yukawa_digest),
                             ("normal-form", normal_form_digest)):
-        code, out, _ = run(capsys, [command, "--input", str(path),
-                                    "--order", "12", "--format", "json"])
+        code, out, err = run(capsys, [command, "--input", str(path),
+                                      "--order", "12", "--format", "json"])
+        if digest is None:
+            assert (code, out) == (1, "")
+            assert err.splitlines() == [
+                "error: A(q) is not self-adjoint for the pairing: the "
+                "residual is nonzero at q^1, entry (0,5)"]
+            continue
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_an_unpolarized_normal_form_is_refused(tmp_path, capsys):
+    """theta^4 - q(theta+1)(theta+2)(theta+3)(theta+4) is maximally
+    unipotent, but its normal form is self-adjoint only at q^0.  Every
+    command that builds the DnObject refuses it, instead of printing
+    instanton numbers that are not integral from d = 2 on; the mirror
+    map needs no pairing."""
+    path = tmp_path / "op.pf.txt"
+    path.write_text("theta^4 - q*(theta+1)*(theta+2)*(theta+3)*(theta+4)\n")
+    for command in ("pipeline", "instantons", "yukawa", "normal-form"):
+        code, out, err = run(capsys, [command, "--input", str(path),
+                                      "--order", "12"])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: A(q) is not self-adjoint for the pairing: the "
+            "residual is nonzero at q^1, entry (0,2)"]
+    code, out, _ = run(capsys, ["mirror-map", "--input", str(path),
+                                "--order", "12"])
+    assert code == 0 and out
+
+
+def test_check_refuses_a_dn_object_unpolarized_at_q2(tmp_path, capsys):
+    """d3-a with its degree +2 entry (3,2) changed at q^2: every pointwise
+    invariant and the unit still hold, only the pairing fails."""
+    obj = json.loads((DATA / "d3-a.dn.json").read_text())
+    obj["a_series"]["entries"][3][2] = ["1", "0", "5"]
+    path = tmp_path / "spoiled.dn.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    assert (code, out, err) == (
+        1, "FAIL: A(q) is not self-adjoint for the pairing: the residual "
+        "is nonzero at q^2, entry (0,2)\n", "")
+    code, out, err = run(capsys, ["rees-roundtrip", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_pipeline_never_extends_the_solved_pairing(capsys, monkeypatch):

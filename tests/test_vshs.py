@@ -793,13 +793,17 @@ def test_verify_prevhs_flags_broken_covariance():
 
 
 def test_from_normal_form_demands_all_orders():
-    # pointwise-skew at q=0 but failing at order 1
+    # pointwise-skew at q=0 but failing at order 1: the constructor, the
+    # one gate for the polarization, refuses it, so from_normal_form
+    # never sees it
     a = smat([[0, 0, 0], [1, 0, 0], [0, [-1, 1], 0]])
     p0 = [[ZERO, ZERO, ONE], [ZERO, ONE, ZERO], [ONE, ZERO, ZERO]]
-    d = DnObject(n=2, graded_dims={-2: 1, 0: 1, 2: 1}, pairing0=p0,
+    with pytest.raises(InvariantViolation) as failure:
+        DnObject(n=2, graded_dims={-2: 1, 0: 1, 2: 1}, pairing0=p0,
                  a_series=a)
-    with pytest.raises(InvariantViolation):
-        from_normal_form(d)
+    assert str(failure.value) == (
+        "A(q) is not self-adjoint for the pairing: the residual is "
+        "nonzero at q^1, entry (0,1)")
 
 
 def _one_term(rank, order, power, terms):
@@ -894,11 +898,51 @@ def test_self_adjointness_failure_names_its_q_order():
     # checks above q^0
     top, below = d.degrees.index(3), d.degrees.index(1)
     a = d.a_series + _one_term(d.rank, ORD, 2, {(top, below): 1})
-    spoiled = DnObject(n=d.n, graded_dims=d.graded_dims,
-                       pairing0=d.pairing0_matrix(), a_series=a)
-    with pytest.raises(InvariantViolation,
-                       match=r"self-adjoint.*q\^2, entry"):
-        from_normal_form(spoiled)
+    with pytest.raises(InvariantViolation) as failure:
+        DnObject(n=d.n, graded_dims=d.graded_dims,
+                 pairing0=d.pairing0_matrix(), a_series=a)
+    assert str(failure.value) == (
+        "A(q) is not self-adjoint for the pairing: the residual is "
+        f"nonzero at q^2, entry (0,{below})")
+
+
+RATIONALS = st.fractions(-5, 5, max_denominator=4)
+GAUSSIAN = st.builds(Scalar, RATIONALS, RATIONALS).filter(
+    lambda c: not c.is_zero())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 5), st.booleans(),
+       st.integers(1, 5), GAUSSIAN, st.data())
+def test_the_constructor_checks_self_adjointness_at_every_order(
+        seed, n, mixed, k, c, data):
+    """K = P0 A with a term c q^k added at an off-diagonal (i, j) of
+    degree -2: with its mirror (-1)^(n+1) c q^k at (j, i), the symmetry
+    random_dn draws K with, A stays self-adjoint; alone, the constructor
+    names exactly q^k and (min(i, j), max(i, j)).  The entries that touch
+    V_-n are left out: the unit check refuses those first."""
+    d = random_dn(Random(seed), n, order=6, max_dim=2, mixed=mixed)
+    degrees, rank = d.degrees, d.rank
+    slots = [(i, j) for i in range(rank) for j in range(rank)
+             if i != j and degrees[i] + degrees[j] == -2
+             and -n not in (degrees[i], degrees[j])]
+    assume(slots)
+    i, j = data.draw(st.sampled_from(slots))
+    p0 = d.pairing0_matrix()
+    p0_inv = linalg.inverse(p0)
+    k_mat = d.a_series.scalar_left_mul(p0)
+
+    def rebuilt(terms):
+        bump = _one_term(rank, 6, k, terms) * c
+        return DnObject(n=n, graded_dims=d.graded_dims, pairing0=p0,
+                        a_series=(k_mat + bump).scalar_left_mul(p0_inv))
+
+    assert rebuilt({(i, j): 1, (j, i): 1 if n % 2 else -1}).order == 6
+    with pytest.raises(InvariantViolation) as failure:
+        rebuilt({(i, j): 1})
+    assert str(failure.value) == (
+        "A(q) is not self-adjoint for the pairing: the residual is "
+        f"nonzero at q^{k}, entry ({min(i, j)},{max(i, j)})")
 
 
 # --- coordinate rescale and Yukawa ----------------------------------------
