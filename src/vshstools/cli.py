@@ -265,17 +265,15 @@ def _cmd_rees_roundtrip(args) -> int:
     return 0 if (ok and ident and coord and exact) else 1
 
 
-def _add_common(p: argparse.ArgumentParser, *, volume: bool = True,
-                sign: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, *, volume: bool = True) -> None:
     p.add_argument("--input", required=True, help="input file")
     p.add_argument("--order", type=int, default=16,
                    help="truncation order (default 16)")
     if volume:
         p.add_argument("--volume", default="5",
                        help="volume scalar (default 5)")
-    if sign:
-        p.add_argument("--sign", type=int, choices=(1, -1), default=1,
-                       help="sign of the canonical coordinate")
+    p.add_argument("--sign", type=int, choices=(1, -1), default=1,
+                   help="sign of the canonical coordinate")
     p.add_argument("--format", choices=("table", "json"),
                    default="table")
     p.add_argument("--decimal", type=int, default=None, metavar="K",

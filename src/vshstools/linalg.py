@@ -10,10 +10,11 @@ are chosen lexicographically (first usable column, first usable row).
 Matrix arithmetic runs in one integer kernel.  A factor is lifted once
 to Gaussian-integer rows over a single common denominator, its zero
 entries dropped (`Lifted`); products and sums accumulate plain ints over
-one denominator (`Accumulator`), whose `lifted` divides out the common
-content once, and an entry is normalized only when it is lowered back
-to Scalar (Knuth, TAOCP Vol. 2, 4.5.1).  series.SeriesMatrix keeps one
-canonical Lifted per q-order and lowers it only when it is read.
+one denominator (`Accumulator`, filled by `sum_products`), whose
+`lifted` divides out the common content once, and an entry is
+normalized only when it is lowered back to Scalar (Knuth, TAOCP Vol. 2,
+4.5.1).  series.SeriesMatrix keeps one canonical Lifted per q-order and
+lowers it only when it is read.
 `slot_map` is Y -> P Y + Y Q as an integer table on the entries of Y,
 for the Neumann sums of vshs.
 `lift_vector` is the rank-1 lift that the series arithmetic builds on.
@@ -21,7 +22,7 @@ for the Neumann sums of vshs.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, Scalar, _norm
 
@@ -56,10 +57,23 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    la, lb = Lifted.of(a), Lifted.of(b)
-    acc = Accumulator(len(a), lb.cols)
-    acc.add_product(la, lb)
-    return acc.lower()
+    lb = Lifted.of(b)
+    return sum_products([(Lifted.of(a), lb)], len(a), lb.cols).lower()
+
+
+def sum_products(pairs: Iterable[tuple[Lifted, Lifted]], rows: int,
+                 cols: int, eps: int | None = None) -> Accumulator:
+    """X, the sum of the products a b over the pairs (a, b), or X + eps X^T
+    for a square X and eps = +-1, on the kernel's integers."""
+    acc = Accumulator(rows, cols)
+    for a, b in pairs:
+        acc.add_product(a, b)
+    for part in (acc.re, acc.im) if eps else ():
+        for i, row in enumerate(part):
+            for j in range(i, cols):
+                row[j] += eps * part[j][i]
+                part[j][i] = eps * row[j]
+    return acc
 
 
 class Lifted:

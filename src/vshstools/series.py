@@ -30,7 +30,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
 from . import linalg
-from .linalg import Accumulator, Lifted, lift_vector
+from .linalg import Lifted, lift_vector, sum_products
 from .scalars import ONE, ZERO, Scalar, ScalarLike, _norm
 
 ScalarMatrix = list[list[Scalar]]
@@ -56,10 +56,6 @@ class BadConstantTerm(SeriesError):
 
 class NonzeroConstant(SeriesError):
     """theta_inverse would produce a log term: a(0) must vanish."""
-
-
-def _coerce(value) -> Scalar:
-    return value if isinstance(value, Scalar) else Scalar(value)
 
 
 def _dot(a: LiftedVector, sa: slice, b: LiftedVector,
@@ -159,7 +155,7 @@ class Series:
     def __init__(self, coeffs: Iterable, order: int):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        cs = [_coerce(c) for c in coeffs][:order]
+        cs = [Scalar.of(c) for c in coeffs][:order]
         cs.extend([ZERO] * (order - len(cs)))
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "order", order)
@@ -187,7 +183,7 @@ class Series:
 
     @staticmethod
     def constant(c: ScalarLike, order: int) -> "Series":
-        return Series((_coerce(c),), order)
+        return Series((Scalar.of(c),), order)
 
     @staticmethod
     def coordinate(order: int) -> "Series":
@@ -237,7 +233,7 @@ class Series:
 
     def __sub__(self, other) -> "Series":
         return self + (-other if isinstance(other, Series)
-                       else Series.constant(_coerce(other), self.order).__neg__())
+                       else -Series.constant(other, self.order))
 
     def __rsub__(self, other) -> "Series":
         return (-self) + other
@@ -248,7 +244,7 @@ class Series:
             return Series._make(_lower(_product(
                 lift_vector(self.coeffs[:n]), lift_vector(other.coeffs[:n]))),
                 n)
-        c = _coerce(other)
+        c = Scalar.of(other)
         return Series._make((c * x for x in self.coeffs), self.order)
 
     __rmul__ = __mul__
@@ -267,7 +263,7 @@ class Series:
     def __truediv__(self, other) -> "Series":
         if isinstance(other, Series):
             return self * other.inverse()
-        return self * _coerce(other).inverse()
+        return self * Scalar.of(other).inverse()
 
     # -- reversion -------------------------------------------------------
 
@@ -316,7 +312,7 @@ class Series:
 
     def dilate(self, c: ScalarLike) -> "Series":
         """Substitute q -> c*q."""
-        cc = _coerce(c)
+        cc = Scalar.of(c)
         out = []
         power = ONE
         for a in self.coeffs:
@@ -437,16 +433,6 @@ def _shape(entries: Sequence[Sequence]) -> tuple[int, int]:
     return rows, cols
 
 
-def _sum(products: Iterable[tuple[Lifted, Lifted]], rows: int,
-         cols: int) -> Lifted:
-    """The sum of the products a b, on the kernel's integers, with the
-    common content divided out once: the canonical lift."""
-    acc = Accumulator(rows, cols)
-    for a, b in products:
-        acc.add_product(a, b)
-    return acc.lifted()
-
-
 class SeriesMatrix:
     """Rectangular matrix of Series with one shared truncation order.
 
@@ -512,7 +498,7 @@ class SeriesMatrix:
         if order < 0:
             raise ValueError("order must be nonnegative")
         zero = Lifted(1, [[] for _ in range(rows)], cols)
-        lifts = [Lifted.of([[_coerce(x) for x in row] for row in m])]
+        lifts = [Lifted.of([[Scalar.of(x) for x in row] for row in m])]
         lifts.extend([zero] * (order - 1))
         return SeriesMatrix.from_lifts(lifts[:order], rows, cols)
 
@@ -558,8 +544,8 @@ class SeriesMatrix:
 
     def _scaled(self, factors: Iterable[Scalar]) -> "SeriesMatrix":
         """The q^k coefficient times factors[k]."""
-        return self._like([_sum([(Lifted.scalar(c, self.rows), m)],
-                                self.rows, self.cols)
+        return self._like([sum_products([(Lifted.scalar(c, self.rows), m)],
+                                        self.rows, self.cols).lifted()
                            for c, m in zip(factors, self._lifts)])
 
     # -- arithmetic ------------------------------------------------------
@@ -575,7 +561,8 @@ class SeriesMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
         one, lc = Lifted.scalar(ONE, self.rows), Lifted.scalar(c, self.rows)
-        return self._like([_sum([(one, a), (lc, b)], self.rows, self.cols)
+        return self._like([sum_products([(one, a), (lc, b)], self.rows,
+                                        self.cols).lifted()
                            for a, b in zip(self._lifts, other._lifts)])
 
     def __neg__(self) -> "SeriesMatrix":
@@ -590,11 +577,11 @@ class SeriesMatrix:
                 raise ValueError("shape mismatch in matrix product")
             la, lb = self._lifts, other._lifts
             return SeriesMatrix.from_lifts(
-                [_sum([(la[j], lb[k - j]) for j in range(k + 1)],
-                      self.rows, other.cols)
+                [sum_products([(la[j], lb[k - j]) for j in range(k + 1)],
+                              self.rows, other.cols).lifted()
                  for k in range(min(self.order, other.order))],
                 self.rows, other.cols)
-        c = _coerce(other)
+        c = Scalar.of(other)
         return self._scaled([c] * self.order)
 
     def __rmul__(self, other) -> "SeriesMatrix":
@@ -608,7 +595,8 @@ class SeriesMatrix:
             raise ValueError("shape mismatch")
         lm = Lifted.of(m)
         return SeriesMatrix.from_lifts(
-            [_sum([(lm, a)], len(m), self.cols) for a in self._lifts],
+            [sum_products([(lm, a)], len(m), self.cols).lifted()
+             for a in self._lifts],
             len(m), self.cols)
 
     def scalar_right_mul(self, m: ScalarMatrix) -> "SeriesMatrix":
@@ -616,7 +604,8 @@ class SeriesMatrix:
             raise ValueError("shape mismatch")
         lm = Lifted.of(m)
         return SeriesMatrix.from_lifts(
-            [_sum([(a, lm)], self.rows, lm.cols) for a in self._lifts],
+            [sum_products([(a, lm)], self.rows, lm.cols).lifted()
+             for a in self._lifts],
             self.rows, lm.cols)
 
     def transpose(self) -> "SeriesMatrix":
@@ -628,7 +617,7 @@ class SeriesMatrix:
 
     def dilate(self, c: ScalarLike) -> "SeriesMatrix":
         """Substitute q -> c*q: coefficient k scales by c^k."""
-        cc = _coerce(c)
+        cc = Scalar.of(c)
         powers = [ONE]
         for _ in range(1, self.order):
             powers.append(powers[-1] * cc)

@@ -27,7 +27,7 @@ matrix.
 
 The pairing M solves theta M = A^T M + M A, and every M here has
 M^T = eps M, eps = (-1)^n, so M A = eps (A^T M)^T: one kernel,
-_sum_products, forms X + eps X^T on the integers, and the equation
+linalg.sum_products, forms X + eps X^T on the integers, and the equation
 takes one product per term where it is checked or solved.
 
 Sign conventions are load-bearing and centralized here.  The grading
@@ -124,8 +124,7 @@ class ReesModule:
     def __init__(self, degrees: Sequence[int],
                  conn_u: Mapping[int, SeriesMatrix],
                  pairing_u: Mapping[int, SeriesMatrix],
-                 parity: int,
-                 order: int | None = None):
+                 parity: int, order: int):
         rank = len(degrees)
         if rank == 0:
             raise NotFree("empty basis")
@@ -137,14 +136,10 @@ class ReesModule:
             for p, mat in source.items():
                 if mat.rows != rank or mat.cols != rank:
                     raise ValueError("component shape mismatch")
-                if order is None:
-                    order = mat.order
-                elif mat.order != order:
+                if mat.order != order:
                     raise ValueError("components must share one order")
                 if not mat.is_zero():
                     kept[p] = mat
-        if order is None:
-            raise ValueError("order cannot be inferred from empty data")
         object.__setattr__(self, "degrees", tuple(degrees))
         object.__setattr__(self, "conn_u", kept_conn)
         object.__setattr__(self, "pairing_u", kept_pair)
@@ -398,21 +393,6 @@ def _support(m: SeriesMatrix) -> set[tuple[int, int]]:
             for j, _, _ in row}
 
 
-def _sum_products(pairs: list[tuple[Lifted, Lifted]], dim: int,
-                  eps: int | None = None) -> Accumulator:
-    """X, or X + eps X^T for eps = +-1, for X the sum of the products a b
-    over the pairs (a, b) of dim x dim matrices, on the kernel's integers."""
-    acc = Accumulator(dim, dim)
-    for a, b in pairs:
-        acc.add_product(a, b)
-    for part in (acc.re, acc.im) if eps else ():
-        for i, row in enumerate(part):
-            for j in range(i, dim):
-                row[j] += eps * part[j][i]
-                part[j][i] = eps * row[j]
-    return acc
-
-
 def _pairing_failure(a: SeriesMatrix, m: SeriesMatrix,
                      parity: int) -> str | None:
     """Where theta M = A^T M + M A first fails, for M^T = eps M with eps =
@@ -423,8 +403,8 @@ def _pairing_failure(a: SeriesMatrix, m: SeriesMatrix,
     at, ms = [x.transposed() for x in a._lifts], m._lifts
     for k in range(min(a.order, m.order)):
         half_k = Lifted.scalar(Scalar(-k) / Scalar(2), dim)
-        y = _sum_products([(at[j], ms[k - j]) for j in range(k + 1)]
-                          + [(half_k, ms[k])], dim, eps)
+        y = linalg.sum_products([(at[j], ms[k - j]) for j in range(k + 1)]
+                                + [(half_k, ms[k])], dim, dim, eps)
         for i, (re, im) in enumerate(zip(y.re, y.im)):
             for j in range(i, dim):
                 if re[j] or im[j]:
@@ -487,8 +467,8 @@ def _solve_theta(x0: Lifted, p: Sequence[Lifted], q0: Lifted,
     dim, step = len(x0.rows), linalg.slot_map(p[0], q0, eps)
     xs = [x0]
     for k in range(1, len(p)):
-        phi = _sum_products([(p[j], xs[k - j]) for j in range(1, k + 1)],
-                            dim, eps)
+        phi = linalg.sum_products(
+            [(p[j], xs[k - j]) for j in range(1, k + 1)], dim, dim, eps)
         xs.append(_neumann_sum(phi, k, step, eps, stuck))
     return SeriesMatrix.from_lifts(xs, dim, dim)
 
@@ -566,11 +546,9 @@ def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
     ys, a_ks = [Lifted.scalar(ONE, dim)], [a0]
     neg_a = [a0.negated()]
     for k in range(1, order):
-        r = Accumulator(dim, dim)
-        for j in range(1, k + 1):
-            r.add_product(bp[j], ys[k - j])
-        for j in range(1, k):
-            r.add_product(ys[k - j], neg_a[j])
+        r = linalg.sum_products(
+            [(bp[j], ys[k - j]) for j in range(1, k + 1)]
+            + [(ys[k - j], neg_a[j]) for j in range(1, k)], dim, dim)
         y, a_k = _graded_pass(r, k, a0, lev)
         ys.append(y)
         a_ks.append(a_k)
@@ -699,7 +677,7 @@ def extend_pairing(a: SeriesMatrix, m0: Matrix,
             f"pairing shape mismatch: the seed is {len(m0)} x "
             f"{len(m0[0]) if m0 else 0}, A is {dim} x {a.cols}")
     lm0, at = Lifted.of(m0), [x.transposed() for x in a._lifts]
-    seed = _sum_products([(at[0], lm0), (lm0, a._lifts[0])], dim)
+    seed = linalg.sum_products([(at[0], lm0), (lm0, a._lifts[0])], dim, dim)
     if not seed.lifted().zero:
         raise ResidueNotCompatible(
             "A(0)^T M0 + M0 A(0) != 0; the constant term cannot start a "
@@ -709,7 +687,7 @@ def extend_pairing(a: SeriesMatrix, m0: Matrix,
     half, solved = Lifted.scalar(ONE / Scalar(2), dim), []
     for eps in (1, -1):
         # the eps-symmetric part of M solves theta X = A^T X + X A alone
-        part = _sum_products([(half, lm0)], dim, eps).lifted()
+        part = linalg.sum_products([(half, lm0)], dim, dim, eps).lifted()
         if not part.zero:  # a real pairing is pure: one solve
             solved.append(_solve_theta(part, at, a._lifts[0], eps, stuck))
     if not solved:
@@ -780,37 +758,34 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
     one-dimensional graded pieces; it is what makes the middle entry of
     a threefold's connection literally the Yukawa series over the
     volume.
+
+    Both are one diagonal gauge c of the canonical frame, read at q^0,
+    where the connection in Q is A(0) (h(0) = 1, g(0) = 0): entry (i, j)
+    of A h^-1 is multiplied by c_j / c_i before it is composed, and the
+    frame by diag(c) once.
     """
     canon = to_canonical_connection(g)
     h = _ks_component(canon.a_series, canon.levels2)
     mirror = _coordinate_of_ks(h)
-    # theta_Q = h^-1 theta_q and q = g(Q), so the connection in Q is
-    # (A o g) (h o g)^-1 = (A h^-1) o g: composition is a ring map
     rev, h_inv = Reversion(mirror), h.inverse()
-    support, levels = _support(canon.a_series), list(canon.levels2)
-    dim, zero = len(levels), Series.zero(h.order)
-    a_new = SeriesMatrix([[rev.compose(canon.a_series.entry(i, j) * h_inv)
-                           if (i, j) in support else zero
-                           for j in range(dim)] for i in range(dim)])
-    frame = canon.frame
+    levels, a0 = list(canon.levels2), canon.a_series.at0()
+    dim = len(levels)
+    c = [ONE] * dim
+
+    def rebased(i: int, j: int, x):
+        return x if c[i] == c[j] else x * (c[j] / c[i])
 
     if volume_basis:
         if len(set(levels)) != dim:
             raise ValueError(
                 "volume basis requires one-dimensional graded pieces")
-        a0 = a_new.at0()
-        scale = [ONE]
         for j in range(dim - 1):
             s = a0[j + 1][j]
             if s.is_zero():
                 raise InvariantViolation(
                     "A(0) does not generate the frame from the volume "
                     "vector")
-            scale.append(scale[-1] * s)
-        c_mat = linalg.diagonal(scale)
-        c_inv = linalg.diagonal([s.inverse() for s in scale])
-        a_new = a_new.scalar_left_mul(c_inv).scalar_right_mul(c_mat)
-        frame = frame.scalar_right_mul(c_mat)
+            c[j + 1] = c[j] * s
 
     n = max(levels)
     degrees = [-l for l in levels]
@@ -821,13 +796,13 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
 
     pairing_supplied = g.pairing is not None
     if pairing_supplied:
-        # Checked in q, on the frame and connection before any rescale:
-        # with R the residual of M = F^T P F for A, the residual in Q of
-        # M o g for a_new is (R h^-1) o g.  As h(0) = 1 and g = Q + O(Q^2),
+        # Checked in q, on the canonical frame and connection: with R the
+        # residual of M = F^T P F for A, the residual in Q of M o g for
+        # (A h^-1) o g is (R h^-1) o g.  As h(0) = 1 and g = Q + O(Q^2),
         # its first nonzero coefficient is that of R, at the same order,
-        # and the diagonal rescales of frame and a_new keep its zero
-        # pattern: the first failing order and entry are those in Q.  M
-        # is eps-symmetric because P is.
+        # and the diagonal gauge c multiplies entry (i, j) by c_i c_j,
+        # which keeps its zero pattern: the first failing order and entry
+        # are those in Q.  M is eps-symmetric because P is.
         failure = _pairing_failure(
             canon.a_series,
             canon.frame.transpose() * g.pairing * canon.frame, parity)
@@ -835,12 +810,13 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
             raise InvariantViolation(
                 "transported pairing is not covariantly constant in the "
                 f"canonical frame: {failure}")
-        f0 = frame.at0()
+        f0 = canon.frame.at0()
         m0 = linalg.mat_mul(linalg.transpose(f0),
                             linalg.mat_mul(g.pairing.at0(), f0))
     else:
         # m0 would extend (it is skew for the nilpotent A(0)); keep m0 only
-        m0 = _solve_pairing0(a_new.at0(), degrees, parity)
+        m0 = _solve_pairing0([[rebased(i, j, x) for j, x in enumerate(row)]
+                              for i, row in enumerate(a0)], degrees, parity)
 
     vol = 0  # columns are in descending level order
     partner_cands = [j for j, l in enumerate(levels) if l == -n]
@@ -853,7 +829,8 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
         if target_norm.is_zero():
             raise ZeroScalar("volume normalization must be nonzero")
         target = _prefactor(n) * target_norm
-        current = m0[vol][partner]
+        current = (c[vol] * m0[vol][partner] * c[partner]
+                   if pairing_supplied else m0[vol][partner])
         if current.is_zero():
             raise InvariantViolation("top pairing value vanishes")
         ratio = target / current
@@ -865,13 +842,20 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
                 raise InvariantViolation(
                     "normalization is not attainable over Gaussian "
                     "rationals")
-            d_mat = linalg.diagonal(
-                [lam if i == vol else ONE for i in range(dim)])
-            d_inv = linalg.diagonal(
-                [lam.inverse() if i == vol else ONE for i in range(dim)])
-            a_new = a_new.scalar_left_mul(d_inv).scalar_right_mul(d_mat)
-            m0 = linalg.mat_mul(d_mat, linalg.mat_mul(m0, d_mat))
-            frame = frame.scalar_right_mul(d_mat)
+            c[vol] = c[vol] * lam
+
+    frame = canon.frame
+    if any(x != ONE for x in c):
+        frame = frame.scalar_right_mul(linalg.diagonal(c))
+        if pairing_supplied:
+            m0 = [[c[i] * x * c[j] for j, x in enumerate(row)]
+                  for i, row in enumerate(m0)]
+    # theta_Q = h^-1 theta_q and q = g(Q), so the connection in Q is
+    # (A o g) (h o g)^-1 = (A h^-1) o g: composition is a ring map
+    support, zero = _support(canon.a_series), Series.zero(h.order)
+    a_new = SeriesMatrix([[rev.compose(rebased(
+        i, j, canon.a_series.entry(i, j) * h_inv)) if (i, j) in support
+        else zero for j in range(dim)] for i in range(dim)])
 
     dims: dict[int, int] = {}
     for k in degrees:
@@ -900,8 +884,6 @@ def rees_to_geometric(r: ReesModule) -> GeometricVHS:
     degrees (k_i, k_j) additionally picks up i^(-k_i).
     """
     rank = r.rank
-    if rank == 0 or rank != len(r.degrees):
-        raise NotFree("degree list does not present a basis")
     conn, pairing = (sum((-mat if p % 2 else mat
                           for p, mat in comps.items()),
                          SeriesMatrix.zeros(rank, rank, r.order))

@@ -98,6 +98,12 @@ def test_yukawa_decimal_annotations(capsys):
                                 "--order", "3", "--decimal", "3"])
     assert code == 0
     assert "(~" not in out
+    # a Gaussian value is annotated part by part
+    code, out, _ = run(capsys, ["yukawa", "--input", QUINTIC,
+                                "--order", "4", "--volume", "1/2+i",
+                                "--decimal", "3"])
+    assert code == 0
+    assert "\nQ^1    575/2+575*i  (~ 287.500+575.000i)\n" in out
 
 
 def test_instantons_subcommand(capsys):
@@ -172,6 +178,8 @@ def _d3_faulty(*faults):
         rows[1][0] = ["-2/3", "1"]
     if "degenerate" in faults:
         obj["pairing0"] = [["0"] * 4 for _ in range(4)]
+    if "asymmetric" in faults:  # <e_0, e_3> = 7, <e_3, e_0> = -2
+        obj["pairing0"][0][3] = "7"
     if "lopsided" in faults:    # V_1 two-dimensional, V_-1 one
         obj["graded_dims"]["1"] = 2
         for row in rows:
@@ -189,7 +197,10 @@ def _d3_faulty(*faults):
     (("rank",), "A(0)^1 is not an isomorphism V_-1 -> V_1"),
     (("unit",), "the V_{-n} -> V_{-n+2} component of A must be constant"),
     (("degenerate",), "pairing must be nondegenerate"),
-], ids=["rank-deficient", "q-dependent-unit", "degenerate-pairing"])
+    (("asymmetric",),
+     "pairing symmetry <a,b> = (-1)^n <b,a> fails at (0,3)"),
+], ids=["rank-deficient", "q-dependent-unit", "degenerate-pairing",
+        "asymmetric-pairing"])
 def test_check_pins_one_dn_object_fault(faults, message, tmp_path, capsys):
     path = tmp_path / "faulty.dn.json"
     path.write_text(json.dumps(_d3_faulty(*faults)))
@@ -208,6 +219,16 @@ def test_check_pins_hard_lefschetz_with_a_degenerate_pairing(
     path.write_text(json.dumps(_d3_faulty(*faults)))
     code, out, err = run(capsys, ["check", "--input", str(path)])
     assert (code, out, err) == (1, f"FAIL: {message}\n", "")
+
+
+def test_check_normal_form_report(tmp_path, capsys):
+    code, out, _ = run(capsys, ["normal-form", "--input", QUINTIC,
+                                "--order", "4", "--format", "json"])
+    assert code == 0
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    assert run(capsys, ["check", "--input", str(path)]) == \
+        (0, "NormalFormReport: parsed: ok\n", "")
 
 
 def test_check_rees_module(capsys):
@@ -325,6 +346,13 @@ def test_parse_error_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, ["pipeline", "--input", str(path)])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_trailing_operator_input_exit_two(tmp_path, capsys):
+    path = tmp_path / "trailing.pf.txt"
+    path.write_text("theta^4 )\n")
+    assert run(capsys, ["pipeline", "--input", str(path)]) == \
+        (2, "", "error: trailing input after expression\n")
 
 
 def test_order_too_small_rejected(capsys):
@@ -707,6 +735,15 @@ def test_non_integer_stored_field_exit_two(value, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "'n'" in err
     assert err.count("\n") == 1
+
+
+def test_non_integer_graded_dims_key_exit_two(tmp_path, capsys):
+    obj = json.loads((DATA / "d3-a.dn.json").read_text())
+    obj["graded_dims"]["x"] = obj["graded_dims"].pop("3")
+    path = tmp_path / "bad-key.dn.json"
+    path.write_text(json.dumps(obj))
+    assert run(capsys, ["check", "--input", str(path)]) == \
+        (2, "", "error: the keys of 'graded_dims' must be integers\n")
 
 
 @pytest.mark.parametrize("order", [-3, cli.MAX_ORDER + 1, 200000])

@@ -724,6 +724,60 @@ def test_zero_normalization_rejected():
         to_normal_form(anchor(h), normalization=Scalar(0))
 
 
+def test_a_non_nilpotent_residue_is_refused_by_the_normal_form():
+    g = GeometricVHS(conn=smat([[1, 0], [1, 0]]), levels2=(1, -1),
+                     pairing=None, parity=1)
+    with pytest.raises(NotNilpotentResidue, match=r"^N\^2 != 0$"):
+        to_normal_form(g)
+
+
+def test_volume_basis_with_a_supplied_pairing_and_a_volume():
+    """The volume basis and the volume of a supplied pairing are one
+    diagonal gauge c of the canonical frame.  The volume rescales the
+    volume vector alone, by c_0 = lambda, and the volume basis sets
+    c_(j+1) = c_j A(0)_(j+1,j) below it.  So the normal form's A(0) has
+    lambda at (1, 0) and a unit subdiagonal under it, the top pairing
+    value is the prefactor times the volume, and the gauge is the
+    canonical frame times diag(c)."""
+    rng = Random(41)
+    volume = Scalar(Fraction(7, 2))
+    for n in (2, 3):
+        d = random_dn(rng, n, order=ORD, max_dim=1)
+        geo = rees_to_geometric(from_normal_form(d))
+        report = to_normal_form(geo, normalization=volume, volume_basis=True)
+        rank, frame = d.rank, to_canonical_connection(geo).frame
+        c = linalg.mat_mul(linalg.inverse(frame.at0()), report.gauge.at0())
+        diag = [c[i][i] for i in range(rank)]
+        assert c == linalg.diagonal(diag) and diag[0] != ONE
+        assert report.gauge == frame.scalar_right_mul(c)
+        a0 = report.dn.a_series.at0()
+        assert [a0[j + 1][j] for j in range(rank - 1)] == \
+            [diag[0]] + [ONE] * (rank - 2)
+        assert report.dn.pairing0_matrix()[0][rank - 1] == \
+            vshs._prefactor(n) * volume
+
+
+@pytest.mark.parametrize("volume_basis, volume, products",
+                         [(False, None, 0), (True, Scalar(7), 1)],
+                         ids=["trivial-gauge", "volume-basis-and-volume"])
+def test_the_normal_form_multiplies_the_frame_once(volume_basis, volume,
+                                                   products, monkeypatch):
+    """The diagonal gauge is applied once, to the frame, and not at all
+    when it is all ones; the composed connection is never conjugated."""
+    d = random_dn(Random(41), 3, order=ORD, max_dim=1)
+    geo = rees_to_geometric(from_normal_form(d))
+    canon, seen = to_canonical_connection(geo), []
+    monkeypatch.setattr(vshs, "to_canonical_connection", lambda g: canon)
+    for name in ("scalar_left_mul", "scalar_right_mul"):
+        def counted(self, m, method=getattr(SeriesMatrix, name), name=name):
+            seen.append(name)
+            return method(self, m)
+        monkeypatch.setattr(SeriesMatrix, name, counted)
+    report = to_normal_form(geo, volume, volume_basis=volume_basis)
+    assert seen == ["scalar_right_mul"] * products
+    assert (report.dn == d) == (products == 0)
+
+
 # --- Rees module lifts ----------------------------------------------------
 
 def test_rees_roundtrip():
