@@ -15,15 +15,14 @@ from .picard_fuchs import (FrobeniusBasis, LogSeries, MirrorMapMismatch,
                            NotMaximallyUnipotent, ParseError, PFOperator,
                            bmodel_pipeline, companion_vhs, frobenius_solve,
                            mirror_map_frobenius, parse_pf)
-from .scalars import Scalar, format_scalar, parse_scalar, sqrt_exact
+from .scalars import Scalar, format_scalar, parse_scalar
 from .series import (BadConstantTerm, NonzeroConstant, NotReversible, Series,
                      SeriesMatrix, ZeroConstantTerm)
 from .vshs import (DegreeViolation, DnObject, GeometricVHS,
                    HardLefschetzFailure, InconsistentLift,
                    InvariantViolation, NormalFormReport, NotFree,
                    NotHodgeTate, NotNilpotentResidue, NotProportional,
-                   PairingUnderdetermined, ReesModule,
-                   ResidueNotCompatible, UnitNotPreserved, ZeroKS,
+                   ReesModule, ResidueNotCompatible, UnitNotPreserved, ZeroKS,
                    ZeroScalar, canonical_coordinate, extend_pairing,
                    formal_flat_gauge, from_normal_form, geometric_to_rees,
                    rees_to_geometric, rescale_coordinate,
@@ -39,7 +38,7 @@ __all__ = [
     "MirrorMapMismatch", "NonzeroConstant", "NormalFormReport",
     "NotFree", "NotHodgeTate", "NotMaximallyUnipotent", "NotNilpotent",
     "NotNilpotentResidue", "NotProportional", "NotReversible", "NotSplit",
-    "PairingUnderdetermined", "ParseError", "PFOperator", "ReesModule",
+    "ParseError", "PFOperator", "ReesModule",
     "ResidueNotCompatible", "Scalar", "Series", "SeriesMatrix",
     "UnitNotPreserved", "WeightFiltration", "ZeroConstantTerm", "ZeroKS",
     "ZeroScalar", "ZeroVolume", "bmodel_pipeline", "build_amodel_dn",
@@ -48,7 +47,7 @@ __all__ = [
     "frobenius_solve", "g_from_instantons", "geometric_to_rees",
     "graded_splitting", "instantons_from_g", "jordan_partition",
     "mirror_map_frobenius", "nilpotency_index", "parse_pf", "parse_scalar",
-    "rees_to_geometric", "rescale_coordinate", "sqrt_exact",
+    "rees_to_geometric", "rescale_coordinate",
     "to_canonical_connection", "to_normal_form", "verify_prevhs",
     "weight_filtration", "yukawa",
 ]

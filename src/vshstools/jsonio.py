@@ -53,6 +53,26 @@ def _order(value: Any) -> int:
     return order
 
 
+def _list(value: Any, field: str) -> list:
+    """A stored JSON array.  A string iterates too, so "12" would be read
+    as the list ["1", "2"]."""
+    if type(value) is not list:
+        raise picard_fuchs.ParseError(
+            f"field {field!r} must be a list, not {type(value).__name__}")
+    return value
+
+
+def _coeffs(value: Any, order: int, field: str) -> list[Scalar]:
+    """The coefficient list of a stored series of the given order: a
+    coefficient beyond the order would be dropped by Series."""
+    cells = _list(value, field)
+    if len(cells) > order:
+        raise picard_fuchs.ParseError(
+            f"field {field!r} holds {len(cells)} coefficients, more than "
+            f"the order {order}")
+    return [scalar_from_str(c) for c in cells]
+
+
 def _int_key(key: str, field: str) -> int:
     """An integer stored as a JSON object key, such as "-1"."""
     if not re.fullmatch(r"-?[0-9]{1,18}", key):
@@ -70,7 +90,7 @@ def series_to_obj(s: Series) -> dict[str, Any]:
 
 def series_from_obj(obj: dict[str, Any]) -> Series:
     order = _order(obj["order"])
-    return Series([scalar_from_str(c) for c in obj["coeffs"]], order)
+    return Series(_coeffs(obj["coeffs"], order, "coeffs"), order)
 
 
 def matrix_to_obj(m: SeriesMatrix) -> dict[str, Any]:
@@ -89,17 +109,23 @@ def matrix_to_obj(m: SeriesMatrix) -> dict[str, Any]:
 
 def matrix_from_obj(obj: dict[str, Any]) -> SeriesMatrix:
     order = _order(obj["order"])
-    entries = [[Series([scalar_from_str(c) for c in cell], order)
-                for cell in row] for row in obj["entries"]]
-    return SeriesMatrix(entries)
+    rows = [_list(row, "entries") for row in _list(obj["entries"], "entries")]
+    shape = (_int(obj["rows"], "rows"), _int(obj["cols"], "cols"))
+    if [len(row) for row in rows] != [shape[1]] * shape[0]:
+        raise picard_fuchs.ParseError(
+            f"field 'entries' is not the {shape[0]} x {shape[1]} matrix "
+            "that 'rows' and 'cols' state")
+    return SeriesMatrix([[Series(_coeffs(cell, order, "entries"), order)
+                          for cell in row] for row in rows])
 
 
 def scalar_matrix_to_obj(m: Matrix) -> list[list[str]]:
     return [[format_scalar(x) for x in row] for row in m]
 
 
-def scalar_matrix_from_obj(obj: list[list[str]]) -> Matrix:
-    return [[scalar_from_str(x) for x in row] for row in obj]
+def scalar_matrix_from_obj(obj: Any, field: str) -> Matrix:
+    return [[scalar_from_str(x) for x in _list(row, field)]
+            for row in _list(obj, field)]
 
 
 def dn_to_obj(d: vshs.DnObject) -> dict[str, Any]:
@@ -117,7 +143,7 @@ def dn_from_obj(obj: dict[str, Any]) -> vshs.DnObject:
             for k, v in obj["graded_dims"].items()}
     return vshs.DnObject(
         n=_int(obj["n"], "n"), graded_dims=dims,
-        pairing0=scalar_matrix_from_obj(obj["pairing0"]),
+        pairing0=scalar_matrix_from_obj(obj["pairing0"], "pairing0"),
         a_series=matrix_from_obj(obj["a_series"]))
 
 

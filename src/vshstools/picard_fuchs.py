@@ -636,8 +636,7 @@ def bmodel_normal_form(op: PFOperator, volume: Scalar,
     connection, and the Frobenius quotient) and insists they agree
     exactly; disagreement would mean the gauge bookkeeping broke.
     """
-    report = vshs.to_normal_form(companion_vhs(op, order),
-                                 normalization=volume, volume_basis=True)
+    report = vshs.to_normal_form(companion_vhs(op, order), volume)
     checked_mirror_map(op, order, report.mirror_coordinate)
     return report
 

@@ -304,43 +304,3 @@ def parse_scalar(text: str) -> Scalar:
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar {text!r}") from None
     return Scalar(re, im)
-
-
-def _fraction_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative Fraction, or None."""
-    if x < 0:
-        return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn != x.numerator or rd * rd != x.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
-def sqrt_exact(s: Scalar) -> Scalar | None:
-    """An exact Gaussian-rational square root of s, or None if none exists.
-
-    For s = a + b*i the root x + y*i satisfies x**2 = (a + |s|)/2 and
-    y = b/(2x), where |s| = sqrt(a**2 + b**2) must itself be rational.
-    """
-    if s.is_zero():
-        return ZERO
-    if s.im == 0:
-        r = _fraction_sqrt(s.re)
-        if r is not None:
-            return Scalar(r)
-        r = _fraction_sqrt(-s.re)
-        if r is not None:
-            return Scalar(0, r)
-        return None
-    norm = _fraction_sqrt(s.re * s.re + s.im * s.im)
-    if norm is None:
-        return None
-    x = _fraction_sqrt((s.re + norm) / 2)
-    if x is None or x == 0:
-        return None
-    y = s.im / (2 * x)
-    cand = Scalar(x, y)
-    if cand * cand == s:
-        return cand
-    return None

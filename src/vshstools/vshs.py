@@ -44,7 +44,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg, nilpotent
 from .linalg import Accumulator, Lifted, Matrix
-from .scalars import ONE, ZERO, Scalar, sqrt_exact
+from .scalars import ONE, Scalar
 from .series import Reversion, Series, SeriesMatrix
 
 
@@ -94,10 +94,6 @@ class HardLefschetzFailure(InvariantViolation):
 
 class UnitNotPreserved(InvariantViolation):
     """A acts on the volume direction with a q-dependent component."""
-
-
-class PairingUnderdetermined(ValueError):
-    """The constant-pairing constraint system is not one-dimensional."""
 
 
 def _prefactor(n: int) -> Scalar:
@@ -196,16 +192,10 @@ class GeometricVHS:
                 raise ValueError("pairing shape mismatch")
             if pairing.order != conn.order:
                 raise ValueError("pairing and connection order mismatch")
-            # (i, j) and (j, i) lie in one lift, over one denominator; a
-            # failure at (i, j) is one at (j, i): the first has i <= j
-            sign = -1 if parity else 1
-            bad = [(min(i, j), max(i, j)) for m in pairing._lifts
-                   for i, row in enumerate(m.rows) for j, a, b in row
-                   if (i, sign * a, sign * b) not in m.rows[j]]
+            bad = _asymmetry(pairing._lifts, parity)
             if bad:
-                i, j = min(bad)
                 raise InvariantViolation(
-                    f"pairing symmetry fails at ({i},{j})")
+                    f"pairing symmetry fails at ({bad[0]},{bad[1]})")
             failure = _pairing_failure(conn, pairing, parity)
             if failure:
                 raise InvariantViolation(
@@ -286,13 +276,11 @@ class DnObject:
                         f"pairing must have degree 0; entry ({i},{j}) "
                         f"pairs degrees {degrees[i]} and {degrees[j]}")
 
-        sign = Scalar(-1 if n % 2 else 1)
-        for i in range(rank):
-            for j in range(rank):
-                if pairing0[i][j] != sign * pairing0[j][i]:
-                    raise InvariantViolation(
-                        f"pairing symmetry <a,b> = (-1)^n <b,a> fails "
-                        f"at ({i},{j})")
+        bad = _asymmetry([Lifted.of(pairing0)], n % 2)
+        if bad:
+            raise InvariantViolation(
+                f"pairing symmetry <a,b> = (-1)^n <b,a> fails at "
+                f"({bad[0]},{bad[1]})")
 
         a0 = a_series.at0()
         # only the degrees present can fail, so the work grows with the
@@ -391,6 +379,17 @@ def _support(m: SeriesMatrix) -> set[tuple[int, int]]:
     """The entries (i, j) of m that are nonzero at some q-order."""
     return {(i, j) for c in m._lifts for i, row in enumerate(c.rows)
             for j, _, _ in row}
+
+
+def _asymmetry(lifts: Sequence[Lifted],
+               parity: int) -> tuple[int, int] | None:
+    """The first entry (i, j), i <= j, at which M^T = (-1)^parity M fails
+    in one of the lifts, or None.  (i, j) and (j, i) lie in one lift,
+    over one denominator, so they fail together."""
+    sign = -1 if parity else 1
+    return min([(min(i, j), max(i, j)) for m in lifts
+                for i, row in enumerate(m.rows) for j, a, b in row
+                if (i, sign * a, sign * b) not in m.rows[j]], default=None)
 
 
 def _pairing_failure(a: SeriesMatrix, m: SeriesMatrix,
@@ -695,90 +694,73 @@ def extend_pairing(a: SeriesMatrix, m0: Matrix,
     return solved[0] if len(solved) == 1 else solved[0] + solved[1]
 
 
-def _solve_pairing0(a0: Matrix, degrees: Sequence[int],
-                    parity: int) -> Matrix:
-    """Constant pairing seed: antidiagonal pattern, (-1)^n symmetry,
-    skew-compatible with the residue; must be unique up to scale."""
-    dim = len(degrees)
-    sign = Scalar(-1 if parity else 1)
-    slots: list[tuple[int, int]] = []
-    for i in range(dim):
-        for j in range(i, dim):
-            if degrees[i] + degrees[j] != 0:
-                continue
-            if i == j and parity == 1:
-                continue  # forced zero by skew symmetry
-            slots.append((i, j))
-    if not slots:
-        raise PairingUnderdetermined("no admissible pairing entries")
-
-    def assemble(values: Sequence[Scalar]) -> Matrix:
-        m = linalg.zeros(dim, dim)
-        for (i, j), v in zip(slots, values):
-            m[i][j] = v
-            if i != j:
-                m[j][i] = sign * v
-        return m
-
-    # A0^T m + m A0 = X + sign X^T, X = A0^T m: one equation per i <= j
-    a0t, eqs = linalg.transpose(a0), []
-    for s in range(len(slots)):
-        x = linalg.mat_mul(a0t, assemble([ONE if t == s else ZERO
-                                          for t in range(len(slots))]))
-        eqs.append([x[i][j] + sign * x[j][i] for i in range(dim)
-                    for j in range(i, dim)])
-    kernel = linalg.nullspace(linalg.transpose(eqs))
-    if len(kernel) != 1:
-        raise PairingUnderdetermined(
-            f"constant pairing solution space has dimension {len(kernel)}, "
-            "expected 1")
-    m0 = assemble(kernel[0])
-    if linalg.try_inverse(m0) is None:
-        raise PairingUnderdetermined("the unique constant pairing is "
-                                     "degenerate")
-    return m0
-
-
 # ---------------------------------------------------------------------------
 # the normal-form functors
 # ---------------------------------------------------------------------------
 
 
-def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
-                   volume_basis: bool = False) -> NormalFormReport:
+def to_normal_form(g: GeometricVHS,
+                   normalization: Scalar | None = None) -> NormalFormReport:
     """Canonical coordinates + graded frame -> DnObject.
 
-    normalization, when given, prescribes the volume of the output: the
-    top pairing value becomes (-1)^(n(n+1)/2) i^n times it.  If the
-    input carries a pairing the volume vector is rescaled to achieve
-    that; if the pairing is solved for, the pairing itself is scaled
-    (its overall scalar is exactly the solved-for freedom).
+    The pairing comes from exactly one place.  A pairing carried by g is
+    transported to the canonical frame as it is.  Without one,
+    normalization, the volume, is required: the frame is rebased along
+    powers of A(0), which needs one-dimensional graded pieces and makes
+    the middle entry of a threefold's connection literally the Yukawa
+    series over the volume.  The rebased A(0) is the unit subdiagonal,
+    so the one pairing of degree 0 that is (-1)^n-symmetric, makes A(0)
+    skew and has top value t = (-1)^(n(n+1)/2) i^n times the volume is
+    m_(i, rank-1-i) = (-1)^i t; the DnObject constructor checks it at
+    every q-order.  A pairing and a volume both, or neither, is a
+    ValueError before any work.
 
-    volume_basis additionally rebases along powers of A(0), which needs
-    one-dimensional graded pieces; it is what makes the middle entry of
-    a threefold's connection literally the Yukawa series over the
-    volume.
-
-    Both are one diagonal gauge c of the canonical frame, read at q^0,
-    where the connection in Q is A(0) (h(0) = 1, g(0) = 0): entry (i, j)
-    of A h^-1 is multiplied by c_j / c_i before it is composed, and the
-    frame by diag(c) once.
+    The rebase is one diagonal gauge c of the canonical frame, read at
+    q^0, where the connection in Q is A(0) (h(0) = 1, g(0) = 0): entry
+    (i, j) of A h^-1 is multiplied by c_j / c_i before it is composed,
+    and the frame by diag(c) once.
     """
+    if (g.pairing is None) == (normalization is None):
+        raise ValueError(
+            "the pairing comes from exactly one place: give a volume "
+            "normalization for an input without a pairing, and none for "
+            "an input with one")
+    if normalization is not None and Scalar.of(normalization).is_zero():
+        raise ZeroScalar("volume normalization must be nonzero")
     canon = to_canonical_connection(g)
     h = _ks_component(canon.a_series, canon.levels2)
     mirror = _coordinate_of_ks(h)
     rev, h_inv = Reversion(mirror), h.inverse()
-    levels, a0 = list(canon.levels2), canon.a_series.at0()
-    dim = len(levels)
+    levels, frame = list(canon.levels2), canon.frame
+    dim, n = len(levels), max(levels)
     c = [ONE] * dim
 
     def rebased(i: int, j: int, x):
         return x if c[i] == c[j] else x * (c[j] / c[i])
 
-    if volume_basis:
+    if n % 2 != g.parity:
+        raise InvariantViolation(
+            "top level parity disagrees with the stated dimension parity")
+    if g.pairing is not None:
+        # Checked in q, on the canonical frame and connection: with R the
+        # residual of M = F^T P F for A, the residual in Q of M o g for
+        # (A h^-1) o g is (R h^-1) o g.  As h(0) = 1 and g = Q + O(Q^2),
+        # its first nonzero coefficient is that of R, at the same order
+        # and entry.  M is eps-symmetric because P is.
+        failure = _pairing_failure(
+            canon.a_series, frame.transpose() * g.pairing * frame, g.parity)
+        if failure:
+            raise InvariantViolation(
+                "transported pairing is not covariantly constant in the "
+                f"canonical frame: {failure}")
+        f0 = frame.at0()
+        m0 = linalg.mat_mul(linalg.transpose(f0),
+                            linalg.mat_mul(g.pairing.at0(), f0))
+    else:
         if len(set(levels)) != dim:
             raise ValueError(
                 "volume basis requires one-dimensional graded pieces")
+        a0 = canon.a_series.at0()
         for j in range(dim - 1):
             s = a0[j + 1][j]
             if s.is_zero():
@@ -786,70 +768,12 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
                     "A(0) does not generate the frame from the volume "
                     "vector")
             c[j + 1] = c[j] * s
-
-    n = max(levels)
-    degrees = [-l for l in levels]
-    parity = g.parity
-    if n % 2 != parity:
-        raise InvariantViolation(
-            "top level parity disagrees with the stated dimension parity")
-
-    pairing_supplied = g.pairing is not None
-    if pairing_supplied:
-        # Checked in q, on the canonical frame and connection: with R the
-        # residual of M = F^T P F for A, the residual in Q of M o g for
-        # (A h^-1) o g is (R h^-1) o g.  As h(0) = 1 and g = Q + O(Q^2),
-        # its first nonzero coefficient is that of R, at the same order,
-        # and the diagonal gauge c multiplies entry (i, j) by c_i c_j,
-        # which keeps its zero pattern: the first failing order and entry
-        # are those in Q.  M is eps-symmetric because P is.
-        failure = _pairing_failure(
-            canon.a_series,
-            canon.frame.transpose() * g.pairing * canon.frame, parity)
-        if failure:
-            raise InvariantViolation(
-                "transported pairing is not covariantly constant in the "
-                f"canonical frame: {failure}")
-        f0 = canon.frame.at0()
-        m0 = linalg.mat_mul(linalg.transpose(f0),
-                            linalg.mat_mul(g.pairing.at0(), f0))
-    else:
-        # m0 would extend (it is skew for the nilpotent A(0)); keep m0 only
-        m0 = _solve_pairing0([[rebased(i, j, x) for j, x in enumerate(row)]
-                              for i, row in enumerate(a0)], degrees, parity)
-
-    vol = 0  # columns are in descending level order
-    partner_cands = [j for j, l in enumerate(levels) if l == -n]
-    if len(partner_cands) != 1:
-        raise InvariantViolation("degree n piece is not one-dimensional")
-    partner = partner_cands[0]
-
-    if normalization is not None:
-        target_norm = Scalar.of(normalization)
-        if target_norm.is_zero():
-            raise ZeroScalar("volume normalization must be nonzero")
-        target = _prefactor(n) * target_norm
-        current = (c[vol] * m0[vol][partner] * c[partner]
-                   if pairing_supplied else m0[vol][partner])
-        if current.is_zero():
-            raise InvariantViolation("top pairing value vanishes")
-        ratio = target / current
-        if not pairing_supplied:
-            m0 = [[x * ratio for x in row] for row in m0]
-        else:
-            lam = sqrt_exact(ratio) if vol == partner else ratio
-            if lam is None:
-                raise InvariantViolation(
-                    "normalization is not attainable over Gaussian "
-                    "rationals")
-            c[vol] = c[vol] * lam
-
-    frame = canon.frame
-    if any(x != ONE for x in c):
         frame = frame.scalar_right_mul(linalg.diagonal(c))
-        if pairing_supplied:
-            m0 = [[c[i] * x * c[j] for j, x in enumerate(row)]
-                  for i, row in enumerate(m0)]
+        top = _prefactor(n) * Scalar.of(normalization)
+        m0 = linalg.zeros(dim, dim)
+        for i in range(dim):
+            m0[i][dim - 1 - i] = -top if i % 2 else top
+
     # theta_Q = h^-1 theta_q and q = g(Q), so the connection in Q is
     # (A o g) (h o g)^-1 = (A h^-1) o g: composition is a ring map
     support, zero = _support(canon.a_series), Series.zero(h.order)
@@ -858,11 +782,12 @@ def to_normal_form(g: GeometricVHS, normalization: Scalar | None = None, *,
         else zero for j in range(dim)] for i in range(dim)])
 
     dims: dict[int, int] = {}
-    for k in degrees:
-        dims[k] = dims.get(k, 0) + 1
+    for l in levels:
+        dims[-l] = dims.get(-l, 0) + 1
     dn = DnObject(n=n, graded_dims=dims, pairing0=m0, a_series=a_new)
+    # levels descend along the frame: the volume vector comes first
     return NormalFormReport(mirror_coordinate=mirror, gauge=frame,
-                            dn=dn, volume_index=vol)
+                            dn=dn, volume_index=0)
 
 
 def from_normal_form(d: DnObject) -> ReesModule:

@@ -746,6 +746,32 @@ def test_non_integer_graded_dims_key_exit_two(tmp_path, capsys):
         (2, "", "error: the keys of 'graded_dims' must be integers\n")
 
 
+@pytest.mark.parametrize("edits, message", [
+    ([(("a_series", "entries", 3, 2), "1")],
+     "field 'entries' must be a list, not str"),
+    ([(("pairing0", 0), "0002")], "field 'pairing0' must be a list, not str"),
+    ([(("a_series", "rows"), 7), (("a_series", "cols"), 1)],
+     "field 'entries' is not the 7 x 1 matrix that 'rows' and 'cols' "
+     "state"),
+    ([(("a_series", "entries", 2, 1),
+       ["1/3", "-1/9", "2/3", "-1/9", "-1/2", "-2/3", "-1/3", "1/2", "5"])],
+     "field 'entries' holds 9 coefficients, more than the order 8"),
+], ids=["string-cell", "string-row", "stated-shape", "ninth-coefficient"])
+def test_stored_matrix_is_read_as_written(edits, message, tmp_path, capsys):
+    """A string iterates like a list and a Series drops what lies beyond
+    its order, so each of these read as a valid object before."""
+    obj = json.loads((DATA / "d3-a.dn.json").read_text())
+    for (*path, last), value in edits:
+        target = obj
+        for key in path:
+            target = target[key]
+        target[last] = value
+    path = tmp_path / "misread.dn.json"
+    path.write_text(json.dumps(obj))
+    assert run(capsys, ["check", "--input", str(path)]) == \
+        (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("order", [-3, cli.MAX_ORDER + 1, 200000])
 @pytest.mark.parametrize("name, command", [
     ("d3-a.dn.json", "check"), ("d3-a.dn.json", "rees-roundtrip"),

@@ -8,7 +8,7 @@ import pytest
 
 from vshstools import jsonio, vshs
 from vshstools.amodel import InstantonTable
-from vshstools.picard_fuchs import PFOperator, parse_pf
+from vshstools.picard_fuchs import ParseError, PFOperator, parse_pf
 from vshstools.scalars import Scalar
 from vshstools.series import Series, SeriesMatrix
 
@@ -31,6 +31,12 @@ def test_series_roundtrip_trims_trailing_zeros():
     assert jsonio.series_from_obj(obj) == s
     zero = Series.zero(6)
     assert jsonio.series_from_obj(jsonio.series_to_obj(zero)) == zero
+
+
+def test_stored_coefficients_are_a_list():
+    with pytest.raises(ParseError,
+                       match=r"^field 'coeffs' must be a list, not str$"):
+        jsonio.series_from_obj({"order": 3, "coeffs": "12"})
 
 
 def test_matrix_roundtrip():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vshstools.scalars import (I, ONE, ZERO, Scalar, format_scalar,
-                               parse_scalar, sqrt_exact)
+                               parse_scalar)
 
 
 def test_construction_and_equality():
@@ -87,13 +87,6 @@ def test_parse_refuses_an_exponent_over_the_limit(text):
     # Fraction would expand 10**exponent before any size check
     with pytest.raises(ValueError, match="MAX_SCALAR_EXPONENT = 4300"):
         parse_scalar(text)
-
-
-def test_sqrt_exact():
-    assert sqrt_exact(Scalar(Fraction(9, 4))) == Scalar(Fraction(3, 2))
-    assert sqrt_exact(Scalar(2)) is None
-    root = sqrt_exact(Scalar(0, 2))  # sqrt(2i) = 1+i
-    assert root is not None and root * root == Scalar(0, 2)
 
 
 def test_foreign_operand_rejected():

@@ -95,8 +95,7 @@ def test_normal_form_computes_no_flat_gauge(monkeypatch):
 
     monkeypatch.setattr(vshs, "formal_flat_gauge", counting)
     op = picard_fuchs.parse_pf((DATA / "quintic.pf.txt").read_text())
-    report = vshs.to_normal_form(picard_fuchs.companion_vhs(op, 6),
-                                 normalization=Scalar(5), volume_basis=True)
+    report = vshs.to_normal_form(picard_fuchs.companion_vhs(op, 6), Scalar(5))
     assert calls == []
     assert report.mirror_coordinate.coeffs[2] == Scalar(770)
 

@@ -21,9 +21,9 @@ from vshstools.series import Series, SeriesMatrix
 from vshstools.vshs import (DegreeViolation, DnObject, GeometricVHS,
                             InconsistentLift, InvariantViolation,
                             NotHodgeTate, NotNilpotentResidue,
-                            NotProportional, PairingUnderdetermined,
-                            ReesModule, ResidueNotCompatible, ZeroKS,
-                            ZeroScalar, canonical_coordinate, extend_pairing,
+                            NotProportional, ReesModule,
+                            ResidueNotCompatible, ZeroKS, ZeroScalar,
+                            canonical_coordinate, extend_pairing,
                             formal_flat_gauge, from_normal_form,
                             geometric_to_rees, rees_to_geometric,
                             rescale_coordinate, to_canonical_connection,
@@ -37,6 +37,9 @@ from genutil import (block_diagonal, extend_pairing_two_products,
 
 ORD = 8
 COORD = Series.coordinate(ORD)
+RATIONALS = st.fractions(-5, 5, max_denominator=4)
+GAUSSIAN = st.builds(Scalar, RATIONALS, RATIONALS).filter(
+    lambda c: not c.is_zero())
 
 
 def smat(rows, order=ORD):
@@ -59,6 +62,12 @@ def anchor(h):
                       [h, Series.zero(ORD)]])
     pairing = smat([[0, 1], [-1, 0]])
     return GeometricVHS(conn=b, levels2=(1, -1), pairing=pairing, parity=1)
+
+
+def unpaired(geo):
+    """geo without its pairing, for a normal form given a volume."""
+    return GeometricVHS(conn=geo.conn, levels2=geo.levels2, pairing=None,
+                        parity=geo.parity)
 
 
 def flag_gauge(rng, levels, order, constant=False):
@@ -322,32 +331,26 @@ def test_the_canonical_connection_takes_no_neumann_sum(monkeypatch):
     monkeypatch.setattr(vshs, "_neumann_sum", refuse)
     data = Path(__file__).resolve().parent.parent / "data"
     op = picard_fuchs.parse_pf((data / "quintic.pf.txt").read_text())
-    report = to_normal_form(picard_fuchs.companion_vhs(op, 16))
+    report = to_normal_form(picard_fuchs.companion_vhs(op, 16), Scalar(5))
     assert report.mirror_coordinate == picard_fuchs.mirror_map_frobenius(
         picard_fuchs.frobenius_solve(op, 2, 16))
 
 
 def test_mirror_invariant_under_q_dependent_gauge():
     rng = Random(24)
-    done = 0
-    while done < 3:
+    for _ in range(3):
         d = random_dn(rng, rng.choice((2, 3)), order=ORD, max_dim=1)
         geo = rees_to_geometric(from_normal_form(d))
-        base = GeometricVHS(conn=geo.conn, levels2=geo.levels2,
-                            pairing=None, parity=geo.parity)
+        base = unpaired(geo)
         g = flag_gauge(rng, geo.levels2, ORD)
         moved = GeometricVHS(conn=gauge_transform(geo.conn, g),
                              levels2=geo.levels2, pairing=None,
                              parity=geo.parity)
-        try:
-            ra = to_normal_form(base, normalization=Scalar(3))
-            rb = to_normal_form(moved, normalization=Scalar(3))
-        except PairingUnderdetermined:
-            continue  # legitimate for unlucky draws; redraw
+        ra = to_normal_form(base, Scalar(3))
+        rb = to_normal_form(moved, Scalar(3))
         assert ra.mirror_coordinate == COORD
         assert rb.mirror_coordinate == COORD
         assert ra.dn.graded_dims == rb.dn.graded_dims
-        done += 1
 
 
 def test_normal_form_invariant_under_constant_gauge():
@@ -360,15 +363,15 @@ def test_normal_form_invariant_under_constant_gauge():
                              levels2=geo.levels2,
                              pairing=g.transpose() * geo.pairing * g,
                              parity=geo.parity)
-        ra = to_normal_form(geo, normalization=Scalar(2))
-        rb = to_normal_form(moved, normalization=Scalar(2))
+        ra = to_normal_form(geo)
+        rb = to_normal_form(moved)
         assert ra.mirror_coordinate == rb.mirror_coordinate
         assert ra.dn.graded_dims == rb.dn.graded_dims
-        vol, n_top = ra.dn.volume_index, ra.dn.n
-        partner = ra.dn.rank - 1 if ra.dn.degrees[-1] == n_top else None
-        assert partner is not None
-        assert ra.dn.pairing0_matrix()[vol][partner] == \
-            rb.dn.pairing0_matrix()[vol][partner]
+        # the transported pairing keeps the gauge's scale of the volume
+        # vector, which multiplies the Yukawa series by its square
+        ya, yb = yukawa(ra.dn), yukawa(rb.dn)
+        assert ya * ya.coefficient(0).inverse() == \
+            yb * yb.coefficient(0).inverse()
 
 
 # --- pairing extension ----------------------------------------------------
@@ -708,62 +711,81 @@ def test_constructed_pairing_matches_quintic_convention():
 
 
 def test_pairing_underdetermined():
-    # two independent weight chains leave a 2-parameter solution space
+    # two independent weight chains: a volume fixes one pairing value of
+    # a 2-parameter family, and the volume basis has no chain to follow
     b = smat([[0, 0, 0, 0],
               [1, 0, 0, 0],
               [0, 0, 0, 0],
               [0, 1, 0, 0]])
     g = GeometricVHS(conn=b, levels2=(2, 0, 0, -2), pairing=None, parity=0)
-    with pytest.raises(PairingUnderdetermined):
-        to_normal_form(g)
+    with pytest.raises(ValueError, match=r"^volume basis requires "
+                       r"one-dimensional graded pieces$"):
+        to_normal_form(g, Scalar(5))
 
 
 def test_zero_normalization_rejected():
     h = Series.one(ORD)
     with pytest.raises(ZeroScalar):
-        to_normal_form(anchor(h), normalization=Scalar(0))
+        to_normal_form(unpaired(anchor(h)), Scalar(0))
 
 
 def test_a_non_nilpotent_residue_is_refused_by_the_normal_form():
     g = GeometricVHS(conn=smat([[1, 0], [1, 0]]), levels2=(1, -1),
                      pairing=None, parity=1)
     with pytest.raises(NotNilpotentResidue, match=r"^N\^2 != 0$"):
-        to_normal_form(g)
+        to_normal_form(g, Scalar(5))
 
 
-def test_volume_basis_with_a_supplied_pairing_and_a_volume():
-    """The volume basis and the volume of a supplied pairing are one
-    diagonal gauge c of the canonical frame.  The volume rescales the
-    volume vector alone, by c_0 = lambda, and the volume basis sets
-    c_(j+1) = c_j A(0)_(j+1,j) below it.  So the normal form's A(0) has
-    lambda at (1, 0) and a unit subdiagonal under it, the top pairing
-    value is the prefactor times the volume, and the gauge is the
-    canonical frame times diag(c)."""
-    rng = Random(41)
-    volume = Scalar(Fraction(7, 2))
-    for n in (2, 3):
-        d = random_dn(rng, n, order=ORD, max_dim=1)
-        geo = rees_to_geometric(from_normal_form(d))
-        report = to_normal_form(geo, normalization=volume, volume_basis=True)
-        rank, frame = d.rank, to_canonical_connection(geo).frame
-        c = linalg.mat_mul(linalg.inverse(frame.at0()), report.gauge.at0())
-        diag = [c[i][i] for i in range(rank)]
-        assert c == linalg.diagonal(diag) and diag[0] != ONE
-        assert report.gauge == frame.scalar_right_mul(c)
-        a0 = report.dn.a_series.at0()
-        assert [a0[j + 1][j] for j in range(rank - 1)] == \
-            [diag[0]] + [ONE] * (rank - 2)
-        assert report.dn.pairing0_matrix()[0][rank - 1] == \
-            vshs._prefactor(n) * volume
+@pytest.mark.parametrize("paired, volume",
+                         [(True, Scalar(7)), (False, None)],
+                         ids=["pairing-and-volume", "neither"])
+def test_the_pairing_comes_from_exactly_one_place(paired, volume,
+                                                  monkeypatch):
+    """The input's pairing or a volume, never both or neither: either is
+    refused before the canonical connection is computed."""
+    def never(g):
+        raise AssertionError("the canonical connection was computed")
+
+    d = random_dn(Random(41), 3, order=ORD, max_dim=1)
+    geo = rees_to_geometric(from_normal_form(d))
+    monkeypatch.setattr(vshs, "to_canonical_connection", never)
+    with pytest.raises(ValueError, match=r"^the pairing comes from exactly "
+                       r"one place: "):
+        to_normal_form(geo if paired else unpaired(geo), volume)
 
 
-@pytest.mark.parametrize("volume_basis, volume, products",
-                         [(False, None, 0), (True, Scalar(7), 1)],
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 6),
+       st.one_of(RATIONALS.filter(bool).map(Scalar), GAUSSIAN))
+def test_the_solved_pairing_is_the_one_the_volume_fixes(seed, n, volume):
+    """Without a stored pairing, the frame runs along powers of A(0) from
+    the volume vector, and the pairing is the one constant solution of
+    degree 0, (-1)^n-symmetric and skew for A(0), whose top value is the
+    prefactor times the volume."""
+    d = random_dn(Random(seed), n, order=4, max_dim=1)
+    report = to_normal_form(unpaired(rees_to_geometric(from_normal_form(d))),
+                            volume)
+    m, a0 = report.dn.pairing0_matrix(), report.dn.a_series.at0()
+    degrees, rank = report.dn.degrees, report.dn.rank
+    assert a0 == [[ONE if i == j + 1 else ZERO for j in range(rank)]
+                  for i in range(rank)]
+    skew = [[x + y for x, y in zip(r, s)] for r, s in
+            zip(linalg.mat_mul(linalg.transpose(a0), m),
+                linalg.mat_mul(m, a0))]
+    assert linalg.is_zero_matrix(skew)
+    assert all(m[i][j].is_zero() for i in range(rank) for j in range(rank)
+               if degrees[i] + degrees[j])
+    sign = Scalar(-1 if n % 2 else 1)
+    assert linalg.transpose(m) == [[sign * x for x in row] for row in m]
+    assert m[0][rank - 1] == vshs._prefactor(n) * volume
+
+
+@pytest.mark.parametrize("volume, products", [(None, 0), (Scalar(7), 1)],
                          ids=["trivial-gauge", "volume-basis-and-volume"])
-def test_the_normal_form_multiplies_the_frame_once(volume_basis, volume,
-                                                   products, monkeypatch):
+def test_the_normal_form_multiplies_the_frame_once(volume, products,
+                                                   monkeypatch):
     """The diagonal gauge is applied once, to the frame, and not at all
-    when it is all ones; the composed connection is never conjugated."""
+    for a stored pairing; the composed connection is never conjugated."""
     d = random_dn(Random(41), 3, order=ORD, max_dim=1)
     geo = rees_to_geometric(from_normal_form(d))
     canon, seen = to_canonical_connection(geo), []
@@ -773,7 +795,7 @@ def test_the_normal_form_multiplies_the_frame_once(volume_basis, volume,
             seen.append(name)
             return method(self, m)
         monkeypatch.setattr(SeriesMatrix, name, counted)
-    report = to_normal_form(geo, volume, volume_basis=volume_basis)
+    report = to_normal_form(geo if volume is None else unpaired(geo), volume)
     assert seen == ["scalar_right_mul"] * products
     assert (report.dn == d) == (products == 0)
 
@@ -896,28 +918,21 @@ def pulled_back(d, f):
                         parity=geo.parity)
 
 
-@pytest.mark.parametrize("k, i, j, volume_basis",
-                         [(0, 1, 0, False), (2, 2, 2, False),
-                          (3, 0, 1, True), (6, 3, 2, True)])
+@pytest.mark.parametrize("k, i, j", [(0, 1, 0), (2, 2, 2)])
 def test_transported_pairing_failure_is_the_one_in_the_mirror_coordinate(
-        k, i, j, volume_basis, monkeypatch):
+        k, i, j, monkeypatch):
     """to_normal_form checks the pairing F^T P F of the canonical frame F
     against the connection in q.  With entry (i, j) of F perturbed at
     q^k, the failure it names is the first residual in the canonical
-    coordinate Q, where F^T P F, F rescaled by the volume basis, is
-    composed with q(Q)."""
+    coordinate Q, where F^T P F is composed with q(Q)."""
     rng = Random(40 + k)
     d = random_dn(rng, 3, order=ORD, max_dim=1)
     f = Series([ZERO, ONE, Scalar(2), Scalar(Fraction(-1, 3))], ORD)
     geo = pulled_back(d, f)
-    report = to_normal_form(geo, volume_basis=volume_basis)
+    report = to_normal_form(geo)
     assert report.mirror_coordinate == f
-    if not volume_basis:
-        assert report.dn == d
+    assert report.dn == d
     canonical = vshs.to_canonical_connection
-    # the rescale c of the volume basis: the reported frame is F c
-    c = linalg.mat_mul(linalg.inverse(canonical(geo).frame.at0()),
-                       report.gauge.at0())
     bump = rand_scalar(rng, complex_ok=True) or ONE
 
     def perturbed(g):
@@ -928,7 +943,7 @@ def test_transported_pairing_failure_is_the_one_in_the_mirror_coordinate(
         return canon._replace(frame=SeriesMatrix.from_coefficients(
             mats, g.rank, g.rank))
 
-    frame = perturbed(geo).frame.scalar_right_mul(c)
+    frame = perturbed(geo).frame
     m = frame.transpose() * geo.pairing * frame
     inverse_map = f.reverse()
     transported = SeriesMatrix([[horner(m.entry(a, b), inverse_map)
@@ -938,7 +953,7 @@ def test_transported_pairing_failure_is_the_one_in_the_mirror_coordinate(
     assert hit is not None
     monkeypatch.setattr(vshs, "to_canonical_connection", perturbed)
     with pytest.raises(InvariantViolation) as failure:
-        to_normal_form(geo, volume_basis=volume_basis)
+        to_normal_form(geo)
     assert str(failure.value) == (
         "transported pairing is not covariantly constant in the canonical "
         f"frame: the residual is nonzero at q^{hit[0]}, entry "
@@ -958,11 +973,6 @@ def test_self_adjointness_failure_names_its_q_order():
     assert str(failure.value) == (
         "A(q) is not self-adjoint for the pairing: the residual is "
         f"nonzero at q^2, entry (0,{below})")
-
-
-RATIONALS = st.fractions(-5, 5, max_denominator=4)
-GAUSSIAN = st.builds(Scalar, RATIONALS, RATIONALS).filter(
-    lambda c: not c.is_zero())
 
 
 @settings(max_examples=30, deadline=None)
@@ -1021,7 +1031,7 @@ def test_rescale_dilates_yukawa():
 
 def test_yukawa_constant_connection():
     h = Series.one(ORD)
-    rep = to_normal_form(anchor(h), normalization=Scalar(5))
+    rep = to_normal_form(unpaired(anchor(h)), Scalar(5))
     assert yukawa(rep.dn).coefficient(0) != ZERO
 
 
