@@ -8,7 +8,6 @@ failed, 2 the input could not be read or parsed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from functools import cache
@@ -117,7 +116,7 @@ def _instantons(report: vshs.NormalFormReport,
 
 
 def _cmd_pipeline(args) -> int:
-    op = picard_fuchs.parse_pf(_read_input(args.input))
+    op = jsonio.load_operator(_read_input(args.input))
     volume = _parse_volume(args.volume)
     cover_power(op.order_theta - 1)  # refuses n >= 5 before the normal form
     report = _signed_report(op, volume, args.order, args.sign)
@@ -142,7 +141,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_mirror_map(args) -> int:
-    op = picard_fuchs.parse_pf(_read_input(args.input))
+    op = jsonio.load_operator(_read_input(args.input))
     series = picard_fuchs.checked_mirror_map(op, args.order) * \
         Scalar(args.sign)
     if args.format == "json":
@@ -155,7 +154,7 @@ def _cmd_mirror_map(args) -> int:
 
 
 def _cmd_yukawa(args) -> int:
-    op = picard_fuchs.parse_pf(_read_input(args.input))
+    op = jsonio.load_operator(_read_input(args.input))
     volume = _parse_volume(args.volume)
     report = _signed_report(op, volume, args.order, args.sign)
     yuk = vshs.yukawa(report.dn)
@@ -168,7 +167,7 @@ def _cmd_yukawa(args) -> int:
 
 
 def _cmd_instantons(args) -> int:
-    op = picard_fuchs.parse_pf(_read_input(args.input))
+    op = jsonio.load_operator(_read_input(args.input))
     volume = _parse_volume(args.volume)
     cover_power(op.order_theta - 1)  # refuses n >= 5 before the normal form
     report = _signed_report(op, volume, args.order, args.sign)
@@ -181,7 +180,7 @@ def _cmd_instantons(args) -> int:
 
 
 def _cmd_normal_form(args) -> int:
-    op = picard_fuchs.parse_pf(_read_input(args.input))
+    op = jsonio.load_operator(_read_input(args.input))
     volume = _parse_volume(args.volume)
     report = _signed_report(op, volume, args.order, args.sign)
     if args.format == "json":
@@ -337,8 +336,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (picard_fuchs.ParseError, OSError,
-            json.JSONDecodeError) as exc:
+    except (picard_fuchs.ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -1,9 +1,12 @@
 """JSON schemas for every object the command line touches.
 
 Scalars are strings ("a/b", "c/d*i", "a/b+c/d*i"), series are a coeff
-list plus an order, matrices carry one order for all entries.  Dumps
-are deterministic: sorted keys, two-space indent, trailing newline.
-Every *_to_obj / *_from_obj pair round-trips exactly.
+list plus an order, matrices carry one order for all entries.  An
+operator's coefficient cells may also be JSON integers.  Dumps are
+deterministic: sorted keys, two-space indent, trailing newline.  Every
+*_to_obj / *_from_obj pair round-trips exactly.  All JSON input, the
+operator's included, is decoded here, by one decoder; load_text reads
+any kind and load_operator reads the operator commands' input.
 """
 from __future__ import annotations
 
@@ -94,15 +97,8 @@ def series_from_obj(obj: dict[str, Any]) -> Series:
 
 
 def matrix_to_obj(m: SeriesMatrix) -> dict[str, Any]:
-    entries = []
-    for i in range(m.rows):
-        row = []
-        for j in range(m.cols):
-            coeffs = [format_scalar(c) for c in m.entry(i, j).coeffs]
-            while coeffs and coeffs[-1] == "0":
-                coeffs.pop()
-            row.append(coeffs)
-        entries.append(row)
+    entries = [[series_to_obj(m.entry(i, j))["coeffs"]
+                for j in range(m.cols)] for i in range(m.rows)]
     return {"rows": m.rows, "cols": m.cols, "order": m.order,
             "entries": entries}
 
@@ -198,6 +194,23 @@ def pf_to_obj(op: picard_fuchs.PFOperator) -> dict[str, Any]:
     }
 
 
+def pf_from_obj(obj: dict[str, Any]) -> picard_fuchs.PFOperator:
+    """coeffs[j] lists the q-coefficients of c_j, each a scalar string or
+    a JSON integer, never a float (rounded already) or a boolean; a row
+    of one coefficient may be that one cell."""
+    rows = [row if type(row) is list else [row]
+            for row in _list(obj["coeffs"], "coeffs")]
+    if any(type(c) not in (str, int) for row in rows for c in row):
+        raise picard_fuchs.ParseError(
+            "field 'coeffs' must hold strings and integers only")
+    if "order" in obj and _int(obj["order"], "order") != len(rows) - 1:
+        raise picard_fuchs.ParseError(
+            "stated order disagrees with coefficients")
+    return picard_fuchs.PFOperator(
+        [[scalar_from_str(c) if type(c) is str else Scalar(c) for c in row]
+         for row in rows])
+
+
 def table_to_obj(t: InstantonTable) -> dict[str, Any]:
     return {
         "kind": "instanton_table",
@@ -241,35 +254,52 @@ _LOADERS = {
     "dn_object": dn_from_obj,
     "rees_module": rees_from_obj,
     "geometric_vhs": geometric_from_obj,
+    "pf_operator": pf_from_obj,
     "instanton_table": table_from_obj,
     "normal_form_report": report_from_obj,
 }
 
 
-def load_text(text: str):
-    """Load any known kind from its JSON text; PF operator text (JSON
-    or the expression language) is handed to its own parser."""
+def _decode(text: str) -> dict[str, Any] | None:
+    """The one JSON decoder: the object that text holds, or None when
+    the text is not JSON (an operator expression).  Every way JSON text
+    can fail to decode is a ParseError."""
     stripped = text.strip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(stripped)
-        except RecursionError:
-            raise picard_fuchs.ParseError("JSON nested too deeply") from None
-        except json.JSONDecodeError:
-            raise
-        except ValueError as exc:  # an integer over the digit limit
-            raise picard_fuchs.ParseError(f"invalid JSON: {exc}") from None
-        kind = data.get("kind")
-        if isinstance(kind, str) and kind in _LOADERS:
-            try:
-                return _LOADERS[kind](data)
-            except KeyError as exc:
-                raise picard_fuchs.ParseError(
-                    f"{kind} is missing the field {exc}") from exc
-            except (TypeError, AttributeError, IndexError) as exc:
-                raise picard_fuchs.ParseError(
-                    f"malformed {kind}: {exc}") from exc
-        if kind == "pf_operator" or "coeffs" in data:
-            return picard_fuchs.parse_pf(stripped)
+    if not stripped.startswith("{"):
+        return None
+    try:
+        return json.loads(stripped)
+    except RecursionError:
+        raise picard_fuchs.ParseError("JSON nested too deeply") from None
+    except ValueError as exc:  # also an integer over the digit limit
+        raise picard_fuchs.ParseError(f"invalid JSON: {exc}") from None
+
+
+def load_operator(text: str) -> picard_fuchs.PFOperator:
+    """An operator from its JSON, whatever its kind field, or from the
+    expression language."""
+    data = _decode(text)
+    if data is None:
+        return picard_fuchs.parse_pf(text)
+    if "coeffs" not in data:
+        raise picard_fuchs.ParseError("operator JSON needs a 'coeffs' field")
+    return pf_from_obj(data)
+
+
+def load_text(text: str):
+    """Any known kind from its JSON text, where an object with no kind
+    and a 'coeffs' field is an operator; text that is not JSON is read
+    as an operator expression."""
+    data = _decode(text)
+    if data is None:
+        return picard_fuchs.parse_pf(text)
+    kind = data.get("kind", "pf_operator" if "coeffs" in data else None)
+    if not (isinstance(kind, str) and kind in _LOADERS):
         raise picard_fuchs.ParseError(f"unknown object kind {kind!r}")
-    return picard_fuchs.parse_pf(stripped)
+    try:
+        return _LOADERS[kind](data)
+    except KeyError as exc:
+        raise picard_fuchs.ParseError(
+            f"{kind} is missing the field {exc}") from exc
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise picard_fuchs.ParseError(f"malformed {kind}: {exc}") from exc

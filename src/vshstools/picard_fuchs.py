@@ -2,12 +2,14 @@
 solutions at a maximally unipotent point.
 
 An operator is stored with exact polynomial coefficients, written on the
-left of powers of theta: L = sum_j c_j(q) theta^j.  Input comes either
-from JSON or from a small expression language (`theta`, `q`, integers,
-+ - * ^ and parentheses, juxtaposition multiplies).  While an expression
-is parsed, an operator is a dict of its monomials, (theta-power j,
-q-power b) -> the nonzero coefficient of q^b theta^j, and products are
-normal-ordered with theta^i q^b = q^b (theta + b)^i.
+left of powers of theta: L = sum_j c_j(q) theta^j, and PFOperator's
+constructor is the one place that checks it: maximal unipotency, a
+positive theta-order and the size limits.  parse_pf reads a small
+expression language (`theta`, `q`, integers, + - * ^ and parentheses,
+juxtaposition multiplies); jsonio reads the JSON form.  While an
+expression is parsed, an operator is a dict of its monomials,
+(theta-power j, q-power b) -> the nonzero coefficient of q^b theta^j,
+and products are normal-ordered with theta^i q^b = q^b (theta + b)^i.
 
 The Frobenius method is run with a nilpotent shift: solutions are found
 as q^eps * U(q, eps) with eps^depth = 0, whose eps-coefficients produce
@@ -20,7 +22,6 @@ canonical coordinate.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb, gcd, lcm
 from operator import add, mul
@@ -28,7 +29,7 @@ from typing import Sequence
 
 from . import amodel, vshs
 from .linalg import lift_vector
-from .scalars import ONE, ZERO, Scalar, format_scalar, parse_scalar
+from .scalars import ONE, ZERO, Scalar, format_scalar
 from .series import LiftedVector, Series, SeriesMatrix, _lower, _product
 
 
@@ -256,26 +257,43 @@ class _Parser:
 
 
 class PFOperator:
-    """L = sum_j c_j(q) theta^j with exact polynomial coefficients.
+    """L = sum_j c_j(q) theta^j with exact polynomial coefficients, each
+    c_j ending at its last nonzero q-coefficient.
 
-    The leading coefficient must be a unit at q = 0 (the singularity is
-    normalized to be regular there); coefficient_series evaluates any
-    c_j to a requested truncation order.
+    The constructor is the one gate.  In this order it refuses, with
+    ParseError: the zero operator, a leading coefficient that is not a
+    unit at q = 0, a degree over MAX_DEGREE, a theta-order over
+    MAX_THETA_ORDER or of 0; then, with NotMaximallyUnipotent, an
+    indicial polynomial other than theta^r.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Sequence[Scalar]]):
-        cleaned = [tuple(c) for c in coeffs]
-        while cleaned and all(x.is_zero() for x in cleaned[-1]):
+        cleaned = [list(c) for c in coeffs]
+        for row in cleaned:
+            while row and row[-1].is_zero():
+                row.pop()
+        while cleaned and not cleaned[-1]:
             cleaned.pop()
         if not cleaned:
             raise ParseError("zero operator")
-        lead = cleaned[-1]
-        if not lead or lead[0].is_zero():
+        if cleaned[-1][0].is_zero():
             raise ParseError(
                 "leading coefficient must be a unit at q = 0")
-        object.__setattr__(self, "coeffs", tuple(cleaned))
+        r = len(cleaned) - 1
+        _check_degree(r, max(len(c) for c in cleaned) - 1)
+        if r > MAX_THETA_ORDER:
+            raise ParseError(f"theta-order {r} exceeds the limit "
+                             f"MAX_THETA_ORDER = {MAX_THETA_ORDER}")
+        if r < 1:
+            raise ParseError("operator must have positive order")
+        for j, c in enumerate(cleaned[:-1]):
+            if c and not c[0].is_zero():
+                raise NotMaximallyUnipotent(
+                    f"indicial polynomial has a theta^{j} term; it must "
+                    f"be theta^{r}")
+        object.__setattr__(self, "coeffs", tuple(map(tuple, cleaned)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PFOperator is immutable")
@@ -299,13 +317,6 @@ class PFOperator:
         if j >= len(self.coeffs):
             return Series.zero(order)
         return Series(list(self.coeffs[j]), order)
-
-    def assert_maximally_unipotent(self) -> None:
-        for j in range(self.order_theta):
-            if not self.coefficient(j, 0).is_zero():
-                raise NotMaximallyUnipotent(
-                    f"indicial polynomial has a theta^{j} term; it must "
-                    f"be theta^{self.order_theta}")
 
     def apply(self, sol: "LogSeries") -> "LogSeries":
         """L sol on the integer kernel, with no series product: the parts
@@ -345,65 +356,18 @@ class PFOperator:
         return f"PFOperator(order_theta={self.order_theta})"
 
 
-def _coeff_list_from_json(value) -> list[Scalar]:
-    if isinstance(value, str):
-        return [parse_scalar(value)]
-    if isinstance(value, int):
-        return [Scalar(value)]
-    if isinstance(value, list):
-        return [parse_scalar(x) if isinstance(x, str) else Scalar.of(x)
-                for x in value]
-    if isinstance(value, dict) and "coeffs" in value:
-        return _coeff_list_from_json(value["coeffs"])
-    raise ParseError("coefficient entries must be strings, integers, or "
-                     "lists of them")
-
-
 def parse_pf(text: str) -> PFOperator:
-    """Operator from JSON ({"order": r, "coeffs": [...]}) or the
-    expression language.  Maximal unipotency is checked here."""
-    stripped = text.strip()
-    op: PFOperator
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(stripped)
-        except ValueError as exc:  # also an integer over the digit limit
-            raise ParseError(f"invalid JSON: {exc}") from exc
-        except RecursionError:
-            raise ParseError("JSON nested too deeply") from None
-        if not isinstance(data, dict) or "coeffs" not in data:
-            raise ParseError("operator JSON needs a 'coeffs' field")
-        try:
-            coeffs = [_coeff_list_from_json(c) for c in data["coeffs"]]
-        except (ValueError, TypeError, OverflowError) as exc:
-            # a malformed string, a null or list where a number belongs,
-            # or an infinite float
-            raise ParseError(str(exc)) from exc
-        if "order" in data and data["order"] != len(coeffs) - 1:
-            raise ParseError("stated order disagrees with coefficients")
-        op = PFOperator(coeffs)
-    else:
-        tokens = _tokenize(stripped)
-        if not tokens:
-            raise ParseError("empty operator")
-        parser = _Parser(tokens)
-        poly = parser.expr()
-        if parser.pos != len(parser.tokens):
-            raise ParseError("trailing input after expression")
-        if not poly:
-            raise ParseError("zero operator")
-        # each theta-row ends at its last nonzero q-coefficient
-        q_deg = [-1] * (_op_degrees(poly)[0] + 1)
-        for i, b in poly:
-            q_deg[i] = max(q_deg[i], b)
-        op = PFOperator([[poly.get((i, b), ZERO) for b in range(top + 1)]
-                         for i, top in enumerate(q_deg)])
-    _check_degree(op.order_theta, op.max_q_degree)
-    if op.order_theta > MAX_THETA_ORDER:
-        raise ParseError(f"theta-order {op.order_theta} exceeds the limit "
-                         f"MAX_THETA_ORDER = {MAX_THETA_ORDER}")
-    op.assert_maximally_unipotent()
-    return op
+    """Operator from the expression language; jsonio reads its JSON."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty operator")
+    parser = _Parser(tokens)
+    poly = parser.expr()
+    if parser.pos != len(parser.tokens):
+        raise ParseError("trailing input after expression")
+    theta_deg, q_deg = _op_degrees(poly)
+    return PFOperator([[poly.get((i, b), ZERO) for b in range(q_deg + 1)]
+                       for i in range(theta_deg + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +483,6 @@ def frobenius_solve(op: PFOperator, depth: int = 2,
         raise ValueError("depth must be positive")
     if order < 2:
         raise ValueError("order must be at least 2")
-    op.assert_maximally_unipotent()
-    if op.order_theta < 1:
-        raise ParseError("operator must have positive order")
     if op.order_theta < depth:
         raise ValueError(
             f"a Frobenius basis of depth {depth} needs theta-order at "
@@ -580,10 +541,7 @@ def companion_vhs(op: PFOperator, order: int = 16) -> vshs.GeometricVHS:
     levels descend by 2 from r - 1.  No pairing is attached: the
     operator alone does not determine its scale.
     """
-    op.assert_maximally_unipotent()
     r = op.order_theta
-    if r < 1:
-        raise ParseError("operator must have positive order")
     lead = op.coefficient_series(r, order)
     lead_inv = lead.inverse()
     zero = Series.zero(order)

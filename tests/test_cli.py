@@ -389,15 +389,50 @@ def test_zero_denominator_coefficient_exit_two(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("coeff", ["null", "[1]", "1e999"],
-                         ids=["null", "list", "infinite"])
+@pytest.mark.parametrize("coeff", ["null", "[1]", "1e999", "0.1", "true"],
+                         ids=["null", "list", "infinite", "float", "bool"])
 def test_non_numeric_operator_coefficient_exit_two(coeff, tmp_path, capsys):
+    # a float is already rounded and true is not a number: neither is
+    # read as a coefficient
     path = tmp_path / "odd.pf.json"
     path.write_text('{"order": 1, "coeffs": [[0, %s], "1"]}' % coeff)
     code, out, err = run(capsys, ["check", "--input", str(path)])
     assert code == 2 and out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "'coeffs'" in err
     assert err.count("\n") == 1
+
+
+def test_float_operator_order_exit_two(tmp_path, capsys):
+    path = tmp_path / "odd.pf.json"
+    path.write_text('{"order": 4.0, "coeffs": [[0, 1], [0], [0], [0], [1]]}')
+    code, out, err = run(capsys, ["mirror-map", "--input", str(path),
+                                  "--order", "3"])
+    assert code == 2 and out == ""
+    assert err == "error: field 'order' must be an integer, not float\n"
+
+
+def test_check_refuses_theta_order_zero(tmp_path, capsys):
+    path = tmp_path / "const.pf.txt"
+    path.write_text("5\n")
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: operator must have positive order\n"
+
+
+def test_check_decodes_operator_json_once(monkeypatch, capsys):
+    calls = []
+    loads = json.loads
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    code, out, _ = run(capsys, ["check", "--input",
+                                str(DATA / "quintic.pf.json")])
+    assert code == 0
+    assert out == "pf_operator: order 4, maximally unipotent: ok\n"
+    assert len(calls) == 1
 
 
 def test_deep_json_exit_two(tmp_path, capsys):

@@ -76,7 +76,7 @@ def test_geometric_roundtrip():
 def test_pf_operator_roundtrip():
     op = parse_pf((DATA / "quintic.pf.txt").read_text())
     text = jsonio.dumps(jsonio.pf_to_obj(op))
-    assert parse_pf(text) == op
+    assert jsonio.load_text(text) == op
 
 
 def test_table_roundtrip():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vshstools import picard_fuchs
+from vshstools import jsonio, picard_fuchs
 from vshstools.linalg import lift_vector
 from vshstools.picard_fuchs import (LogSeries, MirrorMapMismatch,
                                     NotMaximallyUnipotent, ParseError,
@@ -35,7 +35,7 @@ QUINTIC = (DATA / "quintic.pf.txt").read_text()
 
 def test_sugar_and_json_agree():
     from_text = parse_pf(QUINTIC)
-    from_json = parse_pf((DATA / "quintic.pf.json").read_text())
+    from_json = jsonio.load_text((DATA / "quintic.pf.json").read_text())
     assert from_text == from_json
     assert from_text.order_theta == 4
     assert from_text.max_q_degree == 1
@@ -79,11 +79,41 @@ def test_parse_errors():
 def test_parse_json_validation():
     ok = {"kind": "pf_operator", "order": 2,
           "coeffs": [["0", "1"], ["0"], ["1"]]}
-    op = parse_pf(json.dumps(ok))
+    op = jsonio.load_text(json.dumps(ok))
     assert op.order_theta == 2
     bad_order = dict(ok, order=3)
     with pytest.raises(ParseError):
-        parse_pf(json.dumps(bad_order))
+        jsonio.load_text(json.dumps(bad_order))
+
+
+def test_json_and_expression_read_the_same_operator():
+    # the constructor drops trailing zero q-coefficients, so a stored
+    # row may end in zeros and max_q_degree is the true degree
+    op = jsonio.load_text('{"coeffs": [["0","-1","0"],["0"],["1"]]}')
+    assert op == parse_pf("theta^2 - q")
+    assert op.max_q_degree == 1
+
+
+@pytest.mark.parametrize("rows, exc, message", [
+    ([[ZERO]], ParseError, "zero operator"),
+    ([[ZERO, ONE]], ParseError,
+     "leading coefficient must be a unit at q = 0"),
+    ([[ZERO]] * 65 + [[ONE]], ParseError,
+     "theta-degree 65 exceeds the limit MAX_DEGREE = 64"),
+    ([[ZERO] * 65 + [ONE], [ONE]], ParseError,
+     "q-degree 65 exceeds the limit MAX_DEGREE = 64"),
+    ([[ZERO]] * 25 + [[ONE]], ParseError,
+     "theta-order 25 exceeds the limit MAX_THETA_ORDER = 24"),
+    ([[ONE, ONE]], ParseError, "operator must have positive order"),
+    ([[ZERO, ONE], [ONE], [ONE]], NotMaximallyUnipotent,
+     "indicial polynomial has a theta^1 term; it must be theta^2"),
+], ids=["zero", "lead-not-unit", "theta-degree", "q-degree",
+        "theta-order", "order-zero", "not-unipotent"])
+def test_the_constructor_is_the_gate(rows, exc, message):
+    with pytest.raises(ValueError) as info:
+        PFOperator(rows)
+    assert type(info.value) is exc
+    assert str(info.value) == message
 
 
 def test_not_maximally_unipotent():
