@@ -8,6 +8,7 @@ failed, 2 the input could not be read or parsed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from fractions import Fraction
 from functools import cache
@@ -97,16 +98,21 @@ def _parse_volume(text: str) -> Scalar:
     return vol
 
 
-def _signed_report(op: picard_fuchs.PFOperator, volume: Scalar,
-                   order: int, sign: int) -> vshs.NormalFormReport:
-    report = picard_fuchs.bmodel_normal_form(op, volume, order)
-    if sign == 1:
-        return report
-    return vshs.NormalFormReport(
-        mirror_coordinate=report.mirror_coordinate * Scalar(sign),
-        gauge=report.gauge,
-        dn=vshs.rescale_coordinate(report.dn, Scalar(sign)),
-        volume_index=report.volume_index)
+def _report(args, counts=False) -> tuple[vshs.NormalFormReport, Scalar]:
+    """The one run of the normal-form commands: the operator's report
+    under --sign, and the volume.  With counts, n >= 5 is refused before
+    the normal form is built."""
+    op = jsonio.load_operator(_read_input(args.input))
+    volume = _parse_volume(args.volume)
+    if counts:
+        cover_power(op.order_theta - 1)
+    report = picard_fuchs.bmodel_normal_form(op, volume, args.order)
+    if args.sign == -1:
+        sign = Scalar(-1)
+        report = dataclasses.replace(
+            report, mirror_coordinate=report.mirror_coordinate * sign,
+            dn=vshs.rescale_coordinate(report.dn, sign))
+    return report, volume
 
 
 def _instantons(report: vshs.NormalFormReport,
@@ -116,10 +122,7 @@ def _instantons(report: vshs.NormalFormReport,
 
 
 def _cmd_pipeline(args) -> int:
-    op = jsonio.load_operator(_read_input(args.input))
-    volume = _parse_volume(args.volume)
-    cover_power(op.order_theta - 1)  # refuses n >= 5 before the normal form
-    report = _signed_report(op, volume, args.order, args.sign)
+    report, volume = _report(args, counts=True)
     table = _instantons(report, volume)
     yuk = vshs.yukawa(report.dn)
     if args.format == "json":
@@ -154,9 +157,7 @@ def _cmd_mirror_map(args) -> int:
 
 
 def _cmd_yukawa(args) -> int:
-    op = jsonio.load_operator(_read_input(args.input))
-    volume = _parse_volume(args.volume)
-    report = _signed_report(op, volume, args.order, args.sign)
+    report, _ = _report(args)
     yuk = vshs.yukawa(report.dn)
     if args.format == "json":
         sys.stdout.write(jsonio.dumps(
@@ -167,10 +168,7 @@ def _cmd_yukawa(args) -> int:
 
 
 def _cmd_instantons(args) -> int:
-    op = jsonio.load_operator(_read_input(args.input))
-    volume = _parse_volume(args.volume)
-    cover_power(op.order_theta - 1)  # refuses n >= 5 before the normal form
-    report = _signed_report(op, volume, args.order, args.sign)
+    report, volume = _report(args, counts=True)
     table = _instantons(report, volume)
     if args.format == "json":
         sys.stdout.write(jsonio.dumps(jsonio.table_to_obj(table)))
@@ -180,15 +178,13 @@ def _cmd_instantons(args) -> int:
 
 
 def _cmd_normal_form(args) -> int:
-    op = jsonio.load_operator(_read_input(args.input))
-    volume = _parse_volume(args.volume)
-    report = _signed_report(op, volume, args.order, args.sign)
+    report, volume = _report(args)
     if args.format == "json":
         sys.stdout.write(jsonio.dumps(jsonio.report_to_obj(report)))
         return 0
     dn = report.dn
     print(f"n = {dn.n}, degrees {dn.degrees}")
-    print(f"volume index {report.volume_index}")
+    print(f"volume index {dn.volume_index}")
     _print_series(report.mirror_coordinate, "q", "mirror map Q(q)",
                   args.decimal)
     print()

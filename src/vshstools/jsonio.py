@@ -233,17 +233,22 @@ def report_to_obj(r: vshs.NormalFormReport) -> dict[str, Any]:
         "kind": "normal_form_report",
         "mirror_coordinate": series_to_obj(r.mirror_coordinate),
         "gauge": matrix_to_obj(r.gauge),
-        "volume_index": r.volume_index,
+        "volume_index": r.dn.volume_index,
         "dn": dn_to_obj(r.dn),
     }
 
 
 def report_from_obj(obj: dict[str, Any]) -> vshs.NormalFormReport:
-    return vshs.NormalFormReport(
+    report = vshs.NormalFormReport(
         mirror_coordinate=series_from_obj(obj["mirror_coordinate"]),
         gauge=matrix_from_obj(obj["gauge"]),
-        dn=dn_from_obj(obj["dn"]),
-        volume_index=_int(obj["volume_index"], "volume_index"))
+        dn=dn_from_obj(obj["dn"]))
+    index = report.dn.volume_index  # stored for readers, derived from dn
+    if _int(obj["volume_index"], "volume_index") != index:
+        raise picard_fuchs.ParseError(
+            f"field 'volume_index' must be {index}, the volume vector's "
+            "index in dn")
+    return report
 
 
 def dumps(obj: dict[str, Any]) -> str:

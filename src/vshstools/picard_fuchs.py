@@ -603,6 +603,7 @@ def bmodel_pipeline(op: PFOperator, volume: Scalar,
                     order: int = 16) -> tuple[vshs.NormalFormReport,
                                               "amodel.InstantonTable"]:
     """Operator -> normal form -> instanton numbers."""
+    amodel.cover_power(op.order_theta - 1)  # refuses n >= 5 first
     report = bmodel_normal_form(op, volume, order)
     table = amodel.instantons_from_g(g_series(report.dn, volume),
                                      Scalar.of(volume), report.dn.n)

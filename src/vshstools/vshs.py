@@ -367,7 +367,6 @@ class NormalFormReport:
     mirror_coordinate: Series
     gauge: SeriesMatrix
     dn: DnObject
-    volume_index: int
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +634,9 @@ def _ks_component(a: SeriesMatrix, levels2: Sequence[int]) -> Series:
             break
     if ref is None:
         raise ZeroKS("Kodaira-Spencer map vanishes at q = 0")
-    h = ref * Series.constant(ref.at0().inverse(), a.order)
+    h = ref * ref.at0().inverse()
     for s in comps:
-        if s != h * Series.constant(s.at0(), a.order):
+        if s != h * s.at0():
             raise NotProportional(
                 "Kodaira-Spencer component is not proportional to its "
                 "value at q = 0")
@@ -747,15 +746,13 @@ def to_normal_form(g: GeometricVHS,
         # (A h^-1) o g is (R h^-1) o g.  As h(0) = 1 and g = Q + O(Q^2),
         # its first nonzero coefficient is that of R, at the same order
         # and entry.  M is eps-symmetric because P is.
-        failure = _pairing_failure(
-            canon.a_series, frame.transpose() * g.pairing * frame, g.parity)
+        m = frame.transpose() * g.pairing * frame
+        failure = _pairing_failure(canon.a_series, m, g.parity)
         if failure:
             raise InvariantViolation(
                 "transported pairing is not covariantly constant in the "
                 f"canonical frame: {failure}")
-        f0 = frame.at0()
-        m0 = linalg.mat_mul(linalg.transpose(f0),
-                            linalg.mat_mul(g.pairing.at0(), f0))
+        m0 = m.at0()
     else:
         if len(set(levels)) != dim:
             raise ValueError(
@@ -785,9 +782,7 @@ def to_normal_form(g: GeometricVHS,
     for l in levels:
         dims[-l] = dims.get(-l, 0) + 1
     dn = DnObject(n=n, graded_dims=dims, pairing0=m0, a_series=a_new)
-    # levels descend along the frame: the volume vector comes first
-    return NormalFormReport(mirror_coordinate=mirror, gauge=frame,
-                            dn=dn, volume_index=0)
+    return NormalFormReport(mirror_coordinate=mirror, gauge=frame, dn=dn)
 
 
 def from_normal_form(d: DnObject) -> ReesModule:

@@ -221,14 +221,23 @@ def test_check_pins_hard_lefschetz_with_a_degenerate_pairing(
     assert (code, out, err) == (1, f"FAIL: {message}\n", "")
 
 
-def test_check_normal_form_report(tmp_path, capsys):
+@pytest.mark.parametrize("index, expected", [
+    (None, (0, "NormalFormReport: parsed: ok\n", "")),
+    (7, (2, "", "error: field 'volume_index' must be 0, the volume "
+         "vector's index in dn\n")),
+], ids=["as-written", "volume-index-7"])
+def test_check_normal_form_report(index, expected, tmp_path, capsys):
+    """The stored volume_index is the one dn derives, or the report is
+    refused."""
     code, out, _ = run(capsys, ["normal-form", "--input", QUINTIC,
                                 "--order", "4", "--format", "json"])
     assert code == 0
+    obj = json.loads(out)
+    if index is not None:
+        obj["volume_index"] = index
     path = tmp_path / "report.json"
-    path.write_text(out)
-    assert run(capsys, ["check", "--input", str(path)]) == \
-        (0, "NormalFormReport: parsed: ok\n", "")
+    path.write_text(json.dumps(obj))
+    assert run(capsys, ["check", "--input", str(path)]) == expected
 
 
 def test_check_rees_module(capsys):

@@ -96,7 +96,6 @@ def test_report_roundtrip():
     back = jsonio.report_from_obj(obj)
     assert back.mirror_coordinate == rep.mirror_coordinate
     assert back.dn == rep.dn
-    assert back.volume_index == rep.volume_index
 
 
 def test_dumps_is_deterministic():

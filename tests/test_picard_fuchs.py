@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vshstools import jsonio, picard_fuchs
+from vshstools.amodel import UnsupportedDimension
 from vshstools.linalg import lift_vector
 from vshstools.picard_fuchs import (LogSeries, MirrorMapMismatch,
                                     NotMaximallyUnipotent, ParseError,
@@ -234,6 +235,25 @@ def test_mirror_map_mismatch_names_the_order():
     with pytest.raises(MirrorMapMismatch,
                        match=r"q\^3: 1014275 \(canonical\) vs 1014276"):
         check_mirror_maps(canonical, other)
+    with pytest.raises(MirrorMapMismatch) as info:
+        check_mirror_maps(Series.coordinate(4), Series.coordinate(5))
+    assert str(info.value) == ("canonical coordinate and Frobenius mirror "
+                               "map are known to different orders: 4 vs 5")
+
+
+def test_the_pipeline_refuses_n5_before_the_normal_form(monkeypatch):
+    """The septic's counts are refused without building its normal form."""
+    def never(*args):
+        raise AssertionError("the normal form was built")
+
+    op = parse_pf("theta^6 - 7*q*(7*theta+1)*(7*theta+2)*(7*theta+3)"
+                  "*(7*theta+4)*(7*theta+5)*(7*theta+6)")
+    monkeypatch.setattr(picard_fuchs, "bmodel_normal_form", never)
+    with pytest.raises(UnsupportedDimension) as info:
+        bmodel_pipeline(op, Scalar(5), order=64)
+    assert str(info.value) == (
+        "instanton numbers in dimension 5 are not read from one connection "
+        "entry; only n <= 4 is supported")
 
 
 def test_nesting_limit():

@@ -8,7 +8,9 @@ package's __all__ names exactly what __init__ imports, and every
 exception class it exports is raised in the package, itself or as the
 base class of one that is.  series.SeriesMatrix does its arithmetic on
 its lifted integers alone: the series module calls no Scalar matrix
-arithmetic of linalg.
+arithmetic of linalg.  The CLI's normal-form commands share one run,
+and a NormalFormReport is built by the normal form and the JSON reader
+alone.
 """
 import ast
 import importlib
@@ -151,3 +153,33 @@ def test_series_matrix_has_one_arithmetic_path():
         elif isinstance(f, ast.Name) and f.id in scalar_ops:
             calls.append(f"{f.id}, line {node.lineno}")
     assert calls == []
+
+
+def call_sites(tree: ast.AST, name: str) -> list[str]:
+    """The functions of a module that call name, as f(...) or m.f(...),
+    once per call."""
+    sites = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            f = node.func if isinstance(node, ast.Call) else None
+            if isinstance(f, ast.Name) and f.id == name or \
+                    isinstance(f, ast.Attribute) and f.attr == name:
+                sites.append(func.name)
+    return sites
+
+
+def test_a_normal_form_report_is_built_in_two_places():
+    # the normal form writes one and the JSON reader reads one; the CLI
+    # applies --sign with dataclasses.replace
+    sites = [(name, site) for name, tree in MODULES.items()
+             for site in call_sites(tree, "NormalFormReport")]
+    assert sorted(sites) == [("jsonio.py", "report_from_obj"),
+                             ("vshs.py", "to_normal_form")]
+
+
+def test_the_normal_form_commands_share_one_run():
+    tree = MODULES["cli.py"]
+    for name in ("bmodel_normal_form", "_parse_volume", "cover_power"):
+        assert call_sites(tree, name) == ["_report"], name

@@ -723,6 +723,22 @@ def test_pairing_underdetermined():
         to_normal_form(g, Scalar(5))
 
 
+@pytest.mark.parametrize("conn, levels2, parity, message", [
+    ([[0, 0], [1, 0]], (1, -1), 0,
+     "top level parity disagrees with the stated dimension parity"),
+    ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], (1, 0, -1), 1,
+     "A(0) does not generate the frame from the volume vector"),
+], ids=["parity", "no-volume-chain"])
+def test_the_normal_form_refuses_a_frame_it_cannot_read(conn, levels2,
+                                                        parity, message):
+    g = GeometricVHS(conn=smat(conn, order=4), levels2=levels2,
+                     pairing=None, parity=parity)
+    with pytest.raises(InvariantViolation) as info:
+        to_normal_form(g, Scalar(1))
+    assert type(info.value) is InvariantViolation
+    assert str(info.value) == message
+
+
 def test_zero_normalization_rejected():
     h = Series.one(ORD)
     with pytest.raises(ZeroScalar):
@@ -833,7 +849,8 @@ def test_geometric_to_rees_validation():
 
     mixed_conn = GeometricVHS(conn=smat([[0, 0], [[0, 1], 0]]),
                               levels2=(1, 0), pairing=sym, parity=0)
-    with pytest.raises(InconsistentLift):
+    with pytest.raises(InconsistentLift,
+                       match=r"^connection entry \(1,0\) mixes parities$"):
         geometric_to_rees(mixed_conn)
 
     mixed_pair = GeometricVHS(conn=zero, levels2=(1, 0),
