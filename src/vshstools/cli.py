@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     order = getattr(args, "order", 16)
     if order < 2:
         print("error: --order must be at least 2", file=sys.stderr)
-        return 1
+        return 2
     if order > MAX_ORDER:
         print(f"error: --order exceeds the limit MAX_ORDER = {MAX_ORDER}",
               file=sys.stderr)

@@ -12,16 +12,19 @@ coefficient is a plain int dot product, normalized once.  Reversion and
 composition share one table, Reversion: the Lagrange-Buermann formula by
 the baby-step giant-step method (Brent and Kung, JACM 25, 1978; Johansson,
 Math. Comp. 84, 2015), about 2 sqrt(n) series products once, then sqrt(n)
-products and n dot products per composition.  The normal form composes
+products and n dot products per composition; a constant outer series
+is its own composition and takes no product.  The normal form composes
 only with a reversed series, so there is no other composition.
 
 SeriesMatrix is a rectangular matrix of Series sharing one truncation
 order, stored coefficient-major as one canonical linalg.Lifted per
 q-order.  Products are convolutions of those lifts; products, sums and
 scalings are summed over one common denominator by the linalg integer
-kernel, and no entry is normalized until a coefficient is read.  There
-is no matrix inverse: vshs.to_canonical_connection solves for its frame
-and connection together, order by order.
+kernel, and no entry is normalized until a coefficient is read.  A
+constant factor that is the identity takes no product: the matrix
+itself comes back.  There is no matrix inverse:
+vshs.to_canonical_connection solves for its frame and connection
+together, order by order.
 """
 from __future__ import annotations
 
@@ -401,9 +404,11 @@ class Reversion:
         raise AttributeError("Reversion is immutable")
 
     def compose(self, outer: Series) -> Series:
-        """outer(g) modulo q^min(outer.order, g.order)."""
+        """outer(g) modulo q^min(outer.order, g.order); a constant outer
+        (every coefficient past q^0 zero, so any order below 2) is its
+        own composition, outer truncated, with no product."""
         n = min(outer.order, self.order)
-        if n <= 1:
+        if all(c.is_zero() for c in outer.coeffs[1:n]):
             return Series._make(outer.coeffs[:n], n)
         deriv = Series._make((Scalar(k) * c for k, c in
                               enumerate(outer.coeffs[1:n], 1)), n - 1)
@@ -421,6 +426,12 @@ class Reversion:
             re, im = _dot(x, slice(0, m), y, slice(last - m, last))
             out.append(_norm(re, im, x[0] * y[0] * m))
         return Series._make(out, n)
+
+
+def _is_identity(m: Lifted) -> bool:
+    """Whether the canonical lift m is an identity matrix: den 1 and row
+    i the one entry (i, 1, 0), for every column i."""
+    return m.den == 1 and m.rows == [[(i, 1, 0)] for i in range(m.cols)]
 
 
 def _shape(entries: Sequence[Sequence]) -> tuple[int, int]:
@@ -590,19 +601,26 @@ class SeriesMatrix:
         return self.__mul__(other)
 
     def scalar_left_mul(self, m: ScalarMatrix) -> "SeriesMatrix":
-        """Constant matrix times this matrix, one product per q-order."""
+        """Constant matrix times this matrix, one product per q-order; the
+        identity takes none and returns this matrix itself."""
         if len(m[0]) != self.rows:
             raise ValueError("shape mismatch")
         lm = Lifted.of(m)
+        if _is_identity(lm):
+            return self
         return SeriesMatrix.from_lifts(
             [sum_products([(lm, a)], len(m), self.cols).lifted()
              for a in self._lifts],
             len(m), self.cols)
 
     def scalar_right_mul(self, m: ScalarMatrix) -> "SeriesMatrix":
+        """This matrix times a constant matrix, one product per q-order;
+        the identity takes none and returns this matrix itself."""
         if len(m) != self.cols:
             raise ValueError("shape mismatch")
         lm = Lifted.of(m)
+        if _is_identity(lm):
+            return self
         return SeriesMatrix.from_lifts(
             [sum_products([(a, lm)], self.rows, lm.cols).lifted()
              for a in self._lifts],

@@ -519,6 +519,9 @@ def to_canonical_connection(g: GeometricVHS) -> CanonicalConnection:
       alone, must vanish (Griffiths transversality in the graded frame),
       else DegreeViolation names q^k and the first such entry.
     The solution is unique, and F = p0 Y takes no inverse of a series.
+    A companion connection has p0 = I; SeriesMatrix.scalar_left_mul and
+    scalar_right_mul then hand back their series factor, so no q-order
+    of b or Y is multiplied by a constant.
     """
     dim, order = g.rank, g.order
     try:
@@ -940,11 +943,24 @@ def yukawa(obj: DnObject) -> Series:
     degrees, so every term of nabla^n vol with a theta in it has fewer
     than n factors A and lies below degree n: <vol, nabla^n vol> =
     <vol, A^n vol>, the row vol of the pairing times A, n times.
+
+    The row is a dict of Series over its nonzero entries, and each step
+    walks the support of A, adding row[i] A_(i,j) to row[j]: one Series
+    product per entry of A the row meets, where a row-by-matrix product
+    of SeriesMatrix convolves O(order^2) pairs of lifts.  Reading the
+    entries lowers A once into its cache, which the JSON writer reads.
     """
     if not isinstance(obj, DnObject):
         raise TypeError("expected a DnObject")
-    vol = obj.volume_index
-    row = SeriesMatrix.from_scalar_matrix([obj.pairing0[vol]], obj.order)
+    vol, a, order = obj.volume_index, obj.a_series, obj.order
+    entries = {(i, j): a.entry(i, j) for i, j in _support(a)}
+    row = {j: Series.constant(x, order)
+           for j, x in enumerate(obj.pairing0[vol]) if not x.is_zero()}
     for _ in range(obj.n):
-        row = row * obj.a_series
-    return row.entry(0, vol) * _prefactor(obj.n).inverse()
+        step: dict[int, Series] = {}
+        for (i, j), e in entries.items():
+            if i in row:
+                x = row[i] * e
+                step[j] = step[j] + x if j in step else x
+        row = step
+    return row.get(vol, Series.zero(order)) * _prefactor(obj.n).inverse()

@@ -364,11 +364,12 @@ def test_trailing_operator_input_exit_two(tmp_path, capsys):
         (2, "", "error: trailing input after expression\n")
 
 
-def test_order_too_small_rejected(capsys):
-    code, _, err = run(capsys, ["pipeline", "--input", QUINTIC,
-                                "--order", "1"])
-    assert code == 1
-    assert "--order" in err
+@pytest.mark.parametrize("order", ["1", "0", "-3"])
+def test_order_too_small_rejected(capsys, order):
+    code, out, err = run(capsys, ["pipeline", "--input", QUINTIC,
+                                  "--order", order])
+    assert code == 2 and out == ""
+    assert err == "error: --order must be at least 2\n"
 
 
 def test_deep_nesting_exit_two(tmp_path, capsys):

@@ -9,6 +9,7 @@ from functools import reduce
 from math import isqrt
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -463,4 +464,24 @@ def test_compose_makes_isqrt_n_products(monkeypatch):
     composed = table.compose(outer)
     monkeypatch.undo()
     assert len(calls) == isqrt(order - 1)
+    assert composed == horner(outer, f.reverse())
+
+
+@PROPS
+@given(reversible(), scalars, st.integers(0, 14))
+def test_a_constant_composes_to_itself_with_no_product(f, c, order):
+    """A constant outer series is its own composition, read off with no
+    series product, at any order."""
+    outer, table = Series.constant(c, order), Reversion(f)
+    calls = []
+    product = Series.__mul__
+
+    def counting(a, b):
+        calls.append(b)
+        return product(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Series, "__mul__", counting)
+        composed = table.compose(outer)
+    assert calls == []
     assert composed == horner(outer, f.reverse())

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vshstools import linalg, nilpotent, picard_fuchs, vshs
+from vshstools import linalg, nilpotent, picard_fuchs, series, vshs
 from vshstools.linalg import Accumulator, Lifted
 from vshstools.scalars import ONE, ZERO, Scalar
 from vshstools.series import Series, SeriesMatrix
@@ -334,6 +334,34 @@ def test_the_canonical_connection_takes_no_neumann_sum(monkeypatch):
     report = to_normal_form(picard_fuchs.companion_vhs(op, 16), Scalar(5))
     assert report.mirror_coordinate == picard_fuchs.mirror_map_frobenius(
         picard_fuchs.frobenius_solve(op, 2, 16))
+
+
+def test_the_identity_gauge_takes_no_constant_product(monkeypatch):
+    """graded_splitting returns the identity as p0 for the quintic
+    companion connection, so at order 16 the canonical connection sums
+    one R_k per q-order and forms neither p0^-1 b p0 nor the frame Y p0:
+    order - 1 calls of sum_products once the splitting is given."""
+    data = Path(__file__).resolve().parent.parent / "data"
+    op = picard_fuchs.parse_pf((data / "quintic.pf.txt").read_text())
+    g = picard_fuchs.companion_vhs(op, 16)
+    pieces = nilpotent.graded_splitting(g.conn.at0(), g.levels2)
+    calls = []
+    kernel = linalg.sum_products
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(nilpotent, "graded_splitting", lambda *args: pieces)
+    monkeypatch.setattr(linalg, "sum_products", counting)
+    monkeypatch.setattr(series, "sum_products", counting)
+    canon = to_canonical_connection(g)
+    monkeypatch.undo()
+    assert len(calls) == g.order - 1
+    assert canon.frame.at0() == linalg.identity(g.rank)
+    m = canon.a_series
+    assert m.scalar_left_mul(linalg.identity(m.rows)) is m
+    assert m.scalar_right_mul(linalg.identity(m.cols)) is m
 
 
 def test_mirror_invariant_under_q_dependent_gauge():
@@ -1074,6 +1102,20 @@ def test_yukawa_matches_the_derivative_reference(seed, n, mixed, gaussian):
                                for row in d.pairing0_matrix()],
                      a_series=d.a_series.dilate(c))
     assert yukawa(d) == yukawa_by_derivatives(d)
+
+
+def test_yukawa_multiplies_no_series_matrix(monkeypatch):
+    """The quintic coupling steps the volume row over the support of A,
+    entry by entry, with no SeriesMatrix product."""
+    def refuse(*args):
+        raise AssertionError("yukawa multiplied a SeriesMatrix")
+
+    data = Path(__file__).resolve().parent.parent / "data"
+    op = picard_fuchs.parse_pf((data / "quintic.pf.txt").read_text())
+    dn = picard_fuchs.bmodel_normal_form(op, Scalar(5), 16).dn
+    expected = yukawa_by_derivatives(dn)
+    monkeypatch.setattr(SeriesMatrix, "__mul__", refuse)
+    assert yukawa(dn) == expected
 
 
 def test_random_dn_draws_every_mixed_object_the_yukawa_test_asks_for():
