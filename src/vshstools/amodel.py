@@ -81,12 +81,6 @@ class InstantonTable:
         return tuple(d for d, v in self.entries.items()
                      if not v.is_integer())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InstantonTable):
-            return NotImplemented
-        return (self.max_degree, self.entries) == \
-            (other.max_degree, other.entries)
-
 
 def cover_power(n: int) -> int:
     """The exponent w of the multiple-cover weight d^w in dimension n."""

@@ -200,6 +200,16 @@ def _cmd_normal_form(args) -> int:
     return 0
 
 
+def _print_axioms(rees: vshs.ReesModule, indent: str) -> bool:
+    """Print the axiom report of rees, one indented line per axiom, and
+    return whether every axiom holds."""
+    report = vshs.verify_prevhs(rees)
+    width = max(len(k) for k in report)
+    for key, passed in report.items():
+        print(f"{indent}{key:<{width}}  {'ok' if passed else 'FAIL'}")
+    return all(report.values())
+
+
 def _cmd_check(args) -> int:
     text = _read_input(args.input)
     try:
@@ -209,13 +219,7 @@ def _cmd_check(args) -> int:
         print(f"FAIL: {exc}")
         return 1
     if isinstance(obj, vshs.ReesModule):
-        report = vshs.verify_prevhs(obj)
-        width = max(len(k) for k in report)
-        ok = True
-        for key, passed in report.items():
-            print(f"{key:<{width}}  {'ok' if passed else 'FAIL'}")
-            ok = ok and passed
-        return 0 if ok else 1
+        return 0 if _print_axioms(obj, "") else 1
     if isinstance(obj, vshs.DnObject):
         print(f"dn_object: n = {obj.n}, degrees {obj.degrees}: ok")
         return 0
@@ -241,11 +245,7 @@ def _cmd_rees_roundtrip(args) -> int:
         raise ValueError("rees-roundtrip expects a dn_object input")
     rees = vshs.from_normal_form(obj)
     print(f"from_normal_form: rank {rees.rank}, degrees {rees.degrees}")
-    report = vshs.verify_prevhs(rees)
-    ok = all(report.values())
-    width = max(len(k) for k in report)
-    for key, passed in report.items():
-        print(f"  {key:<{width}}  {'ok' if passed else 'FAIL'}")
+    ok = _print_axioms(rees, "  ")
     geometric = vshs.rees_to_geometric(rees)
     back = vshs.geometric_to_rees(geometric)
     ident = back == rees

@@ -8,7 +8,7 @@ are returned in reduced echelon form so equality is a literal comparison.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
@@ -89,7 +89,7 @@ def jordan_partition(n_mat: Matrix) -> list[int]:
     return _chain_basis(n_mat)[0]
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class WeightFiltration:
     """Increasing filtration MW_{<=k}, k in [-n, n], n the nilpotency index.
 
@@ -100,7 +100,7 @@ class WeightFiltration:
 
     center_shift: int
     dim: int
-    subspaces: dict[int, list[Vector]] = field(compare=True)
+    subspaces: dict[int, list[Vector]]
 
     def le(self, k: int) -> list[Vector]:
         n = self.center_shift

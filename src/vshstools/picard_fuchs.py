@@ -2,14 +2,15 @@
 solutions at a maximally unipotent point.
 
 An operator is stored with exact polynomial coefficients, written on the
-left of powers of theta: L = sum_j c_j(q) theta^j, and PFOperator's
-constructor is the one place that checks it: maximal unipotency, a
-positive theta-order and the size limits.  parse_pf reads a small
-expression language (`theta`, `q`, integers, + - * ^ and parentheses,
-juxtaposition multiplies); jsonio reads the JSON form.  While an
-expression is parsed, an operator is a dict of its monomials,
-(theta-power j, q-power b) -> the nonzero coefficient of q^b theta^j,
-and products are normal-ordered with theta^i q^b = q^b (theta + b)^i.
+left of powers of theta: L = sum_j c_j(q) theta^j.  A type's checks are
+its __post_init__, here as in vshs: PFOperator's is the one place that
+checks an operator (maximal unipotency, a positive theta-order and the
+size limits).  parse_pf reads a small expression language (`theta`,
+`q`, integers, + - * ^ and parentheses, juxtaposition multiplies);
+jsonio reads the JSON form.  While an expression is parsed, an operator
+is a dict of its monomials, (theta-power j, q-power b) -> the nonzero
+coefficient of q^b theta^j, and products are normal-ordered with
+theta^i q^b = q^b (theta + b)^i.
 
 The Frobenius method is run with a nilpotent shift: solutions are found
 as q^eps * U(q, eps) with eps^depth = 0, whose eps-coefficients produce
@@ -256,21 +257,22 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class PFOperator:
     """L = sum_j c_j(q) theta^j with exact polynomial coefficients, each
     c_j ending at its last nonzero q-coefficient.
 
-    The constructor is the one gate.  In this order it refuses, with
+    __post_init__ is the one gate.  In this order it refuses, with
     ParseError: the zero operator, a leading coefficient that is not a
     unit at q = 0, a degree over MAX_DEGREE, a theta-order over
     MAX_THETA_ORDER or of 0; then, with NotMaximallyUnipotent, an
     indicial polynomial other than theta^r.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: Sequence[Sequence[Scalar]]
 
-    def __init__(self, coeffs: Sequence[Sequence[Scalar]]):
-        cleaned = [list(c) for c in coeffs]
+    def __post_init__(self):
+        cleaned = [list(c) for c in self.coeffs]
         for row in cleaned:
             while row and row[-1].is_zero():
                 row.pop()
@@ -294,9 +296,6 @@ class PFOperator:
                     f"indicial polynomial has a theta^{j} term; it must "
                     f"be theta^{r}")
         object.__setattr__(self, "coeffs", tuple(map(tuple, cleaned)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PFOperator is immutable")
 
     @property
     def order_theta(self) -> int:
@@ -346,11 +345,6 @@ class PFOperator:
                     acc[m:] = map(add, acc[m:], [c * v for v in p[:n - m]])
         return LogSeries([Series._make(_lower((den * c_den, x, y)), n)
                           for x, y in zip(*out)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PFOperator):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         return f"PFOperator(order_theta={self.order_theta})"
@@ -420,18 +414,16 @@ def _indicial_quotient(rho: LiftedVector, lead_inv: tuple[int, int, int],
     return den // g, [x // g for x in re], [x // g for x in im] or None
 
 
+@dataclass(frozen=True)
 class LogSeries:
     """sum_i (log q)^i / i! * parts[i], each part a q-series."""
 
-    __slots__ = ("parts",)
+    parts: Sequence[Series]
 
-    def __init__(self, parts: Sequence[Series]):
-        if not parts:
+    def __post_init__(self):
+        if not self.parts:
             raise ValueError("at least one part required")
-        object.__setattr__(self, "parts", tuple(parts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LogSeries is immutable")
+        object.__setattr__(self, "parts", tuple(self.parts))
 
     @property
     def depth(self) -> int:
@@ -447,11 +439,6 @@ class LogSeries:
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.parts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LogSeries):
-            return NotImplemented
-        return self.parts == other.parts
 
     def __repr__(self) -> str:
         return f"LogSeries(depth={self.depth}, order={self.order})"

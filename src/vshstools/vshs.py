@@ -39,8 +39,8 @@ get reconciled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 from . import linalg, nilpotent
 from .linalg import Accumulator, Lifted, Matrix
@@ -107,6 +107,7 @@ def _prefactor(n: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class ReesModule:
     """Free graded module over scalars[[u]] with connection and pairing.
 
@@ -115,53 +116,43 @@ class ReesModule:
     structural equality is meaningful.
     """
 
-    __slots__ = ("degrees", "conn_u", "pairing_u", "parity", "order")
+    degrees: Sequence[int]
+    conn_u: Mapping[int, SeriesMatrix]
+    pairing_u: Mapping[int, SeriesMatrix]
+    parity: int
+    order: int
 
-    def __init__(self, degrees: Sequence[int],
-                 conn_u: Mapping[int, SeriesMatrix],
-                 pairing_u: Mapping[int, SeriesMatrix],
-                 parity: int, order: int):
-        rank = len(degrees)
+    def __post_init__(self):
+        rank = len(self.degrees)
         if rank == 0:
             raise NotFree("empty basis")
-        if parity not in (0, 1):
+        if self.parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
         kept_conn: dict[int, SeriesMatrix] = {}
         kept_pair: dict[int, SeriesMatrix] = {}
-        for source, kept in ((conn_u, kept_conn), (pairing_u, kept_pair)):
+        for source, kept in ((self.conn_u, kept_conn),
+                             (self.pairing_u, kept_pair)):
             for p, mat in source.items():
                 if mat.rows != rank or mat.cols != rank:
                     raise ValueError("component shape mismatch")
-                if mat.order != order:
+                if mat.order != self.order:
                     raise ValueError("components must share one order")
                 if not mat.is_zero():
                     kept[p] = mat
-        object.__setattr__(self, "degrees", tuple(degrees))
+        object.__setattr__(self, "degrees", tuple(self.degrees))
         object.__setattr__(self, "conn_u", kept_conn)
         object.__setattr__(self, "pairing_u", kept_pair)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ReesModule is immutable")
 
     @property
     def rank(self) -> int:
         return len(self.degrees)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ReesModule):
-            return NotImplemented
-        return (self.degrees, self.parity, self.order,
-                self.conn_u, self.pairing_u) == \
-            (other.degrees, other.parity, other.order,
-             other.conn_u, other.pairing_u)
 
     def __repr__(self) -> str:
         return (f"ReesModule(rank={self.rank}, degrees={self.degrees}, "
                 f"order={self.order})")
 
 
+@dataclass(frozen=True)
 class GeometricVHS:
     """Filtered bundle with connection on the formal disc.
 
@@ -171,17 +162,20 @@ class GeometricVHS:
     series ring by the frame vectors with doubled level >= 2p.
     """
 
-    __slots__ = ("conn", "levels2", "pairing", "parity")
+    conn: SeriesMatrix
+    levels2: Sequence[int]
+    pairing: SeriesMatrix | None
+    parity: int
 
-    def __init__(self, conn: SeriesMatrix, levels2: Sequence[int],
-                 pairing: SeriesMatrix | None, parity: int):
+    def __post_init__(self):
+        conn, pairing, parity = self.conn, self.pairing, self.parity
         if conn.rows != conn.cols:
             raise ValueError("connection must be square")
-        if len(levels2) != conn.rows:
+        if len(self.levels2) != conn.rows:
             raise ValueError("one level per frame vector required")
         if parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
-        lv = tuple(levels2)
+        lv = tuple(self.levels2)
         for i, j in sorted(_support(conn)):
             if lv[i] < lv[j] - 2:
                 raise InvariantViolation(
@@ -200,13 +194,7 @@ class GeometricVHS:
             if failure:
                 raise InvariantViolation(
                     f"pairing is not covariantly constant: {failure}")
-        object.__setattr__(self, "conn", conn)
         object.__setattr__(self, "levels2", lv)
-        object.__setattr__(self, "pairing", pairing)
-        object.__setattr__(self, "parity", parity)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeometricVHS is immutable")
 
     @property
     def rank(self) -> int:
@@ -216,17 +204,12 @@ class GeometricVHS:
     def order(self) -> int:
         return self.conn.order
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GeometricVHS):
-            return NotImplemented
-        return (self.conn, self.levels2, self.pairing, self.parity) == \
-            (other.conn, other.levels2, other.pairing, other.parity)
-
     def __repr__(self) -> str:
         return (f"GeometricVHS(rank={self.rank}, levels2={self.levels2}, "
                 f"order={self.order})")
 
 
+@dataclass(frozen=True)
 class DnObject:
     """Graded normal-form object: (V, <.,.>, A(q)).
 
@@ -240,13 +223,17 @@ class DnObject:
     and entry.
     """
 
-    __slots__ = ("n", "graded_dims", "degrees", "pairing0", "a_series")
+    n: int
+    graded_dims: Mapping[int, int]
+    pairing0: Matrix
+    a_series: SeriesMatrix
+    degrees: tuple[int, ...] = field(init=False)
 
-    def __init__(self, n: int, graded_dims: Mapping[int, int],
-                 pairing0: Matrix, a_series: SeriesMatrix):
+    def __post_init__(self):
+        n, pairing0, a_series = self.n, self.pairing0, self.a_series
         if n < 0:
             raise InvariantViolation("dimension must be nonnegative")
-        dims = {int(k): int(d) for k, d in graded_dims.items() if d}
+        dims = {int(k): int(d) for k, d in self.graded_dims.items() if d}
         for k, d in dims.items():
             if d < 0:
                 raise InvariantViolation("negative graded dimension")
@@ -321,15 +308,10 @@ class DnObject:
             raise InvariantViolation(
                 f"A(q) is not self-adjoint for the pairing: {failure}")
 
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "graded_dims", dims)
-        object.__setattr__(self, "degrees", tuple(degrees))
         object.__setattr__(self, "pairing0",
                            tuple(tuple(row) for row in pairing0))
-        object.__setattr__(self, "a_series", a_series)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DnObject is immutable")
+        object.__setattr__(self, "degrees", tuple(degrees))
 
     @property
     def rank(self) -> int:
@@ -346,17 +328,12 @@ class DnObject:
     def pairing0_matrix(self) -> Matrix:
         return [list(row) for row in self.pairing0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DnObject):
-            return NotImplemented
-        return (self.n, self.degrees, self.pairing0, self.a_series) == \
-            (other.n, other.degrees, other.pairing0, other.a_series)
-
     def __repr__(self) -> str:
         return f"DnObject(n={self.n}, degrees={self.degrees})"
 
 
-class CanonicalConnection(NamedTuple):
+@dataclass(frozen=True)
+class CanonicalConnection:
     frame: SeriesMatrix
     a_series: SeriesMatrix
     levels2: tuple[int, ...]

@@ -15,7 +15,7 @@ from random import Random
 
 from vshstools import linalg, vshs
 from vshstools.nilpotent import NotNilpotent, NotSplit, WeightFiltration
-from vshstools.picard_fuchs import LogSeries, PFOperator
+from vshstools.picard_fuchs import LogSeries, PFOperator, frobenius_solve
 from vshstools.scalars import ONE, ZERO, Scalar
 from vshstools.series import LiftedVector, Series, SeriesMatrix
 
@@ -534,3 +534,30 @@ def apply_by_series_products(op: PFOperator, sol: LogSeries) -> LogSeries:
         parts = [p.theta() + nxt
                  for p, nxt in zip(parts, parts[1:] + [Series.zero(n)])]
     return LogSeries(total)
+
+
+def couplings_by_periods(op: PFOperator, order: int) -> list[LogSeries]:
+    """K_0 .. K_n from the periods, for an operator of theta-order n + 1:
+    with omega_j the Frobenius solutions and y0 log q + f the single-log
+    one, g^(0)_j = omega_j / y0, theta_t = (1 + theta(f/y0))^-1 theta
+    (t = log q + f/y0) and, for j >= k,
+        g^(k)_j = theta_t (g^(k-1)_j / K_(k-1)),  K_k = g^(k)_k.
+    Each K_k is a LogSeries, so a log part that fails to cancel shows;
+    the division by K_(k-1) reads its part without log.  The periods
+    reference for the normal form, whose entry (k, k-1) is K_k in the
+    mirror coordinate."""
+    basis = frobenius_solve(op, op.order_theta, order)
+    y0_inv = basis.y0.inverse()
+    dt_inv = ((basis.solutions[1].parts[0] * y0_inv).theta()
+              + Series.one(order)).inverse()
+
+    def times(x: LogSeries, s: Series) -> LogSeries:
+        return LogSeries([p * s for p in x.parts])
+
+    g = [times(w, y0_inv) for w in basis.solutions]
+    ks = [g[0]]
+    for _ in range(1, len(g)):
+        k_inv = ks[-1].parts[0].inverse()
+        g = [times(times(x, k_inv).theta(), dt_inv) for x in g[1:]]
+        ks.append(g[0])
+    return ks

@@ -20,18 +20,22 @@ from vshstools.amodel import UnsupportedDimension
 from vshstools.linalg import lift_vector
 from vshstools.picard_fuchs import (LogSeries, MirrorMapMismatch,
                                     NotMaximallyUnipotent, ParseError,
-                                    PFOperator, bmodel_pipeline,
-                                    check_mirror_maps, companion_vhs,
-                                    frobenius_solve, mirror_map_frobenius,
-                                    parse_pf)
+                                    PFOperator, bmodel_normal_form,
+                                    bmodel_pipeline, check_mirror_maps,
+                                    companion_vhs, frobenius_solve,
+                                    mirror_map_frobenius, parse_pf)
 from vshstools.scalars import ONE, ZERO, Scalar
-from vshstools.series import Series
+from vshstools.series import Reversion, Series
 
-from genutil import apply_by_series_products, eps_quotient
+from genutil import (apply_by_series_products, couplings_by_periods,
+                     eps_quotient)
+from test_amodel import SEXTIC_FOURFOLD
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 QUINTIC = (DATA / "quintic.pf.txt").read_text()
+SEPTIC = ("theta^6 - 7*q*(7*theta+1)*(7*theta+2)*(7*theta+3)"
+          "*(7*theta+4)*(7*theta+5)*(7*theta+6)")
 
 
 def test_sugar_and_json_agree():
@@ -246,14 +250,62 @@ def test_the_pipeline_refuses_n5_before_the_normal_form(monkeypatch):
     def never(*args):
         raise AssertionError("the normal form was built")
 
-    op = parse_pf("theta^6 - 7*q*(7*theta+1)*(7*theta+2)*(7*theta+3)"
-                  "*(7*theta+4)*(7*theta+5)*(7*theta+6)")
+    op = parse_pf(SEPTIC)
     monkeypatch.setattr(picard_fuchs, "bmodel_normal_form", never)
     with pytest.raises(UnsupportedDimension) as info:
         bmodel_pipeline(op, Scalar(5), order=64)
     assert str(info.value) == (
         "instanton numbers in dimension 5 are not read from one connection "
         "entry; only n <= 4 is supported")
+
+
+@pytest.mark.parametrize("text, order", [
+    (QUINTIC, 16),
+    (QUINTIC, 64),
+    # the complete intersection of degrees 2 and 4 in P^5
+    ("theta^4 - 16 q (4 theta + 1)(4 theta + 3)(2 theta + 1)^2", 16),
+    # the sextic in P(1,1,1,1,2)
+    ("theta^4 - 9 q (6 theta + 1)(6 theta + 2)(6 theta + 4)(6 theta + 5)",
+     16),
+    (SEXTIC_FOURFOLD, 16),
+    (SEPTIC, 16),
+    # a q-degree-2 operator
+    ("theta^4 - 2 q (2 theta + 1)^2 (17 theta^2 + 17 theta + 5)"
+     " + 4 q^2 (theta + 1)^2 (2 theta + 1)(2 theta + 3)", 16),
+], ids=["quintic-16", "quintic-64", "p5-2-4", "sextic", "sextic-fourfold",
+        "septic", "q-degree-2"])
+def test_the_periods_give_the_normal_form(text, order):
+    """The couplings K_k read off the periods are log-free and symmetric,
+    K_k = K_(n+1-k), and in the mirror coordinate they are the normal
+    form's A: entry (k, k-1) is K_k and every other entry is zero."""
+    op = parse_pf(text)
+    n = op.order_theta - 1
+    ks = couplings_by_periods(op, order)
+    assert all(part.is_zero() for k in ks for part in k.parts[1:])
+    # the volume enters the pairing only, not A
+    report = bmodel_normal_form(op, ONE, order)
+    mirror = mirror_map_frobenius(frobenius_solve(op, 2, order))
+    assert mirror == report.mirror_coordinate
+    rev, a = Reversion(mirror), report.dn.a_series
+    for i in range(n + 1):
+        for j in range(n + 1):
+            want = rev.compose(ks[i].parts[0]) if i == j + 1 else \
+                Series.zero(order)
+            assert a.entry(i, j) == want, (i, j)
+    assert ks[1:] == ks[:0:-1]
+
+
+def test_the_periods_show_an_asymmetric_operator():
+    """theta^4 - q (theta+1)...(theta+4) is maximally unipotent, but its
+    couplings are not symmetric: K_1 = 1 and K_3 = 1 + 40 Q + 2420 Q^2 +
+    ... in the mirror coordinate Q."""
+    op = parse_pf("theta^4 - q (theta + 1)(theta + 2)(theta + 3)(theta + 4)")
+    ks = couplings_by_periods(op, 6)
+    assert ks[1] == LogSeries([Series.one(6)] + [Series.zero(6)] * 3)
+    mirror = mirror_map_frobenius(frobenius_solve(op, 2, 6))
+    k3 = Reversion(mirror).compose(ks[3].parts[0])
+    assert k3.coeffs[:3] == (ONE, Scalar(40), Scalar(2420))
+    assert ks[3] != ks[1]
 
 
 def test_nesting_limit():

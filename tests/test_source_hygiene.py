@@ -10,7 +10,8 @@ base class of one that is.  series.SeriesMatrix does its arithmetic on
 its lifted integers alone: the series module calls no Scalar matrix
 arithmetic of linalg.  The CLI's normal-form commands share one run,
 and a NormalFormReport is built by the normal form and the JSON reader
-alone.
+alone.  A record is a frozen dataclass: only the hot-path classes write
+their own __setattr__ or __eq__, and nothing is a NamedTuple.
 """
 import ast
 import importlib
@@ -183,3 +184,25 @@ def test_the_normal_form_commands_share_one_run():
     tree = MODULES["cli.py"]
     for name in ("bmodel_normal_form", "_parse_volume", "cover_power"):
         assert call_sites(tree, name) == ["_report"], name
+
+
+def test_one_record_idiom():
+    # Scalar, Series, SeriesMatrix and Reversion are the hot path and
+    # keep __slots__ (the first three are built around __init__, by _make
+    # and from_lifts); every other record leaves __setattr__ and __eq__
+    # to dataclass
+    by_hand = sorted(f"{name}: {node.name}" for name, tree in MODULES.items()
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef)
+                     and any(isinstance(f, ast.FunctionDef)
+                             and f.name in ("__setattr__", "__eq__")
+                             for f in node.body))
+    assert by_hand == ["scalars.py: Scalar", "series.py: Reversion",
+                       "series.py: Series", "series.py: SeriesMatrix"]
+    named_tuples = [f"{name}, line {node.lineno}"
+                    for name, tree in MODULES.items()
+                    for node in ast.walk(tree)
+                    if "NamedTuple" in (getattr(node, "id", None),
+                                        getattr(node, "attr", None),
+                                        getattr(node, "name", None))]
+    assert named_tuples == []

@@ -5,6 +5,7 @@ connection with lower-left entry h(q), the canonical coordinate is
 q exp(theta^{-1}(h/h(0) - 1)), and everything downstream of it is
 checked against series built independently from h.
 """
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -985,8 +986,8 @@ def test_transported_pairing_failure_is_the_one_in_the_mirror_coordinate(
         mats = [canon.frame.coefficient_matrix(m)
                 for m in range(canon.frame.order)]
         mats[k][i][j] = mats[k][i][j] + bump
-        return canon._replace(frame=SeriesMatrix.from_coefficients(
-            mats, g.rank, g.rank))
+        frame = SeriesMatrix.from_coefficients(mats, g.rank, g.rank)
+        return dataclasses.replace(canon, frame=frame)
 
     frame = perturbed(geo).frame
     m = frame.transpose() * geo.pairing * frame
@@ -1201,3 +1202,35 @@ def test_geometric_vhs_rejects_bad_data():
 def test_rees_module_rejects_empty():
     with pytest.raises(vshs.NotFree):
         ReesModule((), {}, {}, 0, order=4)
+
+
+def test_the_records_are_frozen_dataclasses():
+    """Each record of the B-side is a frozen dataclass: two equal
+    constructions compare equal, a field cannot be assigned, and
+    dataclasses.replace builds a changed copy."""
+    data = Path(__file__).resolve().parent.parent / "data"
+    op_text = (data / "quintic.pf.txt").read_text()
+
+    def build():
+        op = picard_fuchs.parse_pf(op_text)
+        geo = picard_fuchs.companion_vhs(op, 6)
+        dn = picard_fuchs.bmodel_normal_form(op, Scalar(5), 6).dn
+        return (op, picard_fuchs.frobenius_solve(op, 2, 6).solutions[1],
+                geo, to_canonical_connection(geo), dn, from_normal_form(dn))
+
+    records = build()
+    assert [type(r).__name__ for r in records] == [
+        "PFOperator", "LogSeries", "GeometricVHS", "CanonicalConnection",
+        "DnObject", "ReesModule"]
+    for a, b in zip(records, build()):
+        assert dataclasses.is_dataclass(a) and a.__dataclass_params__.frozen
+        assert a == b and a is not b
+        name = dataclasses.fields(a)[0].name
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+    # frozen with eq, and every field hashable
+    assert [hash(a) for a in records[:3]] == [hash(b) for b in build()[:3]]
+    canon = records[3]
+    moved = dataclasses.replace(canon, a_series=-canon.a_series)
+    assert moved.frame is canon.frame and moved.levels2 == canon.levels2
+    assert moved != canon
